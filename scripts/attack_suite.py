@@ -7,13 +7,10 @@ instantiated inequalities, and the recovery outcome.
 """
 
 import argparse
-import sys
 import time
 
-sys.path.insert(0, "tests")
-from conftest import attack_scenario          # noqa: E402
-
-from slidenet import run_scenario             # noqa: E402
+from slidenet import run_scenario
+from slidenet.scenarios import attack_scenario
 
 ATTACKS = ["deleter", "liar", "duplicator", "replacer", "report-forger"]
 

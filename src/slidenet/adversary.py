@@ -52,10 +52,6 @@ class EdgeSchedule:
     def active(self, r: int, a, b) -> bool:
         return bool(self._mask(r) >> self.bit[edge_key(a, b)] & 1)
 
-    def active_edges(self, r: int):
-        m = self._mask(r)
-        return [e for e in self.edges if m >> self.bit[e] & 1]
-
     def neighbors(self, r: int, v):
         m = self._mask(r)
         out = []
@@ -173,11 +169,10 @@ def find_honest_path(schedule: EdgeSchedule, r: int, corrupt_nodes,
 
 
 def validate_conforming(schedule: EdgeSchedule, corrupt_nodes, sender,
-                        receiver, rounds=None) -> Optional[ConformingViolation]:
+                        receiver) -> Optional[ConformingViolation]:
     """Check every round has an active sender-receiver path through nodes
     that are never corrupted; report the first round lacking one."""
-    rounds = schedule.rounds if rounds is None else rounds
-    for r in range(1, rounds + 1):
+    for r in range(1, schedule.rounds + 1):
         if find_honest_path(schedule, r, corrupt_nodes, sender, receiver) is None:
             return ConformingViolation(r)
     return None
@@ -206,9 +201,6 @@ class Behavior:
     def suppress_output(self) -> bool:
         """Ghost nodes answer nothing on any edge."""
         return False
-
-    def stage1_advert(self, buf, honest_msg):
-        return honest_msg
 
     def stage1_reply_height(self, buf, honest_height):
         return honest_height

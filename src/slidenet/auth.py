@@ -9,7 +9,7 @@ statements double as evidence in status reports when a transmission fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .crypto import Signed
@@ -28,19 +28,48 @@ def reason_f4(label):
 # broadcast parcels
 # ---------------------------------------------------------------------------
 
+class Parcel:
+    """Base of the broadcast parcel types.  Each type names its `tag`, the
+    fields that make up its broadcast-buffer key, and its transfer
+    `priority` (lower sends first)."""
+    tag = None
+    key_fields = ()
+    priority = None
+
+
+register_packer(Parcel, lambda p: ("~" + p.tag,
+                                   *(getattr(p, f.name) for f in fields(p))))
+
+
+def parcel_key(p):
+    return (p.tag, *(getattr(p, name) for name in p.key_fields))
+
+
+def expected_parts(ids, origin, reason, eliminated):
+    """The parts of `origin`'s status report for a failure of kind
+    `reason`: one per surviving peer, plus its own re-shuffle ledger
+    after an F2 failure."""
+    parts = [("edge", p) for p in ids if p != origin and p not in eliminated]
+    if reason[0] == "f2":
+        parts.append(("self",))
+    return parts
+
+
 @dataclass(frozen=True)
-class Theta:
+class Theta(Parcel):
     """Receiver's end-of-transmission parcel: decode bit plus the label of
     a packet received twice, if any."""
+    tag, key_fields, priority = "theta", ("T",), (0, 0)
     decoded: bool
     dup_label: object
     T: int
 
 
 @dataclass(frozen=True)
-class Omega:
+class Omega(Parcel):
     """First start-of-transmission parcel: how many elimination, failure
     reason, and blacklist parcels follow, plus the previous outcome."""
+    tag, key_fields, priority = "omega", ("T",), (1, 0)
     en_count: int
     bl_count: int
     f_count: int
@@ -49,106 +78,57 @@ class Omega:
 
 
 @dataclass(frozen=True)
-class ElimParcel:
+class ElimParcel(Parcel):
+    tag, key_fields, priority = "elim", ("node", "T"), (1, 1)
     node: object
     T: int
 
 
 @dataclass(frozen=True)
-class ReasonParcel:
+class ReasonParcel(Parcel):
+    tag, key_fields, priority = "reason", ("failed_T", "T"), (1, 2)
     failed_T: int
     reason: tuple
     T: int
 
 
 @dataclass(frozen=True)
-class BlacklistParcel:
+class BlacklistParcel(Parcel):
+    tag, key_fields, priority = "bl", ("node", "failed_T", "T"), (1, 3)
     node: object
     failed_T: int
     T: int
 
 
 @dataclass(frozen=True)
-class RemoveParcel:
+class RemoveParcel(Parcel):
+    tag, key_fields, priority = "rm", ("node", "T"), (2, 0)
     node: object
     T: int
 
 
 @dataclass(frozen=True)
-class KnowledgeParcel:
+class KnowledgeParcel(Parcel):
+    tag, key_fields, priority = ("know", ("claimant", "target", "failed_T"),
+                                 (3, 0))
     claimant: object
     target: object
     failed_T: int
 
 
 @dataclass(frozen=True)
-class StatusParcel:
+class StatusParcel(Parcel):
     """One slice of a node's status report: the signed ledger values for
     both directions of the edge pair with one neighbor (or the node's own
     re-shuffle ledger).  payload is a tuple of
     (field, label, value, stamp_T, stamp_r, evidence) records."""
+    tag, key_fields, priority = ("status", ("origin", "failed_T", "part"),
+                                 (5, 0))
     origin: object
     failed_T: int
     reason: tuple
     part: tuple                   # ("edge", peer) or ("self",)
     payload: tuple
-
-
-_PARCEL_TYPES = (Theta, Omega, ElimParcel, ReasonParcel, BlacklistParcel,
-                 RemoveParcel, KnowledgeParcel, StatusParcel)
-
-register_packer(Theta, lambda p: ("~theta", p.decoded, p.dup_label, p.T))
-register_packer(Omega, lambda p: ("~omega", p.en_count, p.bl_count, p.f_count,
-                                  p.reason, p.T))
-register_packer(ElimParcel, lambda p: ("~elim", p.node, p.T))
-register_packer(ReasonParcel, lambda p: ("~reason", p.failed_T, p.reason, p.T))
-register_packer(BlacklistParcel, lambda p: ("~bl", p.node, p.failed_T, p.T))
-register_packer(RemoveParcel, lambda p: ("~rm", p.node, p.T))
-register_packer(KnowledgeParcel, lambda p: ("~know", p.claimant, p.target,
-                                            p.failed_T))
-register_packer(StatusParcel, lambda p: ("~status", p.origin, p.failed_T,
-                                         p.reason, p.part, p.payload))
-
-
-def parcel_key(p):
-    if isinstance(p, Theta):
-        return ("theta", p.T)
-    if isinstance(p, Omega):
-        return ("omega", p.T)
-    if isinstance(p, ElimParcel):
-        return ("elim", p.node, p.T)
-    if isinstance(p, ReasonParcel):
-        return ("reason", p.failed_T, p.T)
-    if isinstance(p, BlacklistParcel):
-        return ("bl", p.node, p.failed_T, p.T)
-    if isinstance(p, RemoveParcel):
-        return ("rm", p.node, p.T)
-    if isinstance(p, KnowledgeParcel):
-        return ("know", p.claimant, p.target, p.failed_T)
-    if isinstance(p, StatusParcel):
-        return ("status", p.origin, p.failed_T, p.part)
-    raise TypeError(type(p).__name__)
-
-
-def _priority(p):
-    """Transfer priority class; lower sends first."""
-    if isinstance(p, Theta):
-        return (0, 0)
-    if isinstance(p, Omega):
-        return (1, 0)
-    if isinstance(p, ElimParcel):
-        return (1, 1)
-    if isinstance(p, ReasonParcel):
-        return (1, 2)
-    if isinstance(p, BlacklistParcel):
-        return (1, 3)
-    if isinstance(p, RemoveParcel):
-        return (2, 0)
-    if isinstance(p, KnowledgeParcel):
-        return (3, 0)
-    if isinstance(p, StatusParcel):
-        return (5, 0)
-    raise TypeError(type(p).__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -339,26 +319,19 @@ class AuthNode:
                 return None
         return (h, rr)
 
-    def sync_on_confirm(self, ob, signed, confirmed, confirmed_height, slide,
-                        T, r) -> None:
+    def sync_on_confirm(self, ob, signed, confirmed_height, slide, T,
+                        r) -> None:
         """After confirmation of receipt, adopt the receiver's signed
         counters and record our own potential drop."""
         led = self.out_led[ob.peer]
-        if self.relaxed_verify:
-            v = signed.value
-            led.sig1.set(v[5], (T, r), signed)
-            led.sig2.set(v[6], (T, r), signed)
-            if v[7] is not None:
-                led.sigp.setdefault(v[7][0], LedgerEntry()).set(
-                    v[7][1], (T, r), signed)
-        else:
-            v = signed.value
-            led.sig1.set(v[5], (T, r), signed)
-            led.sig2.set(v[6], (T, r), signed)
-            if confirmed is not None and confirmed.fresh:
-                label = confirmed.packet.label()
-                led.sigp.setdefault(label, LedgerEntry()).set(
-                    led.sigp_value(label) + 1, (T, r), signed)
+        v = signed.value
+        led.sig1.set(v[5], (T, r), signed)
+        led.sig2.set(v[6], (T, r), signed)
+        # verify_stage1_reply has checked that a confirmed fresh copy comes
+        # with (its label, prior count + 1) and a stale one with None
+        if v[7] is not None:
+            led.sigp.setdefault(v[7][0], LedgerEntry()).set(
+                v[7][1], (T, r), signed)
         led.sig3.set(led.sig3.value + confirmed_height, (T, r), None)
         self.sig_nn += slide
 
@@ -478,8 +451,7 @@ class AuthNode:
         reason = self._reason_for(failed_T)
         if reason is None:
             return None
-        expected = self._expected_parts(origin, reason)
-        for part in expected:
+        for part in expected_parts(self.ids, origin, reason, self.en):
             if ("status", origin, failed_T, part) not in self.bb:
                 return part
         return None
@@ -489,13 +461,6 @@ class AuthNode:
             if key[0] == "reason" and key[1] == failed_T:
                 return signed.value.reason
         return None
-
-    def _expected_parts(self, origin, reason):
-        parts = [("edge", p) for p in self.ids
-                 if p != origin and p not in self.en]
-        if reason[0] == "f2":
-            parts.append(("self",))
-        return parts
 
     def has_complete_report(self, origin, failed_T) -> bool:
         return self._missing_part(origin, failed_T) is None \
@@ -528,7 +493,7 @@ class AuthNode:
             if peer in passed:
                 continue
             parcel = signed.value
-            rank = _priority(parcel)
+            rank = parcel.priority
             if isinstance(parcel, StatusParcel):
                 if alpha is not None and (parcel.origin, parcel.failed_T,
                                           parcel.part) == (alpha[0], alpha[1],
@@ -590,7 +555,7 @@ class AuthNode:
                     and len(st["reasons"]) >= om.f_count)
         return True
 
-    def on_parcel(self, peer, hop, T, r, sig_clear_hook=None):
+    def on_parcel(self, peer, hop, T, r):
         """Validate and absorb a broadcast parcel arriving from `peer`.
         Returns a list of protocol events for the engine ("eliminated",
         node) when an elimination parcel wipes state, etc."""
@@ -598,7 +563,7 @@ class AuthNode:
         if inner is None:
             return []
         parcel = inner.value
-        if not isinstance(parcel, _PARCEL_TYPES) or not self._origin_ok(parcel, inner):
+        if not isinstance(parcel, Parcel) or not self._origin_ok(parcel, inner):
             return []
         is_sot = isinstance(parcel, (Omega, ElimParcel, ReasonParcel,
                                      BlacklistParcel))
@@ -606,9 +571,9 @@ class AuthNode:
             if parcel.T < self.current_T or not self._sot_orderly(parcel):
                 return []
         self.cbp_out[peer] = 1
-        return self._absorb(parcel, inner, peer, sig_clear_hook)
+        return self._absorb(parcel, inner, peer)
 
-    def _absorb(self, parcel, inner, peer, sig_clear_hook):
+    def _absorb(self, parcel, inner, peer):
         events = []
         if isinstance(parcel, Theta):
             if parcel.T == self.current_T:
@@ -618,7 +583,7 @@ class AuthNode:
             st["omega"] = parcel
             added = self._add_parcel(inner, mark_peer=peer)
             if added and parcel.bl_count == 0 and parcel.T >= self.current_T:
-                self._clear_sig_buffers(parcel.T, sig_clear_hook)
+                self._clear_sig_buffers(parcel.T)
         elif isinstance(parcel, ElimParcel):
             st = self._sot_state(parcel.T)
             st["elims"].add(parcel.node)
@@ -626,7 +591,7 @@ class AuthNode:
             if parcel.node not in self.en:
                 self.en[parcel.node] = parcel.T
                 events.append(("wipe", parcel.node))
-                self._clear_sig_buffers(parcel.T, sig_clear_hook)
+                self._clear_sig_buffers(parcel.T)
                 self._wipe_for_elimination()
         elif isinstance(parcel, ReasonParcel):
             self._sot_state(parcel.T)["reasons"].add(parcel.failed_T)
@@ -646,7 +611,7 @@ class AuthNode:
                         self._add_own_report(parcel.failed_T, reason)
                 om = st["omega"]
                 if om is not None and len(st["bls"]) >= om.bl_count:
-                    self._clear_sig_buffers(parcel.T, sig_clear_hook)
+                    self._clear_sig_buffers(parcel.T)
         elif isinstance(parcel, RemoveParcel):
             if parcel.T == self.current_T:
                 self._add_parcel(inner, mark_peer=peer)
@@ -673,14 +638,13 @@ class AuthNode:
         reason = self._reason_for(parcel.failed_T)
         if reason is None or parcel.reason != reason:
             return False
-        return parcel.part in self._expected_parts(parcel.origin, reason)
+        return parcel.part in expected_parts(self.ids, parcel.origin, reason,
+                                             self.en)
 
-    def _clear_sig_buffers(self, T, sig_clear_hook) -> None:
+    def _clear_sig_buffers(self, T) -> None:
         for led in list(self.out_led.values()) + list(self.in_led.values()):
             led.clear(T)
         self.sig_nn = 0
-        if sig_clear_hook is not None:
-            sig_clear_hook()
 
     def _wipe_for_elimination(self) -> None:
         """A newly-learned elimination wipes routing state: broadcast
@@ -745,17 +709,13 @@ class AuthNode:
 
     def make_own_report(self, failed_T, reason):
         parcels = []
-        for peer in self.peers:
-            if peer in self.en:
-                continue
-            parcels.append(StatusParcel(self.node_id, failed_T, reason,
-                                        ("edge", peer),
-                                        self._report_payload(peer, reason)))
-        if reason[0] == "f2":
-            parcels.append(StatusParcel(self.node_id, failed_T, reason,
-                                        ("self",),
-                                        (("self", "sig_nn", None, self.sig_nn,
-                                          0, 0, None),)))
+        for part in expected_parts(self.ids, self.node_id, reason, self.en):
+            if part[0] == "edge":
+                payload = self._report_payload(part[1], reason)
+            else:
+                payload = (("self", "sig_nn", None, self.sig_nn, 0, 0, None),)
+            parcels.append(StatusParcel(self.node_id, failed_T, reason, part,
+                                        payload))
         return parcels
 
     def _add_own_report(self, failed_T, reason) -> None:
@@ -804,8 +764,6 @@ class SenderAuth(AuthNode):
         self.beta = 0
         self.halted = False
         self.theta = None
-        self.theta_round = None
-        self.participants = {}        # failed_T -> list of nodes
         self.failure_records = {}     # failed_T -> record dict
         self.reports = {}             # (origin, failed_T) -> {part: Signed}
         self._install_sot(1, Omega(0, 0, 0, REASON_OK, 1), [], [], [])
@@ -853,7 +811,6 @@ class SenderAuth(AuthNode):
                         if i not in self.en and i not in self.bl]
         if reason != REASON_OK:
             self.F += 1
-            self.participants[T] = participants
             self.failure_records[T] = {
                 "reason": reason,
                 "participants": participants,
@@ -876,7 +833,6 @@ class SenderAuth(AuthNode):
         self._install_sot(T + 1, omega, sorted(self.en), reason_items,
                           bl_items)
         self.theta = None
-        self.theta_round = None
         self.beta = 0
         return reason, participants
 
@@ -890,9 +846,7 @@ class SenderAuth(AuthNode):
         self.claims = {}
         self.reports = {}
         self.failure_records = {}
-        self.participants = {}
         self.theta = None
-        self.theta_round = None
         self.F = 0
         self.beta = 0
         for led in self.out_led.values():
@@ -904,12 +858,12 @@ class SenderAuth(AuthNode):
 
     # -- receiving broadcast parcels ---------------------------------------
 
-    def on_parcel(self, peer, hop, T, r, sig_clear_hook=None):
+    def on_parcel(self, peer, hop, T, r):
         inner = self.unwrap_hop(hop, peer, T, r)
         if inner is None:
             return []
         parcel = inner.value
-        if not isinstance(parcel, _PARCEL_TYPES) \
+        if not isinstance(parcel, Parcel) \
                 or not self._origin_ok(parcel, inner):
             return []
         self.cbp_out[peer] = 1
@@ -921,7 +875,6 @@ class SenderAuth(AuthNode):
         if isinstance(parcel, Theta):
             if parcel.T == self.current_T and self.theta is None:
                 self.theta = parcel
-                self.theta_round = r
                 events.append(("theta", r))
         elif isinstance(parcel, KnowledgeParcel):
             if parcel.target in self.bl \
@@ -938,8 +891,9 @@ class SenderAuth(AuthNode):
         record = self.failure_records.get(failed_T)
         if record is None:
             return []
-        if parcel.reason != record["reason"] \
-                or not self._status_part_ok(parcel, record):
+        expected = expected_parts(self.ids, origin, record["reason"],
+                                  record["eliminated"])
+        if parcel.reason != record["reason"] or parcel.part not in expected:
             return [("eliminate", origin,
                      f"node {origin} returned a mismatched status parcel "
                      f"for transmission {failed_T}")]
@@ -959,19 +913,10 @@ class SenderAuth(AuthNode):
                 events.append(("localize", min(done)))
         return events
 
-    def _status_part_ok(self, parcel: StatusParcel, record) -> bool:
-        expected = [("edge", p) for p in self.ids
-                    if p != parcel.origin and p not in record["eliminated"]]
-        if record["reason"][0] == "f2":
-            expected.append(("self",))
-        return parcel.part in expected
-
     def _report_complete(self, origin, failed_T, record) -> bool:
         have = self.reports.get((origin, failed_T), {})
-        expected = [("edge", p) for p in self.ids
-                    if p != origin and p not in record["eliminated"]]
-        if record["reason"][0] == "f2":
-            expected.append(("self",))
+        expected = expected_parts(self.ids, origin, record["reason"],
+                                  record["eliminated"])
         return all(part in have for part in expected)
 
     def _all_reports_complete(self, failed_T) -> bool:

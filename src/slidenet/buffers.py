@@ -26,6 +26,26 @@ class Stored:
         return Stored(self.packet, False) if self.fresh else self
 
 
+def stack_potential(kind, h, extra, accepted):
+    """(non-duplicated, duplication) potential of one buffer: the sum of
+    the heights of its occupied slots, worked out from its height `h` and
+    its extra slot -- the flagged packet's height for an "out" buffer, the
+    ghost slot's for an "in" buffer.  A flagged copy the peer has accepted
+    counts as duplication."""
+    if extra is None:
+        return h * (h + 1) // 2, 0
+    if kind == "in":
+        if extra <= h:
+            # ghost gap below the top: slots 1..h+1 minus the gap
+            return (h + 1) * (h + 2) // 2 - extra, 0
+        return h * (h + 1) // 2, 0
+    # slots 1..h, or 1..h-1 plus the flagged slot when it sits above
+    total = h * (h + 1) // 2 if extra <= h else (h - 1) * h // 2 + extra
+    if accepted:
+        return total - extra, extra
+    return total, 0
+
+
 class SlotArray:
     """Height-indexed slot storage shared by both buffer kinds."""
 
@@ -44,9 +64,6 @@ class SlotArray:
 
     def occupied(self):
         return [h for h in range(1, self.capacity + 1) if self._slots[h - 1] is not None]
-
-    def count(self) -> int:
-        return sum(1 for s in self._slots if s is not None)
 
     def collapse_above(self, h: int) -> int:
         """Slot h just became empty; slide every occupied slot above it
@@ -145,6 +162,17 @@ class OutgoingBuffer:
 
     # -- transmission boundary ------------------------------------------
 
+    def reset(self) -> None:
+        """Empty the buffer and drop any flagged packet."""
+        self.slots.clear()
+        self.H = 0
+        self.sb = 0
+        self.d = 0
+        self.FR = None
+        self.H_FP = None
+        self.p_tilde = None
+        self.flag_accepted = False
+
     def eot_adjust(self) -> None:
         if self.H_FP is not None:
             self.slots.put(self.H_FP, None)
@@ -185,24 +213,17 @@ class IncomingBuffer:
         self.H_GP = None             # ghost slot height
         self.H_OUT = None            # peer's advertised height
         self.sb_OUT = 0              # peer's status bit (inferred)
-        self.FR = None               # peer's advertised flagged round
 
     # -- stage 1 --------------------------------------------------------
-
-    def stage1_msg(self):
-        return (self.H, self.RR)
 
     def fold_stage1(self, msg) -> None:
         """Absorb the peer's height advertisement (h, h_fp, fr), or None
         if the edge was down."""
-        self.sb_OUT = 0
-        self.FR = None
         if msg is None:
             self.sb_OUT = 1
             self.H_OUT = None
             return
         h, h_fp, fr = msg
-        self.FR = fr
         if fr is not None and fr > self.RR:
             self.sb_OUT = 1
             self.H_OUT = h_fp
@@ -267,6 +288,13 @@ class IncomingBuffer:
         return ("idle", self._clear_ghost_gap())
 
     # -- transmission boundary ------------------------------------------
+
+    def reset(self) -> None:
+        """Empty the buffer and drop any ghost slot."""
+        self.slots.clear()
+        self.H = 0
+        self.H_GP = None
+        self.sb = 0
 
     def eot_adjust(self) -> None:
         self._clear_ghost_gap()

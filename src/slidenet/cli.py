@@ -15,7 +15,8 @@ import json
 import os
 import sys
 
-from .adversary import BEHAVIORS, ConfigError
+from .adversary import ConfigError, Corruption
+from .buffers import stack_potential
 from .codec import CodecError
 from .engine import (ConformingError, Engine, InvariantError, Scenario)
 from .localize import LocalizationError
@@ -86,8 +87,6 @@ def _audit_state_row(rec, n, honest_nodes, errors) -> tuple:
     for node_str, bufs in sorted(rec["nodes"].items()):
         node = int(node_str)
         heights = []
-        internal = all(kind in ("in", "out") for kind, *_ in bufs) \
-            and node not in (0, n - 1)
         for kind, peer, h, extra, acc in bufs:
             heights.append(h)
             if h < 0 or h > cap:
@@ -95,21 +94,9 @@ def _audit_state_row(rec, n, honest_nodes, errors) -> tuple:
                               f"height {h} outside [0, {cap}]")
             if node in (0, n - 1):
                 continue
-            if kind == "out":
-                occupied = list(range(1, h + 1))
-                if extra is not None and extra > h:
-                    occupied = list(range(1, h)) + [extra]
-                for hh in occupied:
-                    if acc and extra is not None and hh == extra:
-                        phi_dup += hh
-                    else:
-                        phi_nd += hh
-            else:
-                if extra is not None and extra <= h:
-                    # ghost gap below the top: slots 1..h+1 minus the gap
-                    phi_nd += (h + 1) * (h + 2) // 2 - extra
-                else:
-                    phi_nd += h * (h + 1) // 2
+            nd, dup = stack_potential(kind, h, extra, acc)
+            phi_nd += nd
+            phi_dup += dup
         if node in honest_nodes and node not in (0, n - 1) and heights:
             if max(heights) - min(heights) > 1:
                 errors.append(f"round {rec['g']}: node {node} unbalanced "
@@ -185,47 +172,26 @@ def cmd_audit(args) -> int:
 
 def cmd_gen(args) -> int:
     corruptions = []
-    backbone = args.backbone
-    if args.kind == "honest":
-        schedule = {"kind": "static", "p": 0.0, "seed": args.seed,
-                    "script": None, "backbone": backbone}
-    elif args.kind == "churn":
-        schedule = {"kind": "churn", "p": args.p, "seed": args.seed,
-                    "script": None, "backbone": backbone}
-    elif args.kind == "attack":
-        if args.behavior not in BEHAVIORS:
-            print(f"configuration error: unknown behavior {args.behavior}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        node = args.corrupt_node
-        if node is None:
-            node = args.n - 2
-        corruptions = [{"node": node, "round": args.corrupt_round,
-                        "behavior": args.behavior, "params": {}}]
-        schedule = {"kind": "churn", "p": args.p, "seed": args.seed,
-                    "script": None, "backbone": backbone}
-    else:
-        print(f"configuration error: unknown kind {args.kind!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-
-    mode = args.mode or ("auth" if corruptions else "slide")
-    data = {
-        "n": args.n, "mode": mode, "lam": args.lam, "sigma": None,
-        "fragment_bytes": 2, "messages": args.messages,
-        "max_transmissions": args.max_transmissions,
-        "schedule": schedule, "corruptions": corruptions,
-        "crypto_backend": "oracle", "seed": args.seed,
-        "checks": "light", "trace": False,
-    }
+    if args.kind == "attack":
+        node = args.n - 2 if args.corrupt_node is None else args.corrupt_node
+        corruptions = [Corruption(node, args.corrupt_round, args.behavior)]
+    scenario = Scenario(
+        n=args.n, mode=args.mode or ("auth" if corruptions else "slide"),
+        lam=args.lam, messages=args.messages,
+        max_transmissions=args.max_transmissions,
+        schedule_kind="static" if args.kind == "honest" else "churn",
+        schedule_p=0.0 if args.kind == "honest" else args.p,
+        schedule_seed=args.seed, backbone=args.backbone,
+        corruptions=corruptions, seed=args.seed, checks="light")
     try:
-        Engine(Scenario.from_dict(data))
+        Engine(scenario)
     except (CodecError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConformingError as exc:
         print(f"conforming violation: {exc}", file=sys.stderr)
         return EXIT_CONFORMING
+    data = scenario.to_dict()
     if args.out:
         _write_json(args.out, data)
         print(f"wrote {args.out}")

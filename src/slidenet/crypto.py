@@ -43,8 +43,6 @@ class KeyPair:
 
 
 class _OracleBackend:
-    name = "oracle"
-
     def __init__(self, node_ids, seed):
         root = pack(("oracle-root", str(seed)))
         self._secrets = {
@@ -70,8 +68,6 @@ class _OracleBackend:
 
 
 class _Ed25519Backend:
-    name = "ed25519"
-
     def __init__(self, node_ids, seed):
         from cryptography.hazmat.primitives.asymmetric.ed25519 import (
             Ed25519PrivateKey,
@@ -121,10 +117,6 @@ class KeyRing:
             raise CryptoError(f"unknown crypto backend {backend!r}")
         self.node_ids = node_ids
         self._backend = _BACKENDS[backend](node_ids, seed)
-
-    @property
-    def backend_name(self):
-        return self._backend.name
 
     def keypair(self, node_id) -> KeyPair:
         if node_id not in self.node_ids:

@@ -18,11 +18,11 @@ from .adversary import (ConfigError, Corruption, EdgeSchedule,
                         find_honest_path, generate_schedule,
                         validate_conforming)
 from .auth import REASON_OK, AuthNode, SenderAuth, Theta
-from .buffers import Stored
+from .buffers import Stored, stack_potential
 from .crypto import keygen
-from .localize import LocalizationError, run_localization
+from .localize import run_localization
 from .node import INTERNAL, RECEIVER, SENDER, NodeState
-from .util import digest, parse_fraction
+from .util import digest
 
 
 class InvariantError(RuntimeError):
@@ -80,7 +80,15 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Parse the dict form written by `to_dict`.  Missing keys take
+        their defaults; an unknown key raises ConfigError, so a misspelt
+        key cannot silently run with the default."""
+        known = cls().to_dict()
+        _reject_unknown("scenario", data, known)
         sched = data.get("schedule", {})
+        _reject_unknown("schedule", sched, known["schedule"])
+        for c in data.get("corruptions", []):
+            _reject_unknown("corruption", c, _CORRUPTION_KEYS)
         corruptions = [
             Corruption(node=c["node"], round_index=c.get("round", 1),
                        behavior=c["behavior"], params=c.get("params", {}))
@@ -111,6 +119,15 @@ class Scenario:
         return digest(_canon(d))
 
 
+_CORRUPTION_KEYS = ("node", "round", "behavior", "params")
+
+
+def _reject_unknown(where, data, known) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
 def _canon(obj):
     if isinstance(obj, dict):
         return tuple((k, _canon(v)) for k, v in sorted(obj.items()))
@@ -137,6 +154,8 @@ class Engine:
         self.auth_mode = sc.mode == "auth"
         if sc.mode not in ("slide", "auth"):
             raise ConfigError(f"unknown mode {sc.mode!r}")
+        if sc.checks not in ("full", "light", "off"):
+            raise ConfigError(f"unknown check level {sc.checks!r}")
         self.L = 4 * self.D if self.auth_mode else 3 * self.D
         self.ids = list(range(sc.n))
         self.S = 0
@@ -241,9 +260,6 @@ class Engine:
                              and not self._ignores(a, b))
         self._delivery = cache
 
-    def _delivered_msg(self, a, b) -> bool:
-        return self._delivery[(a, b)]
-
     def _is_honest(self, node) -> bool:
         return self._behavior(node) is None
 
@@ -275,14 +291,7 @@ class Engine:
             fragments = cw.fragments
             self._copy = (msg_index, fragments)
         for buf in node.out_buffers.values():
-            buf.slots.clear()
-            buf.H = 0
-            buf.sb = 0
-            buf.d = 0
-            buf.FR = None
-            buf.H_FP = None
-            buf.p_tilde = None
-            buf.flag_accepted = False
+            buf.reset()
         node.load_reservoir(Stored(p, True) for p in fragments)
         node.sender_refill()
 
@@ -323,18 +332,15 @@ class Engine:
         r = self.r_local
         if self.auth_mode:
             self._broadcast_control()
+        delivery = self._delivery
         adverts = {}
         replies = {}
         for a, b in self.packet_edges:
-            if not self._delivered_msg(a, b) and not self._delivered_msg(b, a):
+            if not delivery[(a, b)] and not delivery[(b, a)]:
                 continue
             ob = self.nodes[a].out_buffers[b]
             ib = self.nodes[b].in_buffers[a]
-            msg = ob.stage1_msg()
-            beh = self._behavior(a)
-            if beh is not None:
-                msg = beh.stage1_advert(ob, msg)
-            adverts[(a, b)] = msg
+            adverts[(a, b)] = ob.stage1_msg()
             height = ib.H
             beh_b = self._behavior(b)
             if beh_b is not None:
@@ -349,10 +355,9 @@ class Engine:
             ob = self.nodes[a].out_buffers[b]
             ib = self.nodes[b].in_buffers[a]
             # advert a -> b
-            ib.fold_stage1(adverts.get((a, b))
-                           if self._delivered_msg(a, b) else None)
+            ib.fold_stage1(adverts.get((a, b)) if delivery[(a, b)] else None)
             # reply b -> a, then reset outgoing variables
-            reply = replies.get((a, b)) if self._delivered_msg(b, a) else None
+            reply = replies.get((a, b)) if delivery[(b, a)] else None
             signed = None
             if reply is not None and self.auth_mode:
                 signed = reply
@@ -360,8 +365,8 @@ class Engine:
             confirmed, height, slide = ob.fold_reply(reply)
             if confirmed is not None:
                 if self.auth_mode:
-                    self.auth[a].sync_on_confirm(ob, signed, confirmed,
-                                                 height, slide, self.T, r)
+                    self.auth[a].sync_on_confirm(ob, signed, height, slide,
+                                                 self.T, r)
                     self._check_ledger_pairing(a, b)
                 if a == self.S:
                     self.nodes[a].kappa += 1
@@ -375,7 +380,7 @@ class Engine:
         r = self.r_local
         msgs = {}
         for x, y in self.all_pairs:
-            if not self._delivered_msg(x, y):
+            if not self._delivery[(x, y)]:
                 continue
             ax = self.auth[x]
             msgs[(x, y)] = (ax.take_cbp(y), ax.make_request(y))
@@ -451,7 +456,7 @@ class Engine:
         inserted = False
         for a, b in self.packet_edges:
             ib = self.nodes[b].in_buffers[a]
-            entry = sends.get((a, b)) if self._delivered_msg(a, b) else None
+            entry = sends.get((a, b)) if self._delivery[(a, b)] else None
             blocked = False
             parsed = None
             signed = None
@@ -500,17 +505,14 @@ class Engine:
         r = self.r_local
         chosen = {}
         for x, y in self.all_pairs:
-            if not self._delivered_msg(x, y):
+            if not self._delivery[(x, y)]:
                 continue
             parcel = self.auth[x].choose_parcel(y)
             if parcel is not None:
                 chosen[(x, y)] = self.auth[x].wrap_hop(parcel, self.T, r)
         events = []
         for (x, y), hop in sorted(chosen.items()):
-            ay = self.auth[y]
-            clear_hook = None
-            evs = ay.on_parcel(x, hop, self.T, r, sig_clear_hook=clear_hook)
-            for ev in evs:
+            for ev in self.auth[y].on_parcel(x, hop, self.T, r):
                 events.append((y, ev))
         for y, ev in events:
             if ev[0] == "wipe":
@@ -524,20 +526,8 @@ class Engine:
                 self._localize(ev[1])
 
     def _wipe_buffers(self, node_id):
-        node = self.nodes[node_id]
-        for buf in node.all_buffers():
-            buf.slots.clear()
-            buf.H = 0
-        for ob in node.out_buffers.values():
-            ob.sb = 0
-            ob.d = 0
-            ob.FR = None
-            ob.H_FP = None
-            ob.p_tilde = None
-            ob.flag_accepted = False
-        for ib in node.in_buffers.values():
-            ib.H_GP = None
-            ib.sb = 0
+        for buf in self.nodes[node_id].all_buffers():
+            buf.reset()
 
     def _eliminate(self, node, inequality, kind, margin=0):
         sender = self.auth[self.S]
@@ -626,28 +616,21 @@ class Engine:
 
     # -- metrics / invariant checking ------------------------------------------------
 
-    def potential_snapshot(self):
-        """Current (non-duplicated, duplication) network potential: each
-        internal buffer contributes the heights of its packets, with
-        accepted-but-unconfirmed flagged copies counted as duplication."""
-        return self._potential()
-
     def _potential(self):
+        """Current (non-duplicated, duplication) network potential: the
+        sum of `stack_potential` over every internal node's buffers."""
         phi_nd = 0
         phi_dup = 0
-        for i in self.ids:
-            node = self.nodes[i]
+        for node in self.nodes.values():
             if node.role != INTERNAL:
                 continue
             for ib in node.in_buffers.values():
-                for h in ib.slots.occupied():
-                    phi_nd += h
+                phi_nd += stack_potential("in", ib.H, ib.H_GP, False)[0]
             for ob in node.out_buffers.values():
-                for h in ob.slots.occupied():
-                    if h == ob.H_FP and ob.flag_accepted:
-                        phi_dup += h
-                    else:
-                        phi_nd += h
+                nd, dup = stack_potential("out", ob.H, ob.H_FP,
+                                          ob.flag_accepted)
+                phi_nd += nd
+                phi_dup += dup
         return phi_nd, phi_dup
 
     def _check_round(self):

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .auth import REASON_F2, REASON_F3, REASON_OK, reason_f4
+
 
 class LocalizationError(RuntimeError):
     """Complete reports failed to produce a verdict; with honest audits
@@ -74,12 +76,12 @@ def classify_failure(kappa: int, packets_per_codeword: int, theta) -> tuple:
     sender's insertion count: success; duplicate seen at the receiver;
     too few insertions; otherwise flow-deficit."""
     if theta.decoded:
-        return ("ok",)
+        return REASON_OK
     if theta.dup_label is not None:
-        return ("f4", theta.dup_label)
+        return reason_f4(theta.dup_label)
     if kappa < packets_per_codeword:
-        return ("f2",)
-    return ("f3",)
+        return REASON_F2
+    return REASON_F3
 
 
 # ---------------------------------------------------------------------------

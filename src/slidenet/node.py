@@ -25,7 +25,6 @@ class NodeState:
         self.role = role
         n = len(all_ids)
         cap = 2 * n
-        self.capacity_per_buffer = cap
         self.in_buffers = {}
         self.out_buffers = {}
         if role != SENDER:
@@ -234,9 +233,7 @@ class NodeState:
                 for h in buf.slots.occupied():
                     item = buf.slots.get(h)
                     self._receiver_take(item, plain_mode)
-            buf.slots.clear()
-            buf.H = 0
-            buf.H_GP = None
+            buf.reset()
         if not self.decoded and len(self.storage) >= params.decode_threshold:
             frags = [s.packet for s in self.storage.values()]
             msg = decode_fn(frags)

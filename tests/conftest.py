@@ -1,38 +1,5 @@
 import pytest
 
-from slidenet.adversary import Corruption
-from slidenet.engine import Scenario
-
-
-def line_script(n):
-    """Edge list keeping a thin honest line 0-1-(n-1) while corrupt
-    internals attract traffic: no direct sender-receiver edge."""
-    edges = [(0, 1), (1, n - 1)]
-    for mid in range(2, n - 1):
-        edges += [(0, mid), (mid, n - 1), (1, mid)]
-    for a in range(2, n - 1):
-        for b in range(a + 1, n - 1):
-            edges.append((a, b))
-    return [sorted(set(edges))]
-
-
-def attack_scenario(n, behaviors, messages=1, checks=None, seed=0,
-                    max_transmissions=None, corrupt_round=1):
-    """One scenario with the given {node: behavior} map over the thin-line
-    topology; the honest backbone runs through node 1."""
-    corruptions = [Corruption(node=node, round_index=corrupt_round,
-                              behavior=name)
-                   for node, name in sorted(behaviors.items())]
-    if checks is None:
-        checks = "full" if n <= 4 else "light"
-    if max_transmissions is None:
-        max_transmissions = 8 + 2 * len(behaviors)
-    return Scenario(
-        n=n, mode="auth", messages=messages,
-        max_transmissions=max_transmissions, checks=checks,
-        schedule_kind="scripted", schedule_script=line_script(n),
-        backbone=[0, 1, n - 1], corruptions=corruptions, seed=seed)
-
 
 @pytest.fixture(scope="session")
 def run_cache():

@@ -9,10 +9,11 @@ import random
 
 import pytest
 
-from conftest import attack_scenario, cached_run
+from conftest import cached_run
 from slidenet import codec
 from slidenet.adversary import Corruption
 from slidenet.engine import Scenario, run_scenario
+from slidenet.scenarios import attack_scenario
 
 SEEDS = list(range(20))
 BEHAVIORS = ["duplicator", "deleter", "replacer", "ghost", "report-forger"]

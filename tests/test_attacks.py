@@ -4,8 +4,8 @@ budget, and no honest casualties (the engine raises on those)."""
 
 import pytest
 
-from conftest import attack_scenario
 from slidenet.engine import run_scenario
+from slidenet.scenarios import attack_scenario
 
 
 def failures_before_elimination(report):

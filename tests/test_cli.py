@@ -3,6 +3,7 @@ import json
 import pytest
 
 from slidenet.cli import main
+from slidenet.engine import Scenario
 
 
 def write(path, data):
@@ -46,6 +47,20 @@ class TestRun:
         path = write(tmp_path / "cut.json", data)
         assert main(["run", path]) == 3
 
+    @pytest.mark.parametrize("bad", [
+        {"mesages": 3},
+        {"schedule": {"kind": "churn", "p": 0.2, "sede": 9}},
+        {"checks": "ful"},
+        {"mode": "auth",
+         "corruptions": [{"node": 2, "behavior": "deleter", "rnd": 1}]},
+    ])
+    def test_malformed_scenario_exit2(self, tmp_path, bad):
+        data = {"n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
+                "schedule": {"kind": "churn", "p": 0.2, "seed": 3},
+                "seed": 1, "checks": "light"}
+        data.update(bad)
+        assert main(["run", write(tmp_path / "bad.json", data)]) == 2
+
     def test_determinism_byte_identical(self, tmp_path, honest_scenario):
         outs = []
         for name in ("a", "b"):
@@ -63,6 +78,7 @@ class TestGen:
         assert main(["gen", "honest", "--n", "4", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["n"] == 4 and data["mode"] == "slide"
+        assert Scenario.from_dict(data).to_dict() == data
 
     def test_gen_churn_seed42(self, tmp_path):
         out = tmp_path / "sc.json"
@@ -87,6 +103,35 @@ class TestGen:
         assert main(["gen", "attack", "--behavior", "nonsense"]) == 2
 
 
+def _lower_internal_height(rows):
+    for rec in rows:
+        if rec["k"] != "state":
+            continue
+        for node, bufs in rec["nodes"].items():
+            if node not in ("0", "3"):
+                for buf in bufs:
+                    if buf[2] > 0:
+                        buf[2] -= 1
+                        return True
+    return False
+
+
+def _bump_recorded_potential(rows):
+    for rec in rows:
+        if rec["k"] == "state":
+            rec["nd"] += 1
+            return True
+    return False
+
+
+def _hide_insertion_gain(rows):
+    for rec in rows:
+        if rec["k"] == "state" and rec["gain"] > 0 and rec["r"] != 1:
+            rec["gain"] = 0
+            return True
+    return False
+
+
 class TestAudit:
     def test_not_a_trace(self, tmp_path):
         path = tmp_path / "junk.jsonl"
@@ -98,3 +143,16 @@ class TestAudit:
         assert main(["run", honest_scenario, "--out", str(out),
                      "--trace"]) == 0
         assert main(["audit", str(out / "trace.jsonl")]) == 0
+
+    @pytest.mark.parametrize("tamper", [_lower_internal_height,
+                                        _bump_recorded_potential,
+                                        _hide_insertion_gain])
+    def test_tampered_trace_exit4(self, tmp_path, honest_scenario, tamper):
+        out = tmp_path / "out"
+        assert main(["run", honest_scenario, "--out", str(out),
+                     "--trace"]) == 0
+        trace = out / "trace.jsonl"
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert tamper(rows)
+        trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
+        assert main(["audit", str(trace)]) == 4

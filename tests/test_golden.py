@@ -1,0 +1,66 @@
+"""Golden digests: the report and trace of four fixed scenarios, pinned
+across versions.  A refactor must leave every digest unchanged; only a
+change whose point is a behaviour change may update them, and it says why
+in CHANGES.md.
+
+The scenarios are spelled out here rather than built by a helper, so the
+lock also pins its own inputs.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from slidenet.adversary import Corruption
+from slidenet.engine import Scenario, run_scenario
+
+# thin honest line 0-1-3 with node 2 attached to every other node
+THIN_LINE_N4 = [[[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]]
+
+
+def _attack(behavior):
+    return Scenario(
+        n=4, mode="auth", messages=1, max_transmissions=10, checks="full",
+        schedule_kind="scripted", schedule_script=THIN_LINE_N4,
+        backbone=[0, 1, 3],
+        corruptions=[Corruption(node=2, round_index=1, behavior=behavior)],
+        seed=0, trace=True)
+
+
+SCENARIOS = {
+    "slide-n4-churn": lambda: Scenario(
+        n=4, mode="slide", messages=2, schedule_kind="churn",
+        schedule_p=0.3, schedule_seed=1, seed=1, trace=True),
+    "auth-n4-churn": lambda: Scenario(
+        n=4, mode="auth", schedule_kind="churn", schedule_p=0.2,
+        schedule_seed=3, seed=3, trace=True),
+    "duplicator-n4": lambda: _attack("duplicator"),
+    "report-forger-n4": lambda: _attack("report-forger"),
+}
+
+# (report sha256, trace sha256) of json.dumps(..., sort_keys=True)
+GOLDEN = {
+    "slide-n4-churn": (
+        "cb5870ca94b3098167aa007b8f5ac0c3f49850487195bbcdbb65db6620bcbe33",
+        "0fd99dab2944f944463097d6354948db717d5b78ded3b1a3d317a48600db8735"),
+    "auth-n4-churn": (
+        "7adfaedd8bd461804af44d290b920fc19fe3fc84562084c7ac2a71c402cf193c",
+        "7912c29fa84403a23ae152ca3b47c9fca1666f83dd7d3fd7147494cf78239663"),
+    "duplicator-n4": (
+        "262bb436472600051fa0c6deec55d18684e21ac9c13b278a99acefa25e09b95c",
+        "c7ec5d837f69671ce4c764a8ad9954ea07fc123cd59c7ba18ac15b4c240a59bc"),
+    "report-forger-n4": (
+        "8c0c09c0b0c11df0f2bca9e48dc37268ef3b4a0f84c69a846bbcd607484a8574",
+        "3ea67a41d6daf8e55b9a1e41138dd3688592d1999c6a9d7b16ac617e4b6b408b"),
+}
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_digests(name):
+    report, engine = run_scenario(SCENARIOS[name]())
+    assert (_sha256(report), _sha256(engine.trace)) == GOLDEN[name]
