@@ -193,6 +193,7 @@ class Behavior:
 
     def __init__(self, params=None):
         self.params = dict(params or {})
+        self.node = self.auth = None     # set once the node turns
 
     def attach(self, node, auth):
         self.node = node
@@ -215,9 +216,9 @@ class Behavior:
         it; False silently deletes it from the buffer."""
         return True
 
-    def after_forward(self, stored, substituted) -> None:
-        """Called when a packet this node sent is confirmed received;
-        substituted marks sends the behavior replaced."""
+    def after_forward(self, buf, stored) -> None:
+        """Called when the peer of outgoing buffer `buf` confirms receipt
+        of the flagged packet `stored`."""
 
     def forge_report(self, parcels, auth):
         """Chance to replace the node's own status-report parcels."""
@@ -280,14 +281,17 @@ class Replacer(Behavior):
         super().__init__(params)
         self.pool = []
         self._cursor = 0
+        self._replaced = set()       # peers whose last send was swapped
 
-    def after_forward(self, stored, substituted) -> None:
-        if not substituted:
+    def after_forward(self, buf, stored) -> None:
+        if buf.peer not in self._replaced:
             self.pool.append(stored)
 
     def substitute_send(self, buf):
         if not self.pool:
+            self._replaced.discard(buf.peer)
             return None
+        self._replaced.add(buf.peer)
         item = self.pool[self._cursor % len(self.pool)]
         self._cursor += 1
         return item

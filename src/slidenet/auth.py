@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .buffers import Stored
 from .crypto import Signed
-from .util import register_packer
+from .util import InvariantError, register_packer
 
 REASON_OK = ("ok",)
 REASON_F2 = ("f2",)
@@ -30,11 +31,22 @@ def reason_f4(label):
 
 class Parcel:
     """Base of the broadcast parcel types.  Each type names its `tag`, the
-    fields that make up its broadcast-buffer key, and its transfer
-    `priority` (lower sends first)."""
+    fields that make up its broadcast-buffer key, its transfer `priority`
+    (lower sends first), the `signer` it must carry ("sender",
+    "receiver", or the field naming the signing node), and its
+    `sot_stage`: its place in the start-of-transmission order, or None."""
     tag = None
     key_fields = ()
     priority = None
+    signer = "sender"
+    sot_stage = None
+
+    def signer_id(self, sender, receiver):
+        if self.signer == "sender":
+            return sender
+        if self.signer == "receiver":
+            return receiver
+        return getattr(self, self.signer)
 
 
 register_packer(Parcel, lambda p: ("~" + p.tag,
@@ -60,6 +72,7 @@ class Theta(Parcel):
     """Receiver's end-of-transmission parcel: decode bit plus the label of
     a packet received twice, if any."""
     tag, key_fields, priority = "theta", ("T",), (0, 0)
+    signer = "receiver"
     decoded: bool
     dup_label: object
     T: int
@@ -69,7 +82,7 @@ class Theta(Parcel):
 class Omega(Parcel):
     """First start-of-transmission parcel: how many elimination, failure
     reason, and blacklist parcels follow, plus the previous outcome."""
-    tag, key_fields, priority = "omega", ("T",), (1, 0)
+    tag, key_fields, priority, sot_stage = "omega", ("T",), (1, 0), 0
     en_count: int
     bl_count: int
     f_count: int
@@ -79,7 +92,7 @@ class Omega(Parcel):
 
 @dataclass(frozen=True)
 class ElimParcel(Parcel):
-    tag, key_fields, priority = "elim", ("node", "T"), (1, 1)
+    tag, key_fields, priority, sot_stage = "elim", ("node", "T"), (1, 1), 1
     node: object
     T: int
 
@@ -87,6 +100,7 @@ class ElimParcel(Parcel):
 @dataclass(frozen=True)
 class ReasonParcel(Parcel):
     tag, key_fields, priority = "reason", ("failed_T", "T"), (1, 2)
+    sot_stage = 2
     failed_T: int
     reason: tuple
     T: int
@@ -95,6 +109,7 @@ class ReasonParcel(Parcel):
 @dataclass(frozen=True)
 class BlacklistParcel(Parcel):
     tag, key_fields, priority = "bl", ("node", "failed_T", "T"), (1, 3)
+    sot_stage = 3
     node: object
     failed_T: int
     T: int
@@ -111,6 +126,7 @@ class RemoveParcel(Parcel):
 class KnowledgeParcel(Parcel):
     tag, key_fields, priority = ("know", ("claimant", "target", "failed_T"),
                                  (3, 0))
+    signer = "claimant"
     claimant: object
     target: object
     failed_T: int
@@ -124,11 +140,17 @@ class StatusParcel(Parcel):
     (field, label, value, stamp_T, stamp_r, evidence) records."""
     tag, key_fields, priority = ("status", ("origin", "failed_T", "part"),
                                  (5, 0))
+    signer = "origin"
     origin: object
     failed_T: int
     reason: tuple
     part: tuple                   # ("edge", peer) or ("self",)
     payload: tuple
+
+
+# tags of the start-of-transmission parcels
+SOT_TAGS = frozenset(cls.tag for cls in Parcel.__subclasses__()
+                     if cls.sot_stage is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +228,9 @@ class AuthNode:
                 if p != receiver_id:
                     self.in_led[p] = EdgeLedger()
         self.sig_nn = 0
+        # label of the last fresh packet accepted from each peer this
+        # transmission; None before any, or after a stale one
+        self.last_fresh = {p: None for p in self.in_led}
 
         self.bb = {}                  # parcel_key -> [Signed, passed:set, seq]
         self._seq = 0
@@ -231,21 +256,27 @@ class AuthNode:
         return self.ring.sign(self.key, value)
 
     def _sot_state(self, T):
-        st = self.sot.get(T)
-        if st is None:
-            st = {"omega": None, "elims": set(), "reasons": set(), "bls": set()}
-            self.sot[T] = st
-        return st
+        return self.sot.setdefault(T, {"omega": None, "elims": set(),
+                                       "reasons": set(), "bls": set()})
 
-    def sot_complete(self, T=None) -> bool:
-        T = self.current_T if T is None else T
+    def _sot_done(self, T) -> int:
+        """How many start-of-transmission stages of transmission T are
+        complete, counted in order: omega, eliminations, failure reasons,
+        blacklist entries."""
         st = self.sot.get(T)
         if st is None or st["omega"] is None:
-            return False
+            return 0
         om = st["omega"]
-        return (len(st["elims"]) >= om.en_count
-                and len(st["reasons"]) >= om.f_count
-                and len(st["bls"]) >= om.bl_count)
+        if len(st["elims"]) < om.en_count:
+            return 1
+        if len(st["reasons"]) < om.f_count:
+            return 2
+        if len(st["bls"]) < om.bl_count:
+            return 3
+        return 4
+
+    def sot_complete(self, T=None) -> bool:
+        return self._sot_done(self.current_T if T is None else T) == 4
 
     def _add_parcel(self, signed_parcel, mark_peer=None) -> bool:
         key = parcel_key(signed_parcel.value)
@@ -273,11 +304,8 @@ class AuthNode:
         (T, round, height, round-received, net packets, own potential
         change, per-packet count for the most recent packet)."""
         led = self.in_led[ib.peer]
-        last = getattr(ib, "last_label", None)
-        if last is None or getattr(ib, "last_was_stale", False):
-            sigp = None
-        else:
-            sigp = (last, led.sigp_value(last))
+        last = self.last_fresh[ib.peer]
+        sigp = None if last is None else (last, led.sigp_value(last))
         h = ib.H if height is None else height
         return self.sign(("s1", T, r, h, ib.RR, led.sig1.value,
                           led.sig3.value, sigp))
@@ -367,13 +395,11 @@ class AuthNode:
             return None
         if packet.sender_signature.value != packet.signed_body():
             return None
-        from .buffers import Stored
         fresh = sigp is not None
         if self.relaxed_verify:
             return (Stored(packet, fresh), fr)
         led = self.in_led[ib.peer]
-        land = ib.H_GP if ib.H_GP is not None else ib.H + 1
-        if sig3 - led.sig2.value < land:
+        if sig3 - led.sig2.value < ib.landing_height():
             return None
         if fresh:
             label = packet.label()
@@ -396,8 +422,8 @@ class AuthNode:
                 v[8][1], (T, r), signed)
         if self.node_id != self.receiver_id:
             led.sig3.set(led.sig3.value + land, (T, r), None)
-        ib.last_label = stored.packet.label()
-        ib.last_was_stale = not stored.fresh
+        self.last_fresh[ib.peer] = (stored.packet.label() if stored.fresh
+                                    else None)
 
     # -- transfer gating ----------------------------------------------------
 
@@ -416,8 +442,7 @@ class AuthNode:
         if not self.sot_complete(T):
             return False
         for key, (signed, passed, _) in self.bb.items():
-            if key[0] in ("omega", "elim", "reason", "bl") and key[-1] == T \
-                    and peer not in passed:
+            if key[0] in SOT_TAGS and key[-1] == T and peer not in passed:
                 return False
         if self.node_id in self.bl or peer in self.bl:
             return False
@@ -513,6 +538,9 @@ class AuthNode:
         return self.sign(("hop", T, r, signed_parcel))
 
     def unwrap_hop(self, hop, peer, T, r) -> Optional[Signed]:
+        """The signed parcel inside `peer`'s hop of round (T, r), or None
+        unless both signatures verify and the parcel's type accepts its
+        signer."""
         if not self.ring.verify_as(hop, peer):
             return None
         v = hop.value
@@ -523,55 +551,34 @@ class AuthNode:
         inner = v[3]
         if not isinstance(inner, Signed) or not self.ring.verify(inner):
             return None
+        parcel = inner.value
+        if not isinstance(parcel, Parcel) or inner.signer != \
+                parcel.signer_id(self.sender_id, self.receiver_id):
+            return None
         return inner
-
-    def _origin_ok(self, parcel, signed) -> bool:
-        if isinstance(parcel, (Omega, ElimParcel, ReasonParcel,
-                               BlacklistParcel, RemoveParcel)):
-            return signed.signer == self.sender_id
-        if isinstance(parcel, Theta):
-            return signed.signer == self.receiver_id
-        if isinstance(parcel, KnowledgeParcel):
-            return signed.signer == parcel.claimant
-        if isinstance(parcel, StatusParcel):
-            return signed.signer == parcel.origin
-        return False
-
-    def _sot_orderly(self, parcel) -> bool:
-        """Start-of-transmission parcels are only accepted in the order
-        omega, eliminations, failure reasons, blacklist entries."""
-        st = self._sot_state(parcel.T)
-        om = st["omega"]
-        if isinstance(parcel, Omega):
-            return True
-        if om is None:
-            return False
-        if isinstance(parcel, ElimParcel):
-            return True
-        if isinstance(parcel, ReasonParcel):
-            return len(st["elims"]) >= om.en_count
-        if isinstance(parcel, BlacklistParcel):
-            return (len(st["elims"]) >= om.en_count
-                    and len(st["reasons"]) >= om.f_count)
-        return True
 
     def on_parcel(self, peer, hop, T, r):
         """Validate and absorb a broadcast parcel arriving from `peer`.
         Returns a list of protocol events for the engine ("eliminated",
-        node) when an elimination parcel wipes state, etc."""
+        node) when an elimination parcel wipes state, etc.
+        Start-of-transmission parcels are only accepted in their stage
+        order: omega, eliminations, failure reasons, blacklist entries."""
         inner = self.unwrap_hop(hop, peer, T, r)
         if inner is None:
             return []
         parcel = inner.value
-        if not isinstance(parcel, Parcel) or not self._origin_ok(parcel, inner):
+        if parcel.sot_stage is not None and (
+                parcel.T < self.current_T
+                or self._sot_done(parcel.T) < parcel.sot_stage):
             return []
-        is_sot = isinstance(parcel, (Omega, ElimParcel, ReasonParcel,
-                                     BlacklistParcel))
-        if is_sot:
-            if parcel.T < self.current_T or not self._sot_orderly(parcel):
-                return []
         self.cbp_out[peer] = 1
         return self._absorb(parcel, inner, peer)
+
+    def _note_claim(self, parcel) -> None:
+        if parcel.target in self.bl \
+                and self.bl[parcel.target] == parcel.failed_T:
+            self.claims[(parcel.claimant, parcel.target,
+                         parcel.failed_T)] = True
 
     def _absorb(self, parcel, inner, peer):
         events = []
@@ -619,9 +626,7 @@ class AuthNode:
                     self.bl.pop(parcel.node)
                     self._prune_outdated(parcel.node, None)
         elif isinstance(parcel, KnowledgeParcel):
-            if parcel.target in self.bl \
-                    and self.bl[parcel.target] == parcel.failed_T:
-                self.claims[(inner.signer, parcel.target, parcel.failed_T)] = True
+            self._note_claim(parcel)
         elif isinstance(parcel, StatusParcel):
             if parcel.origin in self.bl \
                     and self.bl[parcel.origin] == parcel.failed_T \
@@ -649,11 +654,8 @@ class AuthNode:
     def _wipe_for_elimination(self) -> None:
         """A newly-learned elimination wipes routing state: broadcast
         buffer except start-of-transmission parcels, claims, blacklist."""
-        keep = {}
-        for key, entry in self.bb.items():
-            if key[0] in ("omega", "elim", "reason", "bl"):
-                keep[key] = entry
-        self.bb = keep
+        self.bb = {key: entry for key, entry in self.bb.items()
+                   if key[0] in SOT_TAGS}
         self.claims = {}
         self.bl = {}
 
@@ -735,22 +737,22 @@ class AuthNode:
         status reports, knowledge claims, and early-arrived parcels of the
         next start-of-transmission broadcast."""
         T = self.current_T
-        drop = []
-        for key in self.bb:
-            kind = key[0]
-            if kind == "theta":
-                drop.append(key)
-            elif kind in ("omega", "elim", "reason", "bl", "rm") \
-                    and key[-1] <= T:
-                drop.append(key)
-        for key in drop:
-            del self.bb[key]
+        ended = SOT_TAGS | {"rm"}
+        self.bb = {key: entry for key, entry in self.bb.items()
+                   if key[0] != "theta"
+                   and not (key[0] in ended and key[-1] <= T)}
         self.bl = {}
-        self.sot.pop(T, None)
+        self._next_transmission()
+
+    def _next_transmission(self) -> None:
+        """Reset the per-transmission channel state and move on to the
+        next transmission."""
+        self.sot.pop(self.current_T, None)
         self.alpha_in = {p: None for p in self.alpha_in}
         self.last_sent = {p: None for p in self.last_sent}
         self.cbp_out = {p: 0 for p in self.cbp_out}
-        self.current_T = T + 1
+        self.last_fresh = {p: None for p in self.last_fresh}
+        self.current_T += 1
 
 
 class SenderAuth(AuthNode):
@@ -761,7 +763,6 @@ class SenderAuth(AuthNode):
     def __init__(self, node_id, ring, ids, sender_id, receiver_id):
         super().__init__(node_id, ring, ids, sender_id, receiver_id)
         self.F = 0
-        self.beta = 0
         self.halted = False
         self.theta = None
         self.failure_records = {}     # failed_T -> record dict
@@ -803,8 +804,9 @@ class SenderAuth(AuthNode):
         start-of-transmission broadcast.  Returns (reason, participants)."""
         from .localize import classify_failure
         T = self.current_T
-        assert self.theta is not None and self.theta.T == T, \
-            "end-of-transmission parcel missing"
+        if self.theta is None or self.theta.T != T:
+            raise InvariantError(f"transmission {T}: end-of-transmission "
+                                 f"parcel never reached the sender")
         reason = classify_failure(kappa, packets_per_codeword, self.theta)
         self.last_blacklist = sorted(self.bl)
         participants = [i for i in self.ids
@@ -833,7 +835,6 @@ class SenderAuth(AuthNode):
         self._install_sot(T + 1, omega, sorted(self.en), reason_items,
                           bl_items)
         self.theta = None
-        self.beta = 0
         return reason, participants
 
     def eliminate(self, node, T) -> None:
@@ -848,7 +849,6 @@ class SenderAuth(AuthNode):
         self.failure_records = {}
         self.theta = None
         self.F = 0
-        self.beta = 0
         for led in self.out_led.values():
             led.clear(T + 1)
         self.sig_nn = 0
@@ -863,9 +863,6 @@ class SenderAuth(AuthNode):
         if inner is None:
             return []
         parcel = inner.value
-        if not isinstance(parcel, Parcel) \
-                or not self._origin_ok(parcel, inner):
-            return []
         self.cbp_out[peer] = 1
         if self.halted:
             # after eliminating a node the sender disregards everything
@@ -877,9 +874,7 @@ class SenderAuth(AuthNode):
                 self.theta = parcel
                 events.append(("theta", r))
         elif isinstance(parcel, KnowledgeParcel):
-            if parcel.target in self.bl \
-                    and self.bl[parcel.target] == parcel.failed_T:
-                self.claims[(inner.signer, parcel.target, parcel.failed_T)] = True
+            self._note_claim(parcel)
         elif isinstance(parcel, StatusParcel):
             events.extend(self._on_status_parcel(parcel, inner))
         return events
@@ -947,12 +942,7 @@ class SenderAuth(AuthNode):
     def end_of_transmission(self) -> None:
         """The sender's blacklist and broadcast buffer persist across the
         boundary; only the per-transmission channel state resets."""
-        T = self.current_T
-        self.sot.pop(T, None)
-        self.alpha_in = {p: None for p in self.alpha_in}
-        self.last_sent = {p: None for p in self.last_sent}
-        self.cbp_out = {p: 0 for p in self.cbp_out}
-        self.current_T = T + 1
+        self._next_transmission()
         self.halted = False
 
     # -- assembling the localization input -----------------------------------

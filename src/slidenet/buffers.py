@@ -4,12 +4,15 @@ Each directed edge E(A,B) has an OutgoingBuffer at A and an IncomingBuffer
 at B, each holding up to 2n packets in stack slots indexed by height
 1..2n.  Flagged packets (sent but unconfirmed copies) live in outgoing
 buffers; ghost slots (space reserved for a possibly-lost packet) live in
-incoming buffers and do not count toward height.
+incoming buffers and do not count toward height.  Only this module
+moves packets between slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .util import InvariantError
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,9 @@ class SlotArray:
         return [h for h in range(1, self.capacity + 1) if self._slots[h - 1] is not None]
 
     def collapse_above(self, h: int) -> int:
-        """Slot h just became empty; slide every occupied slot above it
-        down one, preserving order.  Returns the number of packets moved
-        (each drops in height by exactly one)."""
+        """Empty slot h and slide every occupied slot above it down one,
+        preserving order.  Returns the number of packets moved (each drops
+        in height by exactly one)."""
         moved = 0
         for j in range(h, self.capacity):
             item = self._slots[j]
@@ -79,7 +82,12 @@ class SlotArray:
         return moved
 
 
-class OutgoingBuffer:
+class Buffer:
+    """What both buffer kinds share: the slots, the height, and the moves
+    re-shuffling and sender redistribution make between buffers."""
+
+    kind = None
+
     def __init__(self, owner, peer, capacity: int):
         self.owner = owner
         self.peer = peer
@@ -87,6 +95,42 @@ class OutgoingBuffer:
         self.capacity = capacity
         self.H = 0
         self.sb = 0
+
+    def take_top(self):
+        """Remove the packet re-shuffling moves off this buffer.  Returns
+        (item, height), with item None when there is no such packet."""
+        h = self._take_height()
+        item = self.slots.get(h) if h >= 1 else None
+        if item is not None:
+            self.slots.put(h, None)
+            self.H -= 1
+        return item, h
+
+    def put_top(self, item) -> int:
+        """Place a packet moved from another buffer on top of this one;
+        returns the height it lands at."""
+        h = self._put_height()
+        self.slots.put(h, item)
+        self.H += 1
+        return h
+
+    def mark_stale(self) -> None:
+        for h in self.slots.occupied():
+            self.slots.put(h, self.slots.get(h).as_stale())
+
+    def _fail(self, check):
+        occ = self.slots.occupied()
+        kind, peer, h, extra, _ = self.row()
+        raise InvariantError(
+            f"node {self.owner}, {kind} buffer of peer {peer}: {check} "
+            f"(occupied {occ}, H={h}, extra slot={extra})")
+
+
+class OutgoingBuffer(Buffer):
+    kind = "out"
+
+    def __init__(self, owner, peer, capacity: int):
+        super().__init__(owner, peer, capacity)
         self.p_tilde = None          # Stored copy of the packet in flight
         self.d = 0                   # sent a packet last round
         self.FR = None               # round the current packet was flagged
@@ -94,6 +138,23 @@ class OutgoingBuffer:
         self.RR = None               # peer's last reported round-received
         self.H_IN = None             # peer's last reported height
         self.flag_accepted = False   # peer accepted the in-flight copy
+
+    def row(self):
+        """[kind, peer, height, flagged height, flag accepted]: the trace
+        summary, and all `stack_potential` needs."""
+        return [self.kind, self.peer, self.H, self.H_FP, self.flag_accepted]
+
+    def _take_height(self) -> int:
+        # the top packet, skipping a flagged one at or above the top
+        if self.H_FP is not None and self.H_FP >= self.H:
+            return self.H - 1
+        return self.H
+
+    def _put_height(self) -> int:
+        # just above the top, or into the gap below a flagged packet
+        if self.H >= 1 and self.slots.get(self.H) is None:
+            return self.H
+        return self.H + 1
 
     # -- stage 1 --------------------------------------------------------
 
@@ -123,7 +184,6 @@ class OutgoingBuffer:
         if self.RR is not None and self.FR is not None and self.FR <= self.RR:
             confirmed = self.p_tilde
             confirmed_height = self.H_FP
-            self.slots.put(self.H_FP, None)
             slide = self.slots.collapse_above(self.H_FP)
             self.FR = None
             self.p_tilde = None
@@ -160,6 +220,21 @@ class OutgoingBuffer:
     def mark_sent(self) -> None:
         self.d = 1
 
+    def note_accepted(self, flagged_round) -> None:
+        """The peer accepted the copy flagged in `flagged_round`."""
+        if self.FR == flagged_round:
+            self.flag_accepted = True
+
+    def refill(self, supply) -> None:
+        """Fill free slots bottom-up from the front of the list `supply`,
+        consuming it."""
+        for h in range(1, self.capacity + 1):
+            if not supply:
+                return
+            if self.slots.get(h) is None:
+                self.slots.put(h, supply.pop(0))
+                self.H += 1
+
     # -- transmission boundary ------------------------------------------
 
     def reset(self) -> None:
@@ -175,7 +250,6 @@ class OutgoingBuffer:
 
     def eot_adjust(self) -> None:
         if self.H_FP is not None:
-            self.slots.put(self.H_FP, None)
             self.slots.collapse_above(self.H_FP)
             self.H -= 1
         self.d = 0
@@ -189,30 +263,57 @@ class OutgoingBuffer:
         """Structural invariants: height matches occupancy; slot layout is
         contiguous except for the single flagged-packet gap."""
         occ = set(self.slots.occupied())
-        assert len(occ) == self.H, (self.owner, self.peer, occ, self.H)
-        assert 0 <= self.H <= self.capacity
+        if len(occ) != self.H:
+            self._fail("height differs from occupancy")
+        if not 0 <= self.H <= self.capacity:
+            self._fail("height outside capacity")
         if self.H_FP is None or self.H_FP <= self.H:
-            assert occ == set(range(1, self.H + 1)), (occ, self.H, self.H_FP)
-        else:
-            assert occ == set(range(1, self.H)) | {self.H_FP}, (occ, self.H, self.H_FP)
+            if occ != set(range(1, self.H + 1)):
+                self._fail("slots not contiguous")
+        elif occ != set(range(1, self.H)) | {self.H_FP}:
+            self._fail("slots not contiguous below the flagged packet")
         if self.H_FP is None:
-            assert self.sb == 0 and self.FR is None
-        else:
-            assert self.slots.get(self.H_FP) is not None
+            if self.sb != 0 or self.FR is not None:
+                self._fail("problem status without a flagged packet")
+        elif self.slots.get(self.H_FP) is None:
+            self._fail("flagged slot empty")
 
 
-class IncomingBuffer:
+class IncomingBuffer(Buffer):
+    kind = "in"
+
     def __init__(self, owner, peer, capacity: int):
-        self.owner = owner
-        self.peer = peer
-        self.slots = SlotArray(capacity)
-        self.capacity = capacity
-        self.H = 0
-        self.sb = 0
+        super().__init__(owner, peer, capacity)
         self.RR = -1                 # round a packet was last accepted
         self.H_GP = None             # ghost slot height
         self.H_OUT = None            # peer's advertised height
         self.sb_OUT = 0              # peer's status bit (inferred)
+
+    def row(self):
+        """[kind, peer, height, ghost height, False]: the trace summary,
+        and all `stack_potential` needs."""
+        return [self.kind, self.peer, self.H, self.H_GP, False]
+
+    def _take_height(self) -> int:
+        # the top packet, which sits one higher above a ghost gap
+        if self.H + 1 <= self.capacity and self.slots.get(self.H + 1) is not None:
+            return self.H + 1
+        return self.H
+
+    def _put_height(self) -> int:
+        # just above the top, and above a reserved ghost slot
+        return self.H + 2 if self.H_GP is not None else self.H + 1
+
+    def take_top(self):
+        item, h = super().take_top()
+        if item is not None and self.H_GP is not None and self.H_GP > self.H:
+            self.H_GP = self.H + 1
+        return item, h
+
+    def landing_height(self) -> int:
+        """Where the next accepted packet lands: the ghost slot if one is
+        reserved, else just above the top."""
+        return self.H_GP if self.H_GP is not None else self.H + 1
 
     # -- stage 1 --------------------------------------------------------
 
@@ -271,9 +372,7 @@ class IncomingBuffer:
                 return ("hold",)
             stored, fr = msg
             if self.RR < fr:
-                if self.H_GP is None:
-                    self.H_GP = self.H + 1
-                land = self.H_GP
+                land = self.landing_height()
                 self.slots.put(land, stored)
                 self.sb = 0
                 self.H += 1
@@ -286,6 +385,12 @@ class IncomingBuffer:
         # no packet was expected; drop any stale reservation
         self.sb = 0
         return ("idle", self._clear_ghost_gap())
+
+    def discard(self, h: int) -> None:
+        """Delete the packet at height h, closing the gap it leaves (a
+        corrupt node dropping what it has just accepted)."""
+        self.slots.collapse_above(h)
+        self.H -= 1
 
     # -- transmission boundary ------------------------------------------
 
@@ -303,14 +408,16 @@ class IncomingBuffer:
 
     def check(self) -> None:
         occ = set(self.slots.occupied())
-        assert len(occ) == self.H, (self.owner, self.peer, occ, self.H)
-        assert 0 <= self.H <= self.capacity
+        if len(occ) != self.H:
+            self._fail("height differs from occupancy")
+        if not 0 <= self.H <= self.capacity:
+            self._fail("height outside capacity")
         if self.H_GP is None or self.H_GP > self.H:
-            assert occ == set(range(1, self.H + 1)), (occ, self.H, self.H_GP)
-            if self.H_GP is not None:
-                assert self.H_GP == self.H + 1
-        else:
-            expect = set(range(1, self.H + 2)) - {self.H_GP}
-            assert occ == expect, (occ, self.H, self.H_GP)
-        if self.H_GP is not None:
-            assert 1 <= self.H_GP <= self.capacity
+            if occ != set(range(1, self.H + 1)):
+                self._fail("slots not contiguous")
+            if self.H_GP is not None and self.H_GP != self.H + 1:
+                self._fail("ghost slot not just above the top")
+        elif occ != set(range(1, self.H + 2)) - {self.H_GP}:
+            self._fail("slots not contiguous around the ghost gap")
+        if self.H_GP is not None and not 1 <= self.H_GP <= self.capacity:
+            self._fail("ghost slot outside capacity")

@@ -11,7 +11,7 @@ neighbor's mid-stage updates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import codec
 from .adversary import (ConfigError, Corruption, EdgeSchedule,
@@ -22,11 +22,7 @@ from .buffers import Stored, stack_potential
 from .crypto import keygen
 from .localize import run_localization
 from .node import INTERNAL, RECEIVER, SENDER, NodeState
-from .util import digest
-
-
-class InvariantError(RuntimeError):
-    """A protocol invariant failed where honest behavior guarantees it."""
+from .util import InvariantError, digest
 
 
 class ConformingError(RuntimeError):
@@ -57,61 +53,39 @@ class Scenario:
     trace: bool = False
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n, "mode": self.mode, "lam": str(self.lam),
-            "sigma": None if self.sigma is None else str(self.sigma),
-            "fragment_bytes": self.fragment_bytes,
-            "messages": self.messages,
-            "max_transmissions": self.max_transmissions,
-            "schedule": {
-                "kind": self.schedule_kind, "p": self.schedule_p,
-                "seed": self.schedule_seed, "script": self.schedule_script,
-                "backbone": self.backbone, "repair": self.schedule_repair,
-            },
-            "corruptions": [
-                {"node": c.node, "round": c.round_index,
-                 "behavior": c.behavior, "params": c.params}
-                for c in self.corruptions
-            ],
-            "crypto_backend": self.crypto_backend,
-            "seed": self.seed, "checks": self.checks, "trace": self.trace,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in _SCHEDULE_KEYS.values()}
+        out["lam"] = str(self.lam)
+        out["sigma"] = None if self.sigma is None else str(self.sigma)
+        out["schedule"] = {key: getattr(self, name)
+                           for key, name in _SCHEDULE_KEYS.items()}
+        out["corruptions"] = [{"node": c.node, "round": c.round_index,
+                               "behavior": c.behavior, "params": c.params}
+                              for c in self.corruptions]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Parse the dict form written by `to_dict`.  Missing keys take
-        their defaults; an unknown key raises ConfigError, so a misspelt
-        key cannot silently run with the default."""
-        known = cls().to_dict()
-        _reject_unknown("scenario", data, known)
+        """Parse the dict form written by `to_dict`.  `n` is required;
+        other missing keys take the field defaults.  An unknown key raises
+        ConfigError, so a misspelt key cannot silently run with the
+        default."""
+        _reject_unknown("scenario", data, cls().to_dict())
         sched = data.get("schedule", {})
-        _reject_unknown("schedule", sched, known["schedule"])
+        _reject_unknown("schedule", sched, _SCHEDULE_KEYS)
+        if "n" not in data:
+            raise ConfigError("scenario has no node count n")
+        kwargs = {key: value for key, value in data.items()
+                  if key not in ("schedule", "corruptions")}
+        kwargs.update((_SCHEDULE_KEYS[key], value)
+                      for key, value in sched.items())
         for c in data.get("corruptions", []):
             _reject_unknown("corruption", c, _CORRUPTION_KEYS)
-        corruptions = [
-            Corruption(node=c["node"], round_index=c.get("round", 1),
-                       behavior=c["behavior"], params=c.get("params", {}))
-            for c in data.get("corruptions", [])
-        ]
-        return cls(
-            n=data["n"], mode=data.get("mode", "slide"),
-            lam=data.get("lam", "3/8"), sigma=data.get("sigma"),
-            fragment_bytes=data.get("fragment_bytes", 2),
-            messages=data.get("messages", 1),
-            max_transmissions=data.get("max_transmissions"),
-            schedule_kind=sched.get("kind", "static"),
-            schedule_p=sched.get("p", 0.0),
-            schedule_seed=sched.get("seed", 0),
-            schedule_script=sched.get("script"),
-            backbone=sched.get("backbone"),
-            schedule_repair=sched.get("repair", True),
-            corruptions=corruptions,
-            crypto_backend=data.get("crypto_backend", "oracle"),
-            seed=data.get("seed", 0),
-            checks=data.get("checks", "full"),
-            trace=data.get("trace", False),
-        )
+        kwargs["corruptions"] = [
+            Corruption(c["node"], c.get("round", 1), c["behavior"],
+                       c.get("params", {}))
+            for c in data.get("corruptions", [])]
+        return cls(**kwargs)
 
     def digest(self) -> str:
         d = self.to_dict()
@@ -119,6 +93,10 @@ class Scenario:
         return digest(_canon(d))
 
 
+# schedule file key -> Scenario field
+_SCHEDULE_KEYS = {"kind": "schedule_kind", "p": "schedule_p",
+                  "seed": "schedule_seed", "script": "schedule_script",
+                  "backbone": "backbone", "repair": "schedule_repair"}
 _CORRUPTION_KEYS = ("node", "round", "behavior", "params")
 
 
@@ -231,11 +209,10 @@ class Engine:
 
     def _activate_behaviors(self):
         for node, (act, beh) in self.corrupt_nodes.items():
-            if self.g_round >= act and not getattr(beh, "_attached", False):
+            if self.g_round >= act and beh.auth is None:
                 beh.attach(self.nodes[node], self.auth[node])
                 self.auth[node].relaxed_verify = beh.relaxed_verify
                 self.auth[node].report_hook = beh.forge_report
-                beh._attached = True
                 self._emit("corrupt", node=node, behavior=beh.name)
 
     def _suppressed(self, node) -> bool:
@@ -300,7 +277,11 @@ class Engine:
     def run(self) -> dict:
         while self.T <= self.max_transmissions \
                 and len(self.delivered) < self.sc.messages:
-            self._run_transmission()
+            try:
+                self._run_transmission()
+            except InvariantError as exc:
+                raise InvariantError(f"transmission {self.T}, global round "
+                                     f"{self.g_round}: {exc}") from exc
             self.T += 1
         return self._report()
 
@@ -372,8 +353,7 @@ class Engine:
                     self.nodes[a].kappa += 1
                 beh = self._behavior(a)
                 if beh is not None:
-                    beh.after_forward(confirmed,
-                                      getattr(ob, "_substituted", False))
+                    beh.after_forward(ob, confirmed)
                 self._emit("confirm", e=[a, b], h=height)
 
     def _broadcast_control(self):
@@ -444,42 +424,32 @@ class Engine:
                 if not gate_ok:
                     continue
                 substitute = beh.substitute_send(ob) if beh else None
-                msg = self.auth[a].build_packet_msg(ob, self.T, r,
-                                                    stored=substitute)
-                ob._substituted = substitute is not None
-                sends[(a, b)] = (msg, substitute is not None)
+                sends[(a, b)] = self.auth[a].build_packet_msg(
+                    ob, self.T, r, stored=substitute)
             else:
-                ob._substituted = False
-                sends[(a, b)] = ((ob.p_tilde, ob.FR), False)
+                sends[(a, b)] = (ob.p_tilde, ob.FR)
 
         insert_gain = 0
         inserted = False
         for a, b in self.packet_edges:
             ib = self.nodes[b].in_buffers[a]
-            entry = sends.get((a, b)) if self._delivery[(a, b)] else None
+            msg = sends.get((a, b)) if self._delivery[(a, b)] else None
+            parsed = msg
             blocked = False
-            parsed = None
-            signed = None
             if self.auth_mode:
-                beh_b = self._behavior(b)
-                blocked = beh_b is None and not self.auth[b].okay_to_receive(a)
-                if entry is not None:
-                    signed = entry[0]
-                    parsed = self.auth[b].verify_packet_msg(ib, signed,
-                                                            self.T, r)
-            else:
-                parsed = entry[0] if entry is not None else None
+                blocked = self._behavior(b) is None \
+                    and not self.auth[b].okay_to_receive(a)
+                if msg is not None:
+                    parsed = self.auth[b].verify_packet_msg(ib, msg, self.T,
+                                                            r)
             res = ib.receive(parsed, r, blocked=blocked)
             if res[0] == "accept":
                 _, stored, land = res
                 if self.auth_mode:
-                    self.auth[b].sync_on_accept(ib, signed, stored, land,
+                    self.auth[b].sync_on_accept(ib, msg, stored, land,
                                                 self.T, r)
-                ob = self.nodes[a].out_buffers[b]
-                sent_fr = (signed.value[4] if self.auth_mode
-                           else entry[0][1])
-                if ob.FR == sent_fr:
-                    ob.flag_accepted = True
+                self.nodes[a].out_buffers[b].note_accepted(
+                    msg.value[4] if self.auth_mode else msg[1])
                 if a == self.S:
                     inserted = True
                     if b != self.R:
@@ -489,9 +459,7 @@ class Engine:
                 beh_b = self._behavior(b)
                 if beh_b is not None and not beh_b.after_accept(ib, stored,
                                                                 land):
-                    ib.slots.put(land, None)
-                    ib.slots.collapse_above(land)
-                    ib.H -= 1
+                    ib.discard(land)
             elif res[0] == "dup" or res[0] == "idle":
                 if self.auth_mode and res[1]:
                     self.auth[b].sig_nn += res[1]
@@ -592,7 +560,6 @@ class Engine:
                     vals = [ob.H_IN for ob in node.out_buffers.values()
                             if ob.H_IN is not None]
                     if all(v == 2 * self.n for v in vals):
-                        self.auth[i].beta += 1
                         self.tm["beta"] += 1
 
         if self.auth_mode and self.r_local == self.L - self.n + 1:
@@ -624,11 +591,9 @@ class Engine:
         for node in self.nodes.values():
             if node.role != INTERNAL:
                 continue
-            for ib in node.in_buffers.values():
-                phi_nd += stack_potential("in", ib.H, ib.H_GP, False)[0]
-            for ob in node.out_buffers.values():
-                nd, dup = stack_potential("out", ob.H, ob.H_FP,
-                                          ob.flag_accepted)
+            for buf in node.all_buffers():
+                kind, _, h, extra, accepted = buf.row()
+                nd, dup = stack_potential(kind, h, extra, accepted)
                 phi_nd += nd
                 phi_dup += dup
         return phi_nd, phi_dup
@@ -673,15 +638,7 @@ class Engine:
     def _emit_state_row(self, phi_nd):
         nodes = {}
         for i in self.ids:
-            node = self.nodes[i]
-            bufs = []
-            for peer in sorted(node.in_buffers):
-                ib = node.in_buffers[peer]
-                bufs.append(["in", peer, ib.H, ib.H_GP, False])
-            for peer in sorted(node.out_buffers):
-                ob = node.out_buffers[peer]
-                bufs.append(["out", peer, ob.H, ob.H_FP, ob.flag_accepted])
-            nodes[str(i)] = bufs
+            nodes[str(i)] = [buf.row() for buf in self.nodes[i].all_buffers()]
         self.trace.append({
             "k": "state", "g": self.g_round, "T": self.T, "r": self.r_local,
             "gain": self._round_gain, "blocked": int(self._round_blocked),
@@ -692,22 +649,14 @@ class Engine:
         """Every live packet of the current codeword exists in at most one
         non-flagged copy network-wide."""
         counts = {}
-        for i in self.ids:
-            node = self.nodes[i]
+        for node in self.nodes.values():
             if node.role == SENDER:
                 continue
-            for ib in node.in_buffers.values():
-                for h in ib.slots.occupied():
-                    item = ib.slots.get(h)
-                    counts[item.packet.label()] = \
-                        counts.get(item.packet.label(), 0) + 1
-            for ob in node.out_buffers.values():
-                for h in ob.slots.occupied():
-                    if h == ob.H_FP:
-                        continue
-                    item = ob.slots.get(h)
-                    counts[item.packet.label()] = \
-                        counts.get(item.packet.label(), 0) + 1
+            for buf in node.all_buffers():
+                for h in buf.slots.occupied():
+                    if buf.kind == "in" or h != buf.H_FP:
+                        label = buf.slots.get(h).packet.label()
+                        counts[label] = counts.get(label, 0) + 1
         bad = [lab for lab, c in counts.items() if c > 1]
         if bad:
             raise InvariantError(f"duplicated live packets: {bad[:3]}")
@@ -731,10 +680,6 @@ class Engine:
         if self.auth_mode:
             sender = self.auth[self.S]
             if not sender.halted:
-                if sender.theta is None:
-                    raise InvariantError(
-                        f"transmission {self.T}: end-of-transmission parcel "
-                        f"never reached the sender")
                 reason, participants = sender.prepare_sot(
                     self.nodes[self.S].kappa, self.D)
                 tm["result"] = "ok" if reason == REASON_OK else reason[0]
@@ -747,9 +692,6 @@ class Engine:
             for i in self.ids:
                 self.nodes[i].end_of_transmission_adjust()
                 self.nodes[i].mark_all_stale()
-                for ib in self.nodes[i].in_buffers.values():
-                    ib.last_label = None
-                    ib.last_was_stale = False
                 self.auth[i].end_of_transmission()
             rnode = self.nodes[self.R]
             if rnode.decoded:

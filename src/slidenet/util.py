@@ -1,9 +1,14 @@
-"""Small shared helpers: canonical byte packing, digests, fraction parsing."""
+"""Small shared helpers: the invariant error, canonical byte packing,
+digests, fraction parsing."""
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+
+
+class InvariantError(RuntimeError):
+    """A protocol invariant failed where honest behavior guarantees it."""
 
 
 _CUSTOM_PACKERS = []

@@ -15,6 +15,8 @@ from slidenet.adversary import Corruption
 from slidenet.engine import Scenario, run_scenario
 from slidenet.scenarios import attack_scenario
 
+pytestmark = pytest.mark.slow
+
 SEEDS = list(range(20))
 BEHAVIORS = ["duplicator", "deleter", "replacer", "ghost", "report-forger"]
 

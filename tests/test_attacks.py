@@ -7,6 +7,8 @@ import pytest
 from slidenet.engine import run_scenario
 from slidenet.scenarios import attack_scenario
 
+pytestmark = pytest.mark.slow
+
 
 def failures_before_elimination(report):
     """Failed transmissions between the first failure and each

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +42,29 @@ class TestSlotArray:
         # contents preserved in order
         assert [arr.get(h) for h in sorted(arr.occupied())] == \
             [h for h in sorted(occupied)]
+
+
+def test_check_raises_under_python_O():
+    """Buffer checks raise InvariantError rather than assert, so they
+    still run under python -O."""
+    code = ("from slidenet import InvariantError\n"
+            "from slidenet.buffers import OutgoingBuffer\n"
+            "from slidenet.engine import InvariantError as EngineError\n"
+            "buf = OutgoingBuffer(1, 2, 8)\n"
+            "buf.H = 1\n"
+            "try:\n"
+            "    buf.check()\n"
+            "except EngineError as exc:\n"
+            "    print(type(exc) is InvariantError, exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(
+        "True node 1, out buffer of peer 2: height differs from occupancy")
 
 
 class TestOutgoingStage1:
@@ -255,8 +283,8 @@ class TestReshuffle:
         moves = []
         node.reshuffle(record_move=lambda *a: moves.append(a))
         node.check_invariants()
-        for donor_key, recipient_key, item, src, dst in moves:
-            assert not (donor_key[0] == "out" and recipient_key[0] == "in")
+        for donor, recipient, item, src, dst in moves:
+            assert not (donor.kind == "out" and recipient.kind == "in")
             assert dst <= src  # packets never climb during re-shuffle
 
     @settings(max_examples=100, deadline=None)

@@ -1,9 +1,12 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from slidenet.adversary import Corruption
 from slidenet.cli import main
 from slidenet.engine import Scenario
+from slidenet.node import NodeState
 
 
 def write(path, data):
@@ -61,6 +64,25 @@ class TestRun:
         data.update(bad)
         assert main(["run", write(tmp_path / "bad.json", data)]) == 2
 
+    def test_missing_node_count_exit2(self, tmp_path):
+        assert main(["run", write(tmp_path / "empty.json", {})]) == 2
+
+    def test_corrupted_buffer_height_exit4(self, tmp_path, honest_scenario,
+                                           monkeypatch, capsys):
+        reshuffle = NodeState.reshuffle
+
+        def reshuffle_then_corrupt(node, record_move=None):
+            drop = reshuffle(node, record_move)
+            node.all_buffers()[0].H += 1
+            return drop
+
+        monkeypatch.setattr(NodeState, "reshuffle", reshuffle_then_corrupt)
+        assert main(["run", honest_scenario, "--out",
+                     str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "invariant failure" in err
+        assert "buffer of peer 1: height differs from occupancy" in err
+
     def test_determinism_byte_identical(self, tmp_path, honest_scenario):
         outs = []
         for name in ("a", "b"):
@@ -70,6 +92,22 @@ class TestRun:
             outs.append(((out / "report.json").read_bytes(),
                          (out / "trace.jsonl").read_bytes()))
         assert outs[0] == outs[1]
+
+
+def test_scenario_round_trip():
+    sc = Scenario(
+        n=5, mode="auth", lam="1/4", sigma="1/8", fragment_bytes=4,
+        messages=3, max_transmissions=7, schedule_kind="scripted",
+        schedule_p=0.5, schedule_seed=9, schedule_script=[[[0, 1], [1, 4]]],
+        backbone=[0, 1, 4], schedule_repair=False,
+        corruptions=[Corruption(node=2, round_index=5, behavior="replacer",
+                                params={"pool": 1})],
+        crypto_backend="ed25519", seed=11, checks="light", trace=True)
+    default = Scenario()
+    assert [f.name for f in fields(Scenario)
+            if getattr(sc, f.name) == getattr(default, f.name)] == []
+    assert Scenario.from_dict(sc.to_dict()) == sc
+    assert Scenario.from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
 
 
 class TestGen:

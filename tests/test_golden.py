@@ -1,4 +1,4 @@
-"""Golden digests: the report and trace of four fixed scenarios, pinned
+"""Golden digests: the report and trace of six fixed scenarios, pinned
 across versions.  A refactor must leave every digest unchanged; only a
 change whose point is a behaviour change may update them, and it says why
 in CHANGES.md.
@@ -35,7 +35,13 @@ SCENARIOS = {
     "auth-n4-churn": lambda: Scenario(
         n=4, mode="auth", schedule_kind="churn", schedule_p=0.2,
         schedule_seed=3, seed=3, trace=True),
+    # 3+3-buffer re-shuffle and sender redistribution onto live edges
+    "slide-n5-churn": lambda: Scenario(
+        n=5, mode="slide", messages=2, schedule_kind="churn",
+        schedule_p=0.3, schedule_seed=2, seed=2, trace=True),
     "duplicator-n4": lambda: _attack("duplicator"),
+    # substituted sends and the after_forward path
+    "replacer-n4": lambda: _attack("replacer"),
     "report-forger-n4": lambda: _attack("report-forger"),
 }
 
@@ -47,9 +53,15 @@ GOLDEN = {
     "auth-n4-churn": (
         "7adfaedd8bd461804af44d290b920fc19fe3fc84562084c7ac2a71c402cf193c",
         "7912c29fa84403a23ae152ca3b47c9fca1666f83dd7d3fd7147494cf78239663"),
+    "slide-n5-churn": (
+        "6c373cf68899f7b836aee5591c845c02030665a08b34bef7f02b2b64ff889dc1",
+        "93b7e548689ad8e8b26bcfcdbdbcf73e1f52b12fbed6a9efb4cd4e23c328ea19"),
     "duplicator-n4": (
         "262bb436472600051fa0c6deec55d18684e21ac9c13b278a99acefa25e09b95c",
         "c7ec5d837f69671ce4c764a8ad9954ea07fc123cd59c7ba18ac15b4c240a59bc"),
+    "replacer-n4": (
+        "8962bdd82055f769fd1eca3fb26a219b288ec1adfc18ef4f8dec3e9018260fcb",
+        "a87b34ec812dbc7863c66b75f5c8ddd2ec48c1a5474ec961f7233fac0577b7c8"),
     "report-forger-n4": (
         "8c0c09c0b0c11df0f2bca9e48dc37268ef3b4a0f84c69a846bbcd607484a8574",
         "3ea67a41d6daf8e55b9a1e41138dd3688592d1999c6a9d7b16ac617e4b6b408b"),
