@@ -299,15 +299,14 @@ class AuthNode:
 
     # -- stage 1: signed height replies ------------------------------------
 
-    def build_stage1_reply(self, ib, T, r, height=None) -> Signed:
+    def build_stage1_reply(self, ib, T, r, height) -> Signed:
         """The receiving side's signed seven items for edge E(peer, self):
         (T, round, height, round-received, net packets, own potential
         change, per-packet count for the most recent packet)."""
         led = self.in_led[ib.peer]
         last = self.last_fresh[ib.peer]
         sigp = None if last is None else (last, led.sigp_value(last))
-        h = ib.H if height is None else height
-        return self.sign(("s1", T, r, h, ib.RR, led.sig1.value,
+        return self.sign(("s1", T, r, height, ib.RR, led.sig1.value,
                           led.sig3.value, sigp))
 
     def verify_stage1_reply(self, ob, signed, T, r):

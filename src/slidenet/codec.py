@@ -4,6 +4,11 @@ The code is a systematic Reed-Solomon (MDS) erasure code over GF(2^16).
 A codeword consists of D fragments; any ceil((1-lam)*D) distinct fragments
 recover the message.  Only erasures occur in this system: fragments with
 bad signatures are discarded before decoding, never fed to the decoder.
+
+Encoding and decoding evaluate the interpolating polynomial at the missing
+points in row blocks of about _BLOCK table entries, so the codec's working
+set is bounded by the block size (a few MB of int32 temporaries), not by
+D^2.
 """
 
 from __future__ import annotations
@@ -20,20 +25,26 @@ GF_BITS = 16
 GF_SIZE = 1 << GF_BITS          # 65536
 GF_MOD = GF_SIZE - 1            # multiplicative group order
 _PRIM_POLY = 0x1100B            # x^16 + x^12 + x^3 + x + 1
+_BLOCK = 1 << 18                # table entries per kernel block: the int32
+                                # temporaries (1 MB each) stay in a core's L2
 
 
 def _build_tables():
-    exp = np.zeros(2 * GF_MOD, dtype=np.int64)
-    log = np.zeros(GF_SIZE, dtype=np.int64)
+    """int32 exp/log tables of the generator x.  The powers are stepped on
+    Python ints and converted once.  exp holds them twice, so a sum of two
+    logs indexes it without a modulo.  log[0] is 0 (zero has no
+    logarithm), so a zero difference adds nothing to a sum of logs."""
+    powers = []
     x = 1
-    for i in range(GF_MOD):
-        exp[i] = x
-        log[x] = i
+    for _ in range(GF_MOD):
+        powers.append(x)
         x <<= 1
         if x & GF_SIZE:
             x ^= _PRIM_POLY
-    exp[GF_MOD:] = exp[:GF_MOD]
-    return exp, log
+    p = np.array(powers, dtype=np.int32)
+    log = np.zeros(GF_SIZE, dtype=np.int32)
+    log[p] = np.arange(GF_MOD, dtype=np.int32)
+    return np.concatenate([p, p]), log
 
 
 _GF_EXP, _GF_LOG = _build_tables()
@@ -141,42 +152,50 @@ def derive_params(n, lam, sigma=None, k: int = 128,
 
 
 def _to_words(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype=">u2").astype(np.int64)
+    return np.frombuffer(payload, dtype=">u2").astype(np.int32)
 
 
 def _to_bytes(words: np.ndarray) -> bytes:
     return words.astype(">u2").tobytes()
 
 
-def _lagrange_eval(xs: np.ndarray, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _log_sums(xs: np.ndarray) -> np.ndarray:
+    """The barycentric denominators: for each x in xs, the sum over the
+    other points y of log(x ^ y), mod GF_MOD.  x skips itself, since
+    log[0] is 0."""
+    out = np.empty(len(xs), dtype=np.int64)
+    step = max(1, _BLOCK // len(xs))
+    for s in range(0, len(xs), step):
+        block = _GF_LOG[xs[s:s + step, None] ^ xs[None, :]]
+        out[s:s + step] = block.sum(axis=1, dtype=np.int64)
+    return out % GF_MOD
+
+
+def _lagrange_eval(xs: np.ndarray, values: np.ndarray,
+                   targets: np.ndarray) -> np.ndarray:
     """Evaluate, at each target point, the unique polynomial of degree
     < len(xs) interpolating values[i] at xs[i].  Barycentric form over
     GF(2^16); targets must be disjoint from xs.  values has shape
     (len(xs), words); returns (len(targets), words).
     """
-    k = len(xs)
     words = values.shape[1]
-    diff = xs[:, None] ^ xs[None, :]
-    np.fill_diagonal(diff, 1)
-    log_denom = _GF_LOG[diff].sum(axis=1) % GF_MOD          # (k,)
-
-    tdiff = targets[:, None] ^ xs[None, :]                  # (m, k), all nonzero
-    log_tdiff = _GF_LOG[tdiff]
-    log_numer = log_tdiff.sum(axis=1) % GF_MOD              # (m,)
-
-    out = np.zeros((len(targets), words), dtype=np.int64)
-    for w in range(words):
-        v = values[:, w]
-        nz = v != 0
-        if not nz.any():
-            continue
-        log_v = _GF_LOG[v[nz]]
-        # weight_ij = v_j / ((t_i ^ x_j) * denom_j)
-        log_w = (log_v[None, :] - log_tdiff[:, nz] - log_denom[None, nz]) % GF_MOD
-        terms = _GF_EXP[log_w]
-        s = np.bitwise_xor.reduce(terms, axis=1)            # (m,)
-        snz = s != 0
-        out[snz, w] = _GF_EXP[(log_numer[snz] + _GF_LOG[s[snz]]) % GF_MOD]
+    # log(v_j / denom_j), offset by GF_MOD so that subtracting a log stays
+    # a valid index into the doubled exp table
+    log_u = (_GF_LOG[values.T] - _log_sums(xs)) % GF_MOD
+    log_u = (log_u + GF_MOD).astype(np.int32)
+    zero = values.T == 0
+    out = np.zeros((len(targets), words), dtype=np.int32)
+    step = max(1, _BLOCK // len(xs))
+    for s in range(0, len(targets), step):
+        log_tdiff = _GF_LOG[targets[s:s + step, None] ^ xs[None, :]]
+        numer = log_tdiff.sum(axis=1, dtype=np.int64) % GF_MOD
+        for w in range(words):
+            # weight_ij = v_j / ((t_i ^ x_j) * denom_j); a zero v_j adds nothing
+            terms = _GF_EXP[log_u[w] - log_tdiff]
+            terms[:, zero[w]] = 0
+            acc = np.bitwise_xor.reduce(terms, axis=1)
+            nz = acc != 0
+            out[s:s + step][nz, w] = _GF_EXP[numer[nz] + _GF_LOG[acc[nz]]]
     return out
 
 
@@ -193,16 +212,16 @@ def encode(msg: Message, params: CodingParams,
     if len(msg.payload) != params.message_bytes:
         raise CodecError(f"payload must be {params.message_bytes} bytes, "
                          f"got {len(msg.payload)}")
-    words_per_frag = params.fragment_bytes // 2
-    data = _to_words(msg.payload).reshape(kdata, words_per_frag)
-    xs = np.arange(kdata, dtype=np.int64)
-    targets = np.arange(kdata, d, dtype=np.int64)
-    parity = _lagrange_eval(xs, data, targets)
+    fb = params.fragment_bytes
+    data = _to_words(msg.payload).reshape(kdata, fb // 2)
+    parity = _lagrange_eval(np.arange(kdata, dtype=np.int32), data,
+                            np.arange(kdata, d, dtype=np.int32))
+    blob = msg.payload + _to_bytes(parity)
 
     fragments = []
     for i in range(d):
-        payload = _to_bytes(data[i] if i < kdata else parity[i - kdata])
-        pkt = Packet(codeword_index=msg.index, fragment_index=i, payload=payload)
+        pkt = Packet(codeword_index=msg.index, fragment_index=i,
+                     payload=blob[i * fb:(i + 1) * fb])
         if sign is not None:
             pkt = Packet(pkt.codeword_index, pkt.fragment_index, pkt.payload,
                          sign(pkt.signed_body()))
@@ -232,17 +251,16 @@ def decode(fragments: Iterable[Packet], params: CodingParams,
         return None
 
     kdata = params.data_fragments
-    words_per_frag = params.fragment_bytes // 2
     have = sorted(by_index)[:kdata]
-    xs = np.array(have, dtype=np.int64)
+    xs = np.array(have, dtype=np.int32)
     values = np.stack([_to_words(by_index[i].payload) for i in have])
 
-    data = np.zeros((kdata, words_per_frag), dtype=np.int64)
-    known = [i for i in have if i < kdata]
-    for i in known:
-        data[i] = _to_words(by_index[i].payload)
-    missing = np.array([i for i in range(kdata) if i not in set(known)],
-                       dtype=np.int64)
+    data = np.zeros((kdata, params.fragment_bytes // 2), dtype=np.int32)
+    is_data = xs < kdata
+    data[xs[is_data]] = values[is_data]
+    known = set(have)
+    missing = np.array([i for i in range(kdata) if i not in known],
+                       dtype=np.int32)
     if len(missing):
         data[missing] = _lagrange_eval(xs, values, missing)
     return Message(index=cw, payload=_to_bytes(data.reshape(-1)))

@@ -1,4 +1,8 @@
+import hashlib
 import random
+import tracemalloc
+
+import numpy as np
 
 import pytest
 from fractions import Fraction
@@ -17,6 +21,13 @@ def random_message(params, seed=0):
     rng = random.Random(seed)
     payload = bytes(rng.getrandbits(8) for _ in range(params.message_bytes))
     return Message(1, payload)
+
+
+def max_erasure_subset(cw, params):
+    """Every parity fragment plus the fewest data fragments that decode."""
+    kdata = params.data_fragments
+    need = params.decode_threshold - (params.packets_per_codeword - kdata)
+    return list(cw.fragments[kdata:]) + list(cw.fragments[:need])
 
 
 class TestDeriveParams:
@@ -150,3 +161,54 @@ def test_signature_binds_each_fragment():
     # the tampered fragment is treated as absent but does not spoil decode
     mixed = [tampered] + others[: p.decode_threshold]
     assert decode(mixed, p, verify=valid) == msg
+
+
+def test_field_tables_invert():
+    # exp is the GF_MOD powers of the generator, held twice; log inverts it
+    exp, log = codec._GF_EXP, codec._GF_LOG
+    assert len(exp) == 2 * codec.GF_MOD
+    assert (exp[:codec.GF_MOD] == exp[codec.GF_MOD:]).all()
+    assert (exp[log[1:]] == np.arange(1, codec.GF_SIZE)).all()
+    assert (log[exp[:codec.GF_MOD]] == np.arange(codec.GF_MOD)).all()
+    assert log[0] == 0
+
+
+# sha256 of the concatenated fragment payloads of encode(random_message(p,
+# n), p), computed with the dense int64 encoder before the blocked kernel
+ENCODE_PINS = {
+    (4, 8): "8f80f9cece2648bb8767bf3bd79a1f0c26e7a4b8f656c1b13becbabd7e55150f",
+    (6, 2): "5274b1a50cb3dadd5572d6051d2bc273e934e8761511275c126635eb690a25ff",
+    (8, 2): "42a769d73447501678f9f9b625d3f39c3f67066c27076c92cf741959a381fc0c",
+}
+
+
+@pytest.mark.parametrize(("n", "fragment_bytes"), sorted(ENCODE_PINS))
+def test_encoder_bytes_pinned(n, fragment_bytes):
+    p = make_params(n, fragment_bytes=fragment_bytes)
+    cw = encode(random_message(p, n), p)
+    digest = hashlib.sha256(b"".join(f.payload for f in cw.fragments))
+    assert digest.hexdigest() == ENCODE_PINS[(n, fragment_bytes)]
+
+
+@pytest.mark.parametrize(("n", "fragment_bytes"), [(4, 8), (8, 2)])
+def test_max_erasure_decode(n, fragment_bytes):
+    p = make_params(n, fragment_bytes=fragment_bytes)
+    msg = random_message(p, n)
+    subset = max_erasure_subset(encode(msg, p), p)
+    assert len(subset) == p.decode_threshold
+    assert decode(subset, p) == msg
+    assert decode(subset[:-1], p) is None
+
+
+def test_n8_codec_memory_bounded():
+    # the dense (D-K, K) int64 kernel peaked near 700 MB here
+    p = make_params(8)
+    msg = random_message(p, 8)
+    tracemalloc.start()
+    try:
+        cw = encode(msg, p)
+        assert decode(max_erasure_subset(cw, p), p) == msg
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

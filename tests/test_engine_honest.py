@@ -69,6 +69,14 @@ class TestHonestDelivery:
         report, eng = run_scenario(sc)
         assert len(report["delivered"]) == 1
 
+    @pytest.mark.slow
+    def test_churn_n10(self):
+        # D = 16000: the codec's working set must not grow with D^2
+        sc = Scenario(n=10, mode="slide", messages=1, schedule_kind="churn",
+                      schedule_p=0.3, schedule_seed=10, checks="full")
+        report, eng = run_scenario(sc)
+        assert [d["message"] for d in report["delivered"]] == [1]
+
     def test_zero_messages(self):
         sc = Scenario(n=4, mode="slide", messages=0, checks="full")
         report, eng = run_scenario(sc)
