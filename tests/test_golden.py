@@ -1,4 +1,4 @@
-"""Golden digests: the report and trace of six fixed scenarios, pinned
+"""Golden digests: the report and trace of seven fixed scenarios, pinned
 across versions.  A refactor must leave every digest unchanged; only a
 change whose point is a behaviour change may update them, and it says why
 in CHANGES.md.
@@ -39,6 +39,9 @@ SCENARIOS = {
     "slide-n5-churn": lambda: Scenario(
         n=5, mode="slide", messages=2, schedule_kind="churn",
         schedule_p=0.3, schedule_seed=2, seed=2, trace=True),
+    # the benchmark's auth-n4-deleter workload: one localization and one
+    # elimination
+    "deleter-n4": lambda: _attack("deleter"),
     "duplicator-n4": lambda: _attack("duplicator"),
     # substituted sends and the after_forward path
     "replacer-n4": lambda: _attack("replacer"),
@@ -56,6 +59,9 @@ GOLDEN = {
     "slide-n5-churn": (
         "6c373cf68899f7b836aee5591c845c02030665a08b34bef7f02b2b64ff889dc1",
         "93b7e548689ad8e8b26bcfcdbdbcf73e1f52b12fbed6a9efb4cd4e23c328ea19"),
+    "deleter-n4": (
+        "22ccc5c4c74cd5971aab3dd27732260405a2c6309b323583d496c5cf585feba1",
+        "e19e56240fab22eb4ad043450cdcda1c321136c6bb969bbb72eb40e2fb80b288"),
     "duplicator-n4": (
         "262bb436472600051fa0c6deec55d18684e21ac9c13b278a99acefa25e09b95c",
         "c7ec5d837f69671ce4c764a8ad9954ea07fc123cd59c7ba18ac15b4c240a59bc"),
