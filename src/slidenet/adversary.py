@@ -44,16 +44,17 @@ class EdgeSchedule:
     def rounds(self) -> int:
         return len(self.masks)
 
-    def _mask(self, r: int) -> int:
+    def mask(self, r: int) -> int:
+        """Bitmask of the edges active in round r (bit `self.bit[e]`)."""
         if r < 1 or r > len(self.masks):
             raise ConfigError(f"schedule does not cover round {r}")
         return self.masks[r - 1]
 
     def active(self, r: int, a, b) -> bool:
-        return bool(self._mask(r) >> self.bit[edge_key(a, b)] & 1)
+        return bool(self.mask(r) >> self.bit[edge_key(a, b)] & 1)
 
     def neighbors(self, r: int, v):
-        m = self._mask(r)
+        m = self.mask(r)
         out = []
         for u in range(self.n):
             if u != v and m >> self.bit[edge_key(u, v)] & 1:

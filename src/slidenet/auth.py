@@ -178,9 +178,10 @@ class EdgeLedger:
     """Running signed totals for one directed edge, from one endpoint's
     point of view.  sig1: net current-codeword packets across the edge;
     sig2: the counterpart's signed potential change; sig3: own potential
-    change; sigp: per-fragment net crossings."""
+    change; sigp: per-fragment net crossings, with `counts` holding just
+    their values (label -> count) so two ledgers compare in one step."""
 
-    __slots__ = ("sig1", "sig2", "sig3", "sigp")
+    __slots__ = ("sig1", "sig2", "sig3", "sigp", "counts")
 
     def __init__(self):
         self.clear(0)
@@ -190,10 +191,14 @@ class EdgeLedger:
         self.sig2 = LedgerEntry(0, (T, 0), None)
         self.sig3 = LedgerEntry(0, (T, 0), None)
         self.sigp = {}
+        self.counts = {}
+
+    def set_sigp(self, label, value, stamp, evidence) -> None:
+        self.sigp.setdefault(label, LedgerEntry()).set(value, stamp, evidence)
+        self.counts[label] = value
 
     def sigp_value(self, label) -> int:
-        entry = self.sigp.get(label)
-        return entry.value if entry is not None else 0
+        return self.counts.get(label, 0)
 
     def entries(self) -> int:
         return 3 + len(self.sigp)
@@ -254,6 +259,16 @@ class AuthNode:
 
     def sign(self, value) -> Signed:
         return self.ring.sign(self.key, value)
+
+    def attach_behavior(self, beh) -> None:
+        """Take on a corrupt behavior's verification and report hooks."""
+        self.relaxed_verify = beh.relaxed_verify
+        self.report_hook = beh.forge_report
+
+    def issue_theta(self, decoded, dup_label, T) -> None:
+        """The receiver signs its end-of-transmission parcel and queues it
+        for broadcast."""
+        self._add_parcel(self.sign(Theta(decoded, dup_label, T)))
 
     def _sot_state(self, T):
         return self.sot.setdefault(T, {"omega": None, "elims": set(),
@@ -357,8 +372,7 @@ class AuthNode:
         # verify_stage1_reply has checked that a confirmed fresh copy comes
         # with (its label, prior count + 1) and a stale one with None
         if v[7] is not None:
-            led.sigp.setdefault(v[7][0], LedgerEntry()).set(
-                v[7][1], (T, r), signed)
+            led.set_sigp(v[7][0], v[7][1], (T, r), signed)
         led.sig3.set(led.sig3.value + confirmed_height, (T, r), None)
         self.sig_nn += slide
 
@@ -417,8 +431,7 @@ class AuthNode:
         led.sig1.set(v[5], (T, r), signed)
         led.sig2.set(v[7], (T, r), signed)
         if v[8] is not None:
-            led.sigp.setdefault(v[8][0], LedgerEntry()).set(
-                v[8][1], (T, r), signed)
+            led.set_sigp(v[8][0], v[8][1], (T, r), signed)
         if self.node_id != self.receiver_id:
             led.sig3.set(led.sig3.value + land, (T, r), None)
         self.last_fresh[ib.peer] = (stored.packet.label() if stored.fresh

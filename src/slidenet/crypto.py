@@ -17,7 +17,7 @@ themselves; nothing in the simulator can sign on behalf of another node.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .util import pack, register_packer
 
@@ -31,6 +31,15 @@ class Signed:
     value: object
     signer: object
     signature: bytes
+    # pack(value) as signed; set only by KeyRing.sign, and only for a
+    # hashable value, so no part of it can change after signing
+    _body: bytes = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def body(self) -> bytes:
+        """The bytes the signature covers: pack(value)."""
+        body = self._body
+        return pack(self.value) if body is None else body
 
 
 register_packer(Signed, lambda s: ("~signed", s.value, s.signer, s.signature))
@@ -124,12 +133,21 @@ class KeyRing:
         return self._backend.keypair(node_id)
 
     def sign(self, key: KeyPair, value) -> Signed:
-        return Signed(value, key.node_id, self._backend.sign(key, pack(value)))
+        body = pack(value)
+        signed = Signed(value, key.node_id, self._backend.sign(key, body))
+        try:
+            # a value holding a list, a bytearray or a non-frozen
+            # dataclass is unhashable: verify packs it again every time
+            hash(value)
+        except TypeError:
+            return signed
+        object.__setattr__(signed, "_body", body)
+        return signed
 
     def verify(self, signed: Signed) -> bool:
         if not isinstance(signed, Signed):
             return False
-        return self._backend.verify(signed.signer, pack(signed.value),
+        return self._backend.verify(signed.signer, signed.body,
                                     signed.signature)
 
     def verify_as(self, signed: Signed, expected_signer) -> bool:

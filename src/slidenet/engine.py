@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass, field, fields
 
 from . import codec
-from .adversary import (ConfigError, Corruption, EdgeSchedule,
+from .adversary import (ConfigError, Corruption, EdgeSchedule, edge_key,
                         find_honest_path, generate_schedule,
                         validate_conforming)
-from .auth import REASON_OK, AuthNode, SenderAuth, Theta
+from .auth import REASON_OK, AuthNode, SenderAuth
 from .buffers import Stored, stack_potential
 from .crypto import keygen
 from .localize import run_localization
@@ -188,6 +188,9 @@ class Engine:
                              if a != b and a != self.R and b != self.S]
         self.all_pairs = [(a, b) for a in self.ids for b in self.ids
                           if a != b]
+        # each ordered pair with its edge's bit in a schedule mask
+        self._pair_bits = [((a, b), 1 << self.schedule.bit[edge_key(a, b)])
+                           for a, b in self.all_pairs]
 
         self.T = 1
         self.delivered = []           # (message_index, global_round, T)
@@ -211,8 +214,7 @@ class Engine:
         for node, (act, beh) in self.corrupt_nodes.items():
             if self.g_round >= act and beh.auth is None:
                 beh.attach(self.nodes[node], self.auth[node])
-                self.auth[node].relaxed_verify = beh.relaxed_verify
-                self.auth[node].report_hook = beh.forge_report
+                self.auth[node].attach_behavior(beh)
                 self._emit("corrupt", node=node, behavior=beh.name)
 
     def _suppressed(self, node) -> bool:
@@ -221,21 +223,18 @@ class Engine:
             return True
         return self.auth_mode and node in self.auth[node].en
 
-    def _ignores(self, node, peer) -> bool:
-        return self.auth_mode and peer in self.auth[node].en
-
     def _refresh_delivery(self):
         """Cache the per-round delivery predicate for every ordered pair:
         edge active, sending side not silenced, neither side treating the
         other as eliminated."""
-        cache = {}
+        mask = self.schedule.mask(self.g_round)
         suppressed = {x: self._suppressed(x) for x in self.ids}
-        for a, b in self.all_pairs:
-            cache[(a, b)] = (self.schedule.active(self.g_round, a, b)
-                             and not suppressed[a]
-                             and not self._ignores(b, a)
-                             and not self._ignores(a, b))
-        self._delivery = cache
+        en = ({x: self.auth[x].en for x in self.ids} if self.auth_mode
+              else dict.fromkeys(self.ids, ()))
+        self._delivery = {
+            (a, b): (bool(mask & bit) and not suppressed[a]
+                     and a not in en[b] and b not in en[a])
+            for (a, b), bit in self._pair_bits}
 
     def _is_honest(self, node) -> bool:
         return self._behavior(node) is None
@@ -387,7 +386,9 @@ class Engine:
         ok = (la.sig1.value == lb.sig1.value
               and la.sig2.value == lb.sig3.value
               and la.sig3.value == lb.sig2.value)
-        if ok:
+        # every count of la equal in lb: one C-level subset test; a label
+        # lb lacks still passes at count 0, which only the loop sees
+        if ok and not la.counts.items() <= lb.counts.items():
             for label, entry in la.sigp.items():
                 if lb.sigp_value(label) != entry.value:
                     ok = False
@@ -563,10 +564,9 @@ class Engine:
                         self.tm["beta"] += 1
 
         if self.auth_mode and self.r_local == self.L - self.n + 1:
-            rauth = self.auth[self.R]
             rnode = self.nodes[self.R]
-            theta = Theta(rnode.decoded, rnode.duplicate_label, self.T)
-            rauth._add_parcel(rauth.sign(theta))
+            self.auth[self.R].issue_theta(rnode.decoded,
+                                          rnode.duplicate_label, self.T)
             self.tm["theta_created"] = self.r_local
             self._emit("theta", decoded=rnode.decoded)
 

@@ -29,7 +29,38 @@ def pack(obj) -> bytes:
     return bytes(out)
 
 
+def _int_bytes(obj: int) -> bytes:
+    data = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
+    return b"i" + len(data).to_bytes(2, "big") + data
+
+
+# Encodings of the ints that counters, rounds, heights and labels take,
+# and of short sequence headers.
+_INT_LO, _INT_HI = -256, 4096
+_SMALL_INTS = [_int_bytes(v) for v in range(_INT_LO, _INT_HI)]
+_SEQ_HEADS = [b"l" + k.to_bytes(4, "big") for k in range(16)]
+
+
 def _pack_into(obj, out: bytearray) -> None:
+    # exact int and tuple first: they are nearly every item of a signed
+    # statement; bool, subclasses and everything else take _pack_other
+    t = type(obj)
+    if t is int:
+        out += (_SMALL_INTS[obj - _INT_LO] if _INT_LO <= obj < _INT_HI
+                else _int_bytes(obj))
+    elif t is tuple:
+        k = len(obj)
+        out += _SEQ_HEADS[k] if k < 16 else b"l" + k.to_bytes(4, "big")
+        for item in obj:
+            if type(item) is int and _INT_LO <= item < _INT_HI:
+                out += _SMALL_INTS[item - _INT_LO]
+            else:
+                _pack_into(item, out)
+    else:
+        _pack_other(obj, out)
+
+
+def _pack_other(obj, out: bytearray) -> None:
     if obj is None:
         out += b"N"
     elif obj is True:
@@ -37,8 +68,7 @@ def _pack_into(obj, out: bytearray) -> None:
     elif obj is False:
         out += b"F"
     elif isinstance(obj, int):
-        data = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
-        out += b"i" + len(data).to_bytes(2, "big") + data
+        out += _int_bytes(obj)
     elif isinstance(obj, str):
         data = obj.encode()
         out += b"s" + len(data).to_bytes(4, "big") + data

@@ -4,7 +4,8 @@ from slidenet.auth import (AuthNode, BlacklistParcel, ElimParcel, Omega,
                            ReasonParcel, RemoveParcel, SenderAuth, Theta,
                            REASON_F3)
 from slidenet.crypto import keygen
-from slidenet.engine import Scenario, run_scenario
+from slidenet.engine import Engine, Scenario, run_scenario
+from slidenet.util import InvariantError
 
 IDS = [0, 1, 2, 3]
 
@@ -175,3 +176,55 @@ class TestHonestAuthRun:
                       schedule_seed=11, checks="full")
         report, _ = run_scenario(sc)
         assert len(report["delivered"]) == 1
+
+
+class TestLedgerPairing:
+    """The engine's after-confirmation check that the two ledgers of an
+    honest edge agree: the one-step count comparison must raise on exactly
+    the ledger states the per-label comparison raises on."""
+
+    @pytest.fixture
+    def pair(self):
+        eng = Engine(Scenario(n=4, mode="auth"))
+        la, lb = eng.auth[1].out_led[2], eng.auth[2].in_led[1]
+        for led in (la, lb):
+            led.sig1.set(2, (1, 5), None)
+            led.sig2.set(3 if led is la else 4, (1, 5), None)
+            led.sig3.set(4 if led is la else 3, (1, 5), None)
+            for r, label in enumerate([(1, 0), (1, 7), (1, 3)]):
+                led.set_sigp(label, 1, (1, r), None)
+        eng._check_ledger_pairing(1, 2)
+        return eng, la, lb
+
+    def test_mismatch_on_older_label_raises(self, pair):
+        eng, la, lb = pair
+        lb.set_sigp((1, 0), 2, (1, 6), None)      # not the latest label
+        with pytest.raises(InvariantError, match="ledger mismatch"):
+            eng._check_ledger_pairing(1, 2)
+
+    def test_swapped_sig2_sig3_raises(self, pair):
+        eng, la, lb = pair
+        lb.sig2.set(3, (1, 6), None)
+        lb.sig3.set(4, (1, 6), None)
+        with pytest.raises(InvariantError, match="ledger mismatch"):
+            eng._check_ledger_pairing(1, 2)
+
+    def test_label_only_in_counterpart_passes(self, pair):
+        eng, la, lb = pair
+        lb.set_sigp((1, 9), 1, (1, 6), None)
+        eng._check_ledger_pairing(1, 2)
+
+    def test_zero_count_label_missing_from_counterpart_passes(self, pair):
+        eng, la, lb = pair
+        la.set_sigp((1, 9), 0, (1, 6), None)
+        eng._check_ledger_pairing(1, 2)
+        la.set_sigp((1, 9), 1, (1, 7), None)
+        with pytest.raises(InvariantError, match="ledger mismatch"):
+            eng._check_ledger_pairing(1, 2)
+
+    def test_counts_mirror_sigp(self, pair):
+        _, la, lb = pair
+        for led in (la, lb):
+            assert led.counts == {k: e.value for k, e in led.sigp.items()}
+        la.clear(2)
+        assert la.counts == {} and la.sigp == {}

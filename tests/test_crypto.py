@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from slidenet.crypto import CryptoError, Signed, keygen
+from slidenet.util import pack, register_packer
 
 
 @pytest.fixture(params=["oracle", "ed25519"])
@@ -65,3 +68,51 @@ def test_unknown_signer_rejected(ring):
     key = ring.keypair(0)
     signed = ring.sign(key, "x")
     assert not ring.verify(Signed("x", 99, signed.signature))
+
+
+# -- the cached body: pack(value) stored by sign and reused by verify ------
+
+def test_rebuilt_with_new_value_rejected_after_verify(ring):
+    signed = ring.sign(ring.keypair(1), ("hello", 7))
+    assert ring.verify(signed)
+    assert not ring.verify(dataclasses.replace(signed, value=("hello", 8)))
+    assert not ring.verify(Signed(("hello", 8), 1, signed.signature))
+
+
+@pytest.mark.parametrize("mutable", [[1, 2], bytearray(b"\x01\x02")],
+                         ids=["list", "bytearray"])
+def test_mutated_after_signing_fails(ring, mutable):
+    signed = ring.sign(ring.keypair(2), ("payload", (3, mutable)))
+    assert ring.verify(signed)
+    mutable.append(9)
+    assert not ring.verify(signed)
+
+
+@dataclasses.dataclass
+class _Note:
+    text: str
+
+
+register_packer(_Note, lambda n: ("~note", n.text))
+
+
+def test_mutable_custom_object_mutated_after_signing_fails(ring):
+    note = _Note("a")
+    signed = ring.sign(ring.keypair(0), ("note", note))
+    assert ring.verify(signed)
+    note.text = "b"
+    assert not ring.verify(signed)
+
+
+def test_cached_body_leaves_eq_and_hash_alone(ring):
+    signed = ring.sign(ring.keypair(3), ("x", 1, (2, None)))
+    rebuilt = Signed(signed.value, signed.signer, signed.signature)
+    assert signed == rebuilt
+    assert hash(signed) == hash(rebuilt)
+    assert signed.body == rebuilt.body == pack(signed.value)
+    assert ring.verify(rebuilt)
+
+
+def test_body_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        Signed("x", 0, b"sig", b"forged body")
