@@ -265,7 +265,7 @@ class AuthNode:
         self.relaxed_verify = beh.relaxed_verify
         self.report_hook = beh.forge_report
 
-    def issue_theta(self, decoded, dup_label, T) -> None:
+    def queue_theta(self, decoded, dup_label, T) -> None:
         """The receiver signs its end-of-transmission parcel and queues it
         for broadcast."""
         self._add_parcel(self.sign(Theta(decoded, dup_label, T)))

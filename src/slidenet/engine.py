@@ -565,7 +565,7 @@ class Engine:
 
         if self.auth_mode and self.r_local == self.L - self.n + 1:
             rnode = self.nodes[self.R]
-            self.auth[self.R].issue_theta(rnode.decoded,
+            self.auth[self.R].queue_theta(rnode.decoded,
                                           rnode.duplicate_label, self.T)
             self.tm["theta_created"] = self.r_local
             self._emit("theta", decoded=rnode.decoded)
