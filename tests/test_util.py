@@ -25,6 +25,7 @@ CASES = [
      "6c0000000554464e6900010169000100"),
     ("int_-257", -257, "690002feff"),
     ("int_-256", -256, "690002ff00"),
+    ("int_-2", -2, "690001fe"),
     ("int_-1", -1, "690001ff"),
     ("int_0", 0, "69000100"),
     ("int_127", 127, "6900017f"),
@@ -33,6 +34,8 @@ CASES = [
     ("int_256", 256, "6900020100"),
     ("int_4095", 4095, "6900020fff"),
     ("int_4096", 4096, "6900021000"),
+    ("int_8191", 8191, "6900021fff"),
+    ("int_8192", 8192, "6900022000"),
     ("int_2**63", 2**63, "690009008000000000000000"),
     ("int_subclass", _Int(300), "690002012c"),
     ("str_unicode", "héllo ✓", "730000000a68c3a96c6c6f20e29c93"),
