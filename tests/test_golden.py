@@ -1,4 +1,4 @@
-"""Golden digests: the report and trace of seven fixed scenarios, pinned
+"""Golden digests: the report and trace of ten fixed scenarios, pinned
 across versions.  A refactor must leave every digest unchanged; only a
 change whose point is a behaviour change may update them, and it says why
 in CHANGES.md.
@@ -46,6 +46,15 @@ SCENARIOS = {
     # substituted sends and the after_forward path
     "replacer-n4": lambda: _attack("replacer"),
     "report-forger-n4": lambda: _attack("report-forger"),
+    # honest run whose rounds after delivery change no state: one long
+    # quiet stretch on an unchanging schedule
+    "auth-n4-static": lambda: Scenario(
+        n=4, mode="auth", messages=1, schedule_kind="static", seed=0,
+        trace=True),
+    # behaviours whose stage1_reply_height / suppress_output hooks run
+    # every round
+    "liar-n4": lambda: _attack("liar"),
+    "ghost-n4": lambda: _attack("ghost"),
 }
 
 # (report sha256, trace sha256) of json.dumps(..., sort_keys=True)
@@ -71,6 +80,15 @@ GOLDEN = {
     "report-forger-n4": (
         "8c0c09c0b0c11df0f2bca9e48dc37268ef3b4a0f84c69a846bbcd607484a8574",
         "3ea67a41d6daf8e55b9a1e41138dd3688592d1999c6a9d7b16ac617e4b6b408b"),
+    "auth-n4-static": (
+        "bef4093d24894ec0096a3fa30abcce3c94bc26edb3c299d8655a65cf7c41d062",
+        "a8e3e2f8b4d259e1697d5acb327d0e9658338cfa8a640eb24e7edf34fe36f83f"),
+    "liar-n4": (
+        "babf15808a53e584c6cd3df2df1752418aa3a678924d478d450a5043006fab0b",
+        "841b59c1bd01571414cfbf0092447a5655d9a74f5f9775351530b6057276c285"),
+    "ghost-n4": (
+        "3c3f82a37a4ee55dc3db82a064c2d2dacedaad35e9479d05333ecaa8889ef23a",
+        "c9c86bf2ec57903013d14d6a13dfaf31a74455d584fc0c148c95d768378ce3bb"),
 }
 
 
