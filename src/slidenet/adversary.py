@@ -8,6 +8,7 @@ sender and receiver through nodes that are never corrupted.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,6 +40,7 @@ class EdgeSchedule:
         self.edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
         self.bit = {e: i for i, e in enumerate(self.edges)}
         self.masks = list(masks)
+        self._run = (0, 0)            # last run of equal masks scanned
 
     @property
     def rounds(self) -> int:
@@ -49,6 +51,21 @@ class EdgeSchedule:
         if r < 1 or r > len(self.masks):
             raise ConfigError(f"schedule does not cover round {r}")
         return self.masks[r - 1]
+
+    def next_change(self, r: int) -> int:
+        """The first round after r whose mask differs from round r's, or
+        `rounds + 1` when none does.  Scans forward from r when asked, never
+        ahead of time, and remembers the run of equal masks it found, so a
+        later question about a round inside that run costs nothing."""
+        start, end = self._run
+        if not start <= r < end:
+            masks = self.masks
+            m = self.mask(r)
+            end = r + 1
+            while end <= len(masks) and masks[end - 1] == m:
+                end += 1
+            self._run = (r, end)
+        return end
 
     def active(self, r: int, a, b) -> bool:
         return bool(self.mask(r) >> self.bit[edge_key(a, b)] & 1)
@@ -199,6 +216,11 @@ class Behavior:
     def attach(self, node, auth):
         self.node = node
         self.auth = auth
+
+    def round_state(self):
+        """This behaviour's own state, by value."""
+        return [(name, copy.copy(value)) for name, value in vars(self).items()
+                if name not in ("node", "auth", "params")]
 
     def suppress_output(self) -> bool:
         """Ghost nodes answer nothing on any edge."""

@@ -309,8 +309,35 @@ class AuthNode:
         self.max_bb = max(self.max_bb, len(self.bb))
         db = len(self.bl) + len(self.en) + len(self.claims)
         self.max_db = max(self.max_db, db)
-        for led in list(self.out_led.values()) + list(self.in_led.values()):
-            self.max_sig_entries = max(self.max_sig_entries, led.entries())
+        for ledgers in (self.out_led, self.in_led):
+            for led in ledgers.values():
+                self.max_sig_entries = max(self.max_sig_entries,
+                                           led.entries())
+
+    def add_local_drop(self, drop) -> None:
+        """Record a potential drop made inside this node -- packets
+        sliding down into a closed gap, or re-shuffle moves -- in its
+        re-shuffle ledger."""
+        self.sig_nn += drop
+
+    def round_state(self):
+        """The fields the next round reads: broadcast-buffer entries and
+        their passed sets, the control channel, the ledgers, the
+        start-of-transmission stages and the data buffer.  The broadcast
+        buffer is summed up by its size, its count of additions and the
+        sizes of its passed sets, which change with every entry added,
+        removed or passed."""
+        ledgers = tuple(
+            (led.sig1.value, led.sig1.stamp, led.sig2.value, led.sig2.stamp,
+             led.sig3.value, led.sig3.stamp, len(led.sigp))
+            for table in (self.out_led, self.in_led)
+            for led in table.values())
+        return (len(self.bb), self._seq,
+                sum(len(entry[1]) for entry in self.bb.values()),
+                tuple(self.cbp_out.values()), tuple(self.alpha_in.values()),
+                tuple(self.last_sent.values()), ledgers, self.sig_nn,
+                self._sot_done(self.current_T), len(self.bl), len(self.en),
+                len(self.claims))
 
     # -- stage 1: signed height replies ------------------------------------
 
@@ -374,7 +401,7 @@ class AuthNode:
         if v[7] is not None:
             led.set_sigp(v[7][0], v[7][1], (T, r), signed)
         led.sig3.set(led.sig3.value + confirmed_height, (T, r), None)
-        self.sig_nn += slide
+        self.add_local_drop(slide)
 
     # -- stage 2: signed packet transfers -----------------------------------
 
@@ -659,8 +686,9 @@ class AuthNode:
                                              self.en)
 
     def _clear_sig_buffers(self, T) -> None:
-        for led in list(self.out_led.values()) + list(self.in_led.values()):
-            led.clear(T)
+        for ledgers in (self.out_led, self.in_led):
+            for led in ledgers.values():
+                led.clear(T)
         self.sig_nn = 0
 
     def _wipe_for_elimination(self) -> None:
@@ -950,6 +978,11 @@ class SenderAuth(AuthNode):
         self.max_db = max(self.max_db, db)
         for led in self.out_led.values():
             self.max_sig_entries = max(self.max_sig_entries, led.entries())
+
+    def round_state(self):
+        return (super().round_state(), self.theta,
+                sum(len(parts) for parts in self.reports.values()),
+                self.halted)
 
     def end_of_transmission(self) -> None:
         """The sender's blacklist and broadcast buffer persist across the

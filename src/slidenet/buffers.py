@@ -94,7 +94,6 @@ class Buffer:
         self.slots = SlotArray(capacity)
         self.capacity = capacity
         self.H = 0
-        self.sb = 0
 
     def take_top(self):
         """Remove the packet re-shuffling moves off this buffer.  Returns
@@ -131,6 +130,7 @@ class OutgoingBuffer(Buffer):
 
     def __init__(self, owner, peer, capacity: int):
         super().__init__(owner, peer, capacity)
+        self.sb = 0                  # problem status: re-send the flag
         self.p_tilde = None          # Stored copy of the packet in flight
         self.d = 0                   # sent a packet last round
         self.FR = None               # round the current packet was flagged
@@ -143,6 +143,12 @@ class OutgoingBuffer(Buffer):
         """[kind, peer, height, flagged height, flag accepted]: the trace
         summary, and all `stack_potential` needs."""
         return [self.kind, self.peer, self.H, self.H_FP, self.flag_accepted]
+
+    def round_state(self):
+        """The fields the next round reads; the slots change only with
+        them or with an event the engine sees."""
+        return (self.H, self.H_FP, self.FR, self.RR, self.H_IN, self.sb,
+                self.d, self.p_tilde, self.flag_accepted)
 
     def _take_height(self) -> int:
         # the top packet, skipping a flagged one at or above the top
@@ -294,6 +300,11 @@ class IncomingBuffer(Buffer):
         and all `stack_potential` needs."""
         return [self.kind, self.peer, self.H, self.H_GP, False]
 
+    def round_state(self):
+        """The fields the next round reads; the slots change only with
+        them or with an event the engine sees."""
+        return (self.H, self.H_GP, self.RR, self.H_OUT, self.sb_OUT)
+
     def _take_height(self) -> int:
         # the top packet, which sits one higher above a ghost gap
         if self.H + 1 <= self.capacity and self.slots.get(self.H + 1) is not None:
@@ -358,32 +369,27 @@ class IncomingBuffer(Buffer):
             ("accept", stored, landing_height)
             ("dup", slide_count)
             ("idle", slide_count)
-            ("hold",)        -- ghost slot reserved, problem status
+            ("hold",)        -- ghost slot reserved
         """
         if self.H_OUT is None or blocked:
-            self.sb = 1
             self._reserve_ghost()
             return ("hold",)
         if self.sb_OUT == 1 or self.H_OUT > self.H:
             # a packet should have arrived
             if msg is None:
-                self.sb = 1
                 self._reserve_ghost()
                 return ("hold",)
             stored, fr = msg
             if self.RR < fr:
                 land = self.landing_height()
                 self.slots.put(land, stored)
-                self.sb = 0
                 self.H += 1
                 self.H_GP = None
                 self.RR = round_index
                 return ("accept", stored, land)
             # the peer re-sent a packet we already stored
-            self.sb = 0
             return ("dup", self._clear_ghost_gap())
         # no packet was expected; drop any stale reservation
-        self.sb = 0
         return ("idle", self._clear_ghost_gap())
 
     def discard(self, h: int) -> None:
@@ -399,11 +405,9 @@ class IncomingBuffer(Buffer):
         self.slots.clear()
         self.H = 0
         self.H_GP = None
-        self.sb = 0
 
     def eot_adjust(self) -> None:
         self._clear_ghost_gap()
-        self.sb = 0
         self.RR = -1
 
     def check(self) -> None:

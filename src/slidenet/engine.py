@@ -227,7 +227,7 @@ class Engine:
         """Cache the per-round delivery predicate for every ordered pair:
         edge active, sending side not silenced, neither side treating the
         other as eliminated."""
-        mask = self.schedule.mask(self.g_round)
+        mask = self._mask = self.schedule.mask(self.g_round)
         suppressed = {x: self._suppressed(x) for x in self.ids}
         en = ({x: self.auth[x].en for x in self.ids} if self.auth_mode
               else dict.fromkeys(self.ids, ()))
@@ -293,9 +293,13 @@ class Engine:
             "theta_arrival": None, "result": None,
         }
         self.tm = tm
-        for r in range(1, self.L + 1):
+        self._quiet_prev = None
+        r = 1
+        while r <= self.L:
             self.r_local = r
             self.g_round = (self.T - 1) * self.L + r
+            self._busy = False        # set by sends, hops, confirmations,
+                                      # acceptances and re-shuffle moves
             self._activate_behaviors()
             self._refresh_delivery()
             self._stage1()
@@ -304,7 +308,69 @@ class Engine:
             if not self.auth_mode \
                     and len(self.delivered) >= self.sc.messages:
                 break
+            if self._fixed_point():
+                self._skip_quiet()
+            r = self.r_local + 1
         self._end_transmission()
+
+    # -- quiet rounds ----------------------------------------------------------
+    #
+    # A round that leaves every field the next round reads as it found it,
+    # followed by a round with the same schedule mask, repeats itself until
+    # the mask changes or a scheduled event comes due, so the engine
+    # advances over that stretch in one step (next-event time advance).
+
+    def _round_state(self):
+        """Every field the next round reads, by value."""
+        state = [node.round_state() for node in self.nodes.values()]
+        if self.auth_mode:
+            state += [a.round_state() for a in self.auth.values()]
+        state += [beh.round_state() for _, beh in self.corrupt_nodes.values()]
+        return state
+
+    def _fixed_point(self) -> bool:
+        """Whether round r_local left the state as it found it, with round
+        r_local + 1 on the same mask.  The cheap tests come first: the
+        mask, then the round's events.  Only a round that passes both has
+        its state taken, and compared with the previous round's, which
+        must have passed them too."""
+        g = self.g_round
+        if self._busy or self.r_local + 1 >= self.L \
+                or self.schedule.mask(g + 1) != self._mask:
+            self._quiet_prev = None
+            return False
+        state = self._round_state()
+        prev, self._quiet_prev = self._quiet_prev, (g, state)
+        return prev == (g - 1, state)
+
+    def _skip_quiet(self):
+        """Advance over the rounds that repeat round r_local, to just before
+        the earliest of: the next mask change, the receiver's
+        end-of-transmission parcel (round L-n+1), round L and the next
+        behaviour activation.  The per-round counters grow by the quiet
+        round's increments, a trace gets the quiet round's state row once
+        per skipped round, and the invariant checks run once on the
+        unchanged state."""
+        r0, g0 = self.r_local, self.g_round
+        base = g0 - r0
+        stop = min([self.L, self.schedule.next_change(g0) - base]
+                   + [act - base for act, _ in self.corrupt_nodes.values()
+                      if act > g0])
+        if self.auth_mode and r0 < self.L - self.n + 1:
+            stop = min(stop, self.L - self.n + 1)
+        skipped = stop - 1 - r0
+        if skipped <= 0:
+            return
+        tm = self.tm
+        tm["blocked"] += skipped * self._round_blocked
+        tm["wasted"] += skipped * self._round_wasted
+        tm["beta"] += skipped * self._round_beta
+        if self.trace is not None:
+            row = self.trace[-1]
+            self.trace.extend(dict(row, g=g0 + i, r=r0 + i)
+                              for i in range(1, skipped))
+        self.r_local, self.g_round = stop - 1, g0 + skipped
+        self._check_round(rounds=skipped)
 
     # -- stage 1 ---------------------------------------------------------------
 
@@ -344,12 +410,13 @@ class Engine:
                 reply = self.auth[a].verify_stage1_reply(ob, signed, self.T, r)
             confirmed, height, slide = ob.fold_reply(reply)
             if confirmed is not None:
+                self._busy = True
                 if self.auth_mode:
                     self.auth[a].sync_on_confirm(ob, signed, height, slide,
                                                  self.T, r)
                     self._check_ledger_pairing(a, b)
                 if a == self.S:
-                    self.nodes[a].kappa += 1
+                    self.nodes[a].note_confirmed()
                 beh = self._behavior(a)
                 if beh is not None:
                     beh.after_forward(ob, confirmed)
@@ -429,6 +496,8 @@ class Engine:
                     ob, self.T, r, stored=substitute)
             else:
                 sends[(a, b)] = (ob.p_tilde, ob.FR)
+        if sends:
+            self._busy = True
 
         insert_gain = 0
         inserted = False
@@ -445,6 +514,7 @@ class Engine:
                                                             r)
             res = ib.receive(parsed, r, blocked=blocked)
             if res[0] == "accept":
+                self._busy = True
                 _, stored, land = res
                 if self.auth_mode:
                     self.auth[b].sync_on_accept(ib, msg, stored, land,
@@ -463,7 +533,7 @@ class Engine:
                     ib.discard(land)
             elif res[0] == "dup" or res[0] == "idle":
                 if self.auth_mode and res[1]:
-                    self.auth[b].sig_nn += res[1]
+                    self.auth[b].add_local_drop(res[1])
         self.tm["insert_gain"] += insert_gain
         self._round_blocked = not inserted and self._s_had_packets
         if self._round_blocked:
@@ -479,6 +549,8 @@ class Engine:
             parcel = self.auth[x].choose_parcel(y)
             if parcel is not None:
                 chosen[(x, y)] = self.auth[x].wrap_hop(parcel, self.T, r)
+        if chosen:
+            self._busy = True
         events = []
         for (x, y), hop in sorted(chosen.items()):
             for ev in self.auth[y].on_parcel(x, hop, self.T, r):
@@ -534,15 +606,17 @@ class Engine:
     # -- post-round ---------------------------------------------------------------
 
     def _post_round(self):
-        r = self.r_local
+        self._round_beta = False
         for i in self.ids:
             node = self.nodes[i]
             if node.role == INTERNAL:
                 if self.auth_mode and not self.auth[i].sot_complete():
                     continue
                 drop = node.reshuffle()
+                if drop:
+                    self._busy = True
                 if self.auth_mode:
-                    self.auth[i].sig_nn += drop
+                    self.auth[i].add_local_drop(drop)
             elif node.role == RECEIVER:
                 if self.auth_mode and not self.auth[i].sot_complete():
                     continue
@@ -561,6 +635,7 @@ class Engine:
                     vals = [ob.H_IN for ob in node.out_buffers.values()
                             if ob.H_IN is not None]
                     if all(v == 2 * self.n for v in vals):
+                        self._round_beta = True
                         self.tm["beta"] += 1
 
         if self.auth_mode and self.r_local == self.L - self.n + 1:
@@ -598,7 +673,9 @@ class Engine:
                 phi_dup += dup
         return phi_nd, phi_dup
 
-    def _check_round(self):
+    def _check_round(self, rounds=1):
+        """The invariant checks of the last `rounds` rounds, which all
+        ended in the current state."""
         level = self.sc.checks
         for i in self.ids:
             node = self.nodes[i]
@@ -628,8 +705,9 @@ class Engine:
                     raise InvariantError(
                         f"duplication potential {phi_dup} outside "
                         f"[0, {bound}]")
+            # every 8th round: does the stretch hold a multiple of 8?
             if level == "full" and honest_run and not self.auth_mode \
-                    and self.r_local % 8 == 0:
+                    and self.r_local // 8 != (self.r_local - rounds) // 8:
                 self._check_conservation()
         self._phi_prev = phi_nd
         if self.trace is not None:

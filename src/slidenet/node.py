@@ -60,6 +60,14 @@ class NodeState:
     def total_packets(self) -> int:
         return sum(b.H for b in self._buffers)
 
+    def round_state(self):
+        """The fields the next round reads: every buffer's, the re-shuffle
+        cursors, the reservoir and the receiver's storage."""
+        return (tuple(b.round_state() for b in self._buffers),
+                self._rr_donor, self._rr_recipient, len(self.reservoir),
+                len(self.storage), self.kappa, self.decoded,
+                self.duplicate_label)
+
     def check_invariants(self) -> None:
         for b in self._buffers:
             b.check()
@@ -134,6 +142,10 @@ class NodeState:
     def load_reservoir(self, stored_packets) -> None:
         self.reservoir = list(stored_packets)
         self.kappa = 0
+
+    def note_confirmed(self) -> None:
+        """The sender counts a packet whose receipt a peer confirmed."""
+        self.kappa += 1
 
     def sender_refill(self) -> None:
         """Top up every outgoing buffer with undistributed codeword

@@ -182,7 +182,7 @@ class TestIncoming:
         buf.fold_stage1((6, None, None))
         assert buf.H_OUT == 6
         res = buf.receive(None, round_index=3)
-        assert res == ("hold",) and buf.sb == 1 and buf.H_GP == 5
+        assert res == ("hold",) and buf.H_GP == 5
 
     def test_unexpected_round_clears_ghost(self):
         buf = self.make()

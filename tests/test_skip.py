@@ -1,0 +1,227 @@
+"""The quiet-round skip against the round-by-round engine.
+
+Every golden scenario and every scenario of test_attacks.py runs twice:
+as shipped, and with `Engine._fixed_point` patched to answer False, so
+that every round runs.  At the end of every skipped stretch the skipping
+run's whole state (`engine_snapshot`) must equal the other run's after the
+same round, and the two runs' reports and traces must be equal.
+"""
+
+import pytest
+
+from conftest import engine_snapshot
+from slidenet.adversary import Corruption
+from slidenet.engine import Engine, Scenario, run_scenario
+from slidenet.scenarios import attack_scenario
+from test_golden import SCENARIOS as GOLDEN
+from test_golden import THIN_LINE_N4
+
+
+def _attack_traced(n, behaviors, **kwargs):
+    sc = attack_scenario(n, behaviors, **kwargs)
+    sc.trace = True
+    return sc
+
+
+# the scenarios test_attacks.py runs
+ATTACKS = {
+    **{f"attack-{b}": (lambda b=b: attack_scenario(4, {2: b}, messages=1))
+       for b in ("deleter", "liar", "duplicator", "replacer",
+                 "report-forger")},
+    "attack-recovery": lambda: attack_scenario(
+        4, {2: "deleter"}, messages=2, max_transmissions=12),
+    "attack-ghost-n5": lambda: attack_scenario(
+        5, {2: "deleter", 3: "ghost"}, messages=1, checks="light",
+        max_transmissions=14),
+    "attack-traced": lambda: _attack_traced(4, {2: "deleter"}, messages=1,
+                                            checks="light"),
+}
+
+
+COMPLETE_N4 = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+
+# the two stops the other scenarios never reach: a behaviour that turns in
+# the middle of a quiet stretch, and a mask that holds for 700 rounds at a
+# time and then changes
+EXTRA = {
+    "late-deleter": lambda: Scenario(
+        n=4, mode="auth", messages=1, schedule_kind="static",
+        corruptions=[Corruption(node=2, round_index=1000,
+                                behavior="deleter")],
+        seed=0, trace=True),
+    "scripted-runs": lambda: Scenario(
+        n=4, mode="auth", messages=1, schedule_kind="scripted",
+        schedule_script=[COMPLETE_N4] * 700 + [THIN_LINE_N4[0]] * 700,
+        backbone=[0, 1, 3], seed=0, trace=True),
+}
+
+
+def _check_equivalent(monkeypatch, make):
+    """Run `make()` with and without the skip and compare them; returns
+    how many rounds the skip advanced over."""
+    at_end = {}
+    skip_quiet = Engine._skip_quiet
+
+    def recording_skip(self):
+        before = self.g_round
+        skip_quiet(self)
+        at_end[self.g_round] = (self.g_round - before,
+                                engine_snapshot(self))
+
+    monkeypatch.setattr(Engine, "_skip_quiet", recording_skip)
+    report, engine = run_scenario(make())
+    monkeypatch.undo()
+
+    seen = {}
+    post_round = Engine._post_round
+
+    def recording_post_round(self):
+        post_round(self)
+        if self.g_round in at_end:
+            seen[self.g_round] = engine_snapshot(self)
+
+    monkeypatch.setattr(Engine, "_fixed_point", lambda self: False)
+    monkeypatch.setattr(Engine, "_post_round", recording_post_round)
+    ref_report, ref = run_scenario(make())
+    monkeypatch.undo()
+
+    assert sorted(seen) == sorted(at_end)
+    for g, (_, snapshot) in sorted(at_end.items()):
+        assert snapshot == seen[g], f"state differs after round {g}"
+    assert report == ref_report
+    assert engine.trace == ref.trace
+    return sum(skipped for skipped, _ in at_end.values())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_skip_matches_every_round_golden(monkeypatch, name):
+    skipped = _check_equivalent(monkeypatch, GOLDEN[name])
+    if name == "auth-n4-static":
+        assert skipped > 3000
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA))
+def test_skip_matches_every_round_stops(monkeypatch, name):
+    assert _check_equivalent(monkeypatch, EXTRA[name]) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(ATTACKS))
+def test_skip_matches_every_round_attacks(monkeypatch, name):
+    # attack-ghost-n5 skips nothing: a parcel hop towards the silent ghost
+    # repeats every round, and a hop is an event
+    _check_equivalent(monkeypatch, ATTACKS[name])
+
+
+def test_quiet_stretch_stops_before_scheduled_events(monkeypatch):
+    """An honest static run skips its post-delivery stretch in one step
+    that ends just before the receiver's end-of-transmission parcel, then
+    runs that round, and skips again short of round L."""
+    engine = Engine(Scenario(n=4, mode="auth", messages=1))
+    stretches = []
+    skip_quiet = Engine._skip_quiet
+
+    def recording_skip(self):
+        before = self.r_local
+        skip_quiet(self)
+        if self.r_local > before:
+            stretches.append((before, self.r_local))
+
+    monkeypatch.setattr(Engine, "_skip_quiet", recording_skip)
+    engine.run()
+    theta_round = engine.L - engine.n + 1
+    assert any(end == theta_round - 1 for _, end in stretches)
+    assert all(end < engine.L for _, end in stretches)
+    assert engine.transmissions[0]["theta_created"] == theta_round
+
+
+# -- the predicate sees every field the next round reads ---------------------
+
+class _Quiet(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def quiet_engine():
+    """The deleter-n4 golden engine, stopped at its first fixed point."""
+    engine = Engine(GOLDEN["deleter-n4"]())
+
+    def stop(self):
+        raise _Quiet
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_skip_quiet", stop)
+        with pytest.raises(_Quiet):
+            engine.run()
+    return engine
+
+
+def _set(obj, attr, value):
+    old = getattr(obj, attr)
+    setattr(obj, attr, value)
+    return lambda: setattr(obj, attr, old)
+
+
+def _add(obj, attr, value):
+    setattr(obj, attr, value)
+    return lambda: delattr(obj, attr)
+
+
+def _put(table, key, value):
+    had, old = key in table, table.get(key)
+    table[key] = value
+    return lambda: table.__setitem__(key, old) if had else table.pop(key)
+
+
+def _buffer(engine, kind):
+    return next(b for node in engine.nodes.values()
+                for b in node.all_buffers() if b.kind == kind)
+
+
+def _first(table):
+    return next(iter(table.values()))
+
+
+NEW = object()
+FIELDS = {
+    **{f"out.{f}": (lambda f=f: lambda e: _set(_buffer(e, "out"), f, NEW))()
+       for f in ("H", "H_FP", "FR", "RR", "H_IN", "sb", "d", "p_tilde",
+                 "flag_accepted")},
+    **{f"in.{f}": (lambda f=f: lambda e: _set(_buffer(e, "in"), f, NEW))()
+       for f in ("H", "H_GP", "RR", "H_OUT", "sb_OUT")},
+    "node.cursor": lambda e: _set(e.nodes[1], "_rr_donor", NEW),
+    "node.reservoir": lambda e: _set(e.nodes[0], "reservoir",
+                                     e.nodes[0].reservoir + [None]),
+    "node.storage": lambda e: _put(e.nodes[e.R].storage, -1, None),
+    "auth.bb": lambda e: _put(e.auth[1].bb, ("new",), [None, set(), -1]),
+    "auth.passed": lambda e: _set(e.auth[1], "bb", {
+        key: [entry[0], entry[1] | {-1}, entry[2]]
+        for key, entry in e.auth[1].bb.items()}),
+    "auth.cbp_out": lambda e: _put(e.auth[1].cbp_out, 0, NEW),
+    "auth.alpha_in": lambda e: _put(e.auth[1].alpha_in, 0, NEW),
+    "auth.last_sent": lambda e: _put(e.auth[1].last_sent, 0, NEW),
+    "auth.ledger": lambda e: _set(_first(e.auth[1].in_led).sig1, "value",
+                                  NEW),
+    "auth.sigp": lambda e: _put(_first(e.auth[1].in_led).sigp, NEW, None),
+    "auth.sig_nn": lambda e: _set(e.auth[1], "sig_nn", NEW),
+    "auth.sot": lambda e: _put(e.auth[1].sot[e.auth[1].current_T],
+                               "omega", None),
+    "auth.bl": lambda e: _put(e.auth[1].bl, -1, 1),
+    "auth.en": lambda e: _put(e.auth[1].en, -1, 1),
+    "auth.claims": lambda e: _put(e.auth[1].claims, NEW, True),
+    "sender.theta": lambda e: _set(e.auth[e.S], "theta", NEW),
+    "sender.reports": lambda e: _put(e.auth[e.S].reports, NEW, {1: None}),
+    "sender.halted": lambda e: _set(e.auth[e.S], "halted", NEW),
+    "behavior": lambda e: _add(e.corrupt_nodes[2][1], "retained", NEW),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_round_state_sees_field(quiet_engine, field):
+    base = quiet_engine._round_state()
+    undo = FIELDS[field](quiet_engine)
+    try:
+        assert quiet_engine._round_state() != base
+    finally:
+        undo()
+    assert quiet_engine._round_state() == base
