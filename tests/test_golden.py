@@ -1,7 +1,8 @@
 """Golden digests: the report and trace of ten fixed scenarios, pinned
-across versions.  A refactor must leave every digest unchanged; only a
-change whose point is a behaviour change may update them, and it says why
-in CHANGES.md.
+across versions, and the files `slidenet run --trace` writes for two of
+them.  A refactor must leave every digest unchanged; only a change whose
+point is a behaviour change may update them, and it says why in
+CHANGES.md.
 
 The scenarios are spelled out here rather than built by a helper, so the
 lock also pins its own inputs.
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from slidenet.adversary import Corruption
+from slidenet.cli import main
 from slidenet.engine import Scenario, run_scenario
 
 # thin honest line 0-1-3 with node 2 attached to every other node
@@ -100,3 +102,30 @@ def _sha256(obj) -> str:
 def test_golden_digests(name):
     report, engine = run_scenario(SCENARIOS[name]())
     assert (_sha256(report), _sha256(engine.trace)) == GOLDEN[name]
+
+
+# (report.json sha256, trace.jsonl sha256) of the files `slidenet run
+# --trace` writes, header line included: the bytes a user gets, beside the
+# in-memory digests above.
+CLI_GOLDEN = {
+    "deleter-n4": (
+        "dbb217ad0bc409b8c33bec04e560a7364f6b91d5fda6a99e8403d358dcf16d6e",
+        "2247acf90f1448cf4172b7da6df664dc0ddc36e0a751c0fda832934564fd73e8"),
+    "slide-n5-churn": (
+        "ca07e2b992de5d85412f139e688a51b96500f59ab2fb278bcabad52f7c8eb1bd",
+        "c7333c3b642a42b94e238ff9db09f1e5867595bd2adaacd6a70bfef44135aea3"),
+}
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_file_digests(name, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SCENARIOS[name]().to_dict()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--trace"]) == 0
+    assert (_file_sha256(out / "report.json"),
+            _file_sha256(out / "trace.jsonl")) == CLI_GOLDEN[name]
