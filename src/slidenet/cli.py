@@ -11,6 +11,7 @@ violation, 4 invariant or audit failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,43 +34,65 @@ def _write_json(path, data) -> None:
         fh.write("\n")
 
 
+class _TraceFile:
+    """Trace sink: writes each record the engine appends as one JSON line
+    to `path`.partial, which `commit` renames to `path`.  A run that stops
+    before then leaves no trace, since an unfinished one can pass
+    `audit`."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fh = fh = open(path + ".partial", "w", buffering=1 << 20)
+        encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+        self.append = lambda rec: fh.write(encode(rec) + "\n")
+
+    def commit(self):
+        self.fh.close()
+        os.replace(self.fh.name, self.path)
+
+    def discard(self):
+        self.fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.fh.name)
+
+
 def cmd_run(args) -> int:
-    try:
-        with open(args.scenario) as fh:
-            data = json.load(fh)
-        scenario = Scenario.from_dict(data)
-        if args.trace:
-            scenario.trace = True
-        if args.seed is not None:
-            scenario.seed = args.seed
-        if args.mode is not None:
-            scenario.mode = "auth" if args.mode == "auth" else "slide"
-        engine = Engine(scenario)
-    except (OSError, json.JSONDecodeError, CodecError, ConfigError,
-            KeyError, TypeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConformingError as exc:
-        print(f"conforming violation: {exc}", file=sys.stderr)
-        return EXIT_CONFORMING
-    try:
-        report = engine.run()
-    except (InvariantError, LocalizationError) as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    if engine.trace is not None:
-        trace_path = os.path.join(out_dir, "trace.jsonl")
-        with open(trace_path, "w") as fh:
-            header = {"k": "run", "scenario": scenario.to_dict(),
-                      "digest": scenario.digest(),
-                      "honest": not engine.corrupt_nodes,
-                      "n": scenario.n}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for rec in engine.trace:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    with contextlib.ExitStack() as outputs:
+        try:
+            with open(args.scenario) as fh:
+                data = json.load(fh)
+            scenario = Scenario.from_dict(data)
+            if args.seed is not None:
+                scenario.seed = args.seed
+            if args.mode is not None:
+                scenario.mode = "auth" if args.mode == "auth" else "slide"
+            os.makedirs(out_dir, exist_ok=True)
+            sink = None
+            if args.trace:
+                scenario.trace = True
+                sink = _TraceFile(os.path.join(out_dir, "trace.jsonl"))
+                outputs.callback(sink.discard)
+                sink.append({"k": "run", "scenario": scenario.to_dict(),
+                             "digest": scenario.digest(),
+                             "honest": not scenario.corruptions,
+                             "n": scenario.n})
+            engine = Engine(scenario, trace=sink)
+        except (OSError, json.JSONDecodeError, CodecError, ConfigError,
+                KeyError, TypeError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except ConformingError as exc:
+            print(f"conforming violation: {exc}", file=sys.stderr)
+            return EXIT_CONFORMING
+        try:
+            report = engine.run()
+        except (InvariantError, LocalizationError) as exc:
+            print(f"invariant failure: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
+        _write_json(os.path.join(out_dir, "report.json"), report)
+        if sink is not None:
+            sink.commit()
     delivered = len(report["delivered"])
     print(f"delivered {delivered}/{report['messages_requested']} messages "
           f"in {len(report['transmissions'])} transmissions; "
@@ -104,17 +127,32 @@ def _audit_state_row(rec, n, honest_nodes, errors) -> tuple:
     return phi_nd, phi_dup
 
 
+class _Findings(list):
+    """The first 20 audit findings; `total` counts all of them."""
+    total = 0
+
+    def append(self, msg):
+        self.total += 1
+        if self.total <= 20:
+            super().append(msg)
+
+
 def cmd_audit(args) -> int:
     try:
         with open(args.trace) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
+            return _audit(json.loads(line) for line in fh if line.strip())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not lines or lines[0].get("k") != "run":
+
+
+def _audit(records) -> int:
+    """Replay the invariants over trace records parsed one at a time; a
+    malformed line stops it before it prints any finding."""
+    header = next(records, {})
+    if header.get("k") != "run":
         print("configuration error: not a trace file", file=sys.stderr)
         return EXIT_CONFIG
-    header = lines[0]
     n = header["n"]
     honest = header.get("honest", True)
     corrupt = {c["node"] for c in
@@ -122,13 +160,13 @@ def cmd_audit(args) -> int:
     honest_nodes = {i for i in range(n) if i not in corrupt}
     dup_bound = 2 * n**3 - 8 * n**2 + 8 * n
 
-    errors = []
+    errors = _Findings()
     prev_nd = None
     tx_gain = 0
     tx_blocked_unwasted = 0
     tx_start_nd = 0
     rounds_seen = 0
-    for rec in lines[1:]:
+    for rec in records:
         if rec["k"] == "state":
             rounds_seen += 1
             phi_nd, phi_dup = _audit_state_row(rec, n, honest_nodes, errors)
@@ -161,10 +199,10 @@ def cmd_audit(args) -> int:
     if rounds_seen == 0:
         errors.append("trace contains no state rows (was it recorded with "
                       "--trace?)")
-    for err in errors[:20]:
+    for err in errors:
         print(f"audit: {err}", file=sys.stderr)
     if errors:
-        print(f"audit failed with {len(errors)} finding(s)", file=sys.stderr)
+        print(f"audit failed with {errors.total} finding(s)", file=sys.stderr)
         return EXIT_INVARIANT
     print(f"audit passed over {rounds_seen} recorded rounds")
     return EXIT_OK

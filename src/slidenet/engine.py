@@ -122,7 +122,9 @@ def message_payload(seed, index: int, size: int) -> bytes:
 
 
 class Engine:
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, trace=None):
+        """Trace records go to `trace.append` as the run makes them, or
+        to a list if only `scenario.trace` is set."""
         sc = scenario
         self.sc = sc
         self.params = codec.derive_params(sc.n, sc.lam, sc.sigma,
@@ -196,7 +198,7 @@ class Engine:
         self.delivered = []           # (message_index, global_round, T)
         self.transmissions = []       # per-transmission records
         self.eliminations = []        # (T, node, kind, inequality)
-        self.trace = [] if sc.trace else None
+        self.trace = [] if trace is None and sc.trace else trace
         self.max_packets = {i: 0 for i in self.ids}
         self._copy = None
         self._expected = {}           # message index -> payload
@@ -241,9 +243,8 @@ class Engine:
 
     def _emit(self, kind, **fields):
         if self.trace is not None:
-            rec = {"k": kind, "T": self.T, "r": self.r_local}
-            rec.update(fields)
-            self.trace.append(rec)
+            self.trace.append({"k": kind, "T": self.T, "r": self.r_local,
+                               **fields})
 
     # -- message supply -----------------------------------------------------
 
@@ -366,9 +367,9 @@ class Engine:
         tm["wasted"] += skipped * self._round_wasted
         tm["beta"] += skipped * self._round_beta
         if self.trace is not None:
-            row = self.trace[-1]
-            self.trace.extend(dict(row, g=g0 + i, r=r0 + i)
-                              for i in range(1, skipped))
+            row = self._state_row
+            for i in range(1, skipped):
+                self.trace.append(dict(row, g=g0 + i, r=r0 + i))
         self.r_local, self.g_round = stop - 1, g0 + skipped
         self._check_round(rounds=skipped)
 
@@ -717,11 +718,12 @@ class Engine:
         nodes = {}
         for i in self.ids:
             nodes[str(i)] = [buf.row() for buf in self.nodes[i].all_buffers()]
-        self.trace.append({
+        self._state_row = {
             "k": "state", "g": self.g_round, "T": self.T, "r": self.r_local,
             "gain": self._round_gain, "blocked": int(self._round_blocked),
             "wasted": int(self._round_wasted), "nd": phi_nd, "nodes": nodes,
-        })
+        }
+        self.trace.append(self._state_row)
 
     def _check_conservation(self):
         """Every live packet of the current codeword exists in at most one

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -22,6 +23,20 @@ def honest_scenario(tmp_path):
         "seed": 1, "checks": "light",
     }
     return write(tmp_path / "honest.json", data)
+
+
+@pytest.fixture
+def corrupt_heights(monkeypatch):
+    """Break the height bookkeeping after every re-shuffle, so a run fails
+    its invariant checks in round 1."""
+    reshuffle = NodeState.reshuffle
+
+    def reshuffle_then_corrupt(node, record_move=None):
+        drop = reshuffle(node, record_move)
+        node.all_buffers()[0].H += 1
+        return drop
+
+    monkeypatch.setattr(NodeState, "reshuffle", reshuffle_then_corrupt)
 
 
 class TestRun:
@@ -68,20 +83,32 @@ class TestRun:
         assert main(["run", write(tmp_path / "empty.json", {})]) == 2
 
     def test_corrupted_buffer_height_exit4(self, tmp_path, honest_scenario,
-                                           monkeypatch, capsys):
-        reshuffle = NodeState.reshuffle
-
-        def reshuffle_then_corrupt(node, record_move=None):
-            drop = reshuffle(node, record_move)
-            node.all_buffers()[0].H += 1
-            return drop
-
-        monkeypatch.setattr(NodeState, "reshuffle", reshuffle_then_corrupt)
+                                           corrupt_heights, capsys):
         assert main(["run", honest_scenario, "--out",
                      str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert "invariant failure" in err
         assert "buffer of peer 1: height differs from occupancy" in err
+
+    def test_failed_traced_run_leaves_no_trace(self, tmp_path,
+                                               honest_scenario,
+                                               corrupt_heights):
+        # the lines written before the failure could pass `audit`
+        out = tmp_path / "out"
+        assert main(["run", honest_scenario, "--out", str(out),
+                     "--trace"]) == 4
+        assert list(tmp_path.rglob("trace.jsonl*")) == []
+
+    @pytest.mark.parametrize("flags", [[], ["--trace"]])
+    def test_unusable_out_exit2_before_run(self, tmp_path, honest_scenario,
+                                           capsys, flags):
+        blocker = tmp_path / "some_file"
+        blocker.write_text("")
+        assert main(["run", honest_scenario, "--out", str(blocker / "x")]
+                    + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error:")
 
     def test_determinism_byte_identical(self, tmp_path, honest_scenario):
         outs = []
@@ -170,11 +197,55 @@ def _hide_insertion_gain(rows):
     return False
 
 
+def _traced_rows(tmp_path, scenario):
+    out = tmp_path / "out"
+    assert main(["run", scenario, "--out", str(out), "--trace"]) == 0
+    trace = out / "trace.jsonl"
+    return trace, [json.loads(line) for line in trace.read_text().splitlines()]
+
+
 class TestAudit:
     def test_not_a_trace(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text("{}\n")
         assert main(["audit", str(path)]) == 2
+
+    def test_empty_file_exit2(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main(["audit", str(path)]) == 2
+
+    def test_headerless_trace_exit2(self, tmp_path, honest_scenario, capsys):
+        trace, rows = _traced_rows(tmp_path, honest_scenario)
+        trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows[1:]))
+        assert main(["audit", str(trace)]) == 2
+        assert "not a trace file" in capsys.readouterr().err
+
+    def test_malformed_line_mid_file_exit2(self, tmp_path, honest_scenario,
+                                           capsys):
+        trace, rows = _traced_rows(tmp_path, honest_scenario)
+        lines = [json.dumps(rec) for rec in rows]
+        lines.insert(len(lines) // 2, '{"k": "state", "g": ')
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["audit", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "audit:" not in err
+
+    def test_findings_past_20_counted_exactly(self, tmp_path,
+                                              honest_scenario, capsys):
+        trace, rows = _traced_rows(tmp_path, honest_scenario)
+        states = [rec for rec in rows if rec["k"] == "state"]
+        assert len(states) > 20
+        for rec in states:
+            rec["nd"] += 1
+        trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
+        capsys.readouterr()
+        assert main(["audit", str(trace)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 21
+        assert all("recorded potential" in line for line in err[:20])
+        assert err[20] == f"audit failed with {len(states)} finding(s)"
 
     def test_roundtrip(self, tmp_path, honest_scenario):
         out = tmp_path / "out"
@@ -186,11 +257,34 @@ class TestAudit:
                                         _bump_recorded_potential,
                                         _hide_insertion_gain])
     def test_tampered_trace_exit4(self, tmp_path, honest_scenario, tamper):
-        out = tmp_path / "out"
-        assert main(["run", honest_scenario, "--out", str(out),
-                     "--trace"]) == 0
-        trace = out / "trace.jsonl"
-        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        trace, rows = _traced_rows(tmp_path, honest_scenario)
         assert tamper(rows)
         trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
         assert main(["audit", str(trace)]) == 4
+
+
+def _run_and_audit_peak(tmp_path, messages):
+    """tracemalloc peak of `slidenet run --trace` and `slidenet audit` on
+    a slide n=4 churn scenario."""
+    data = {"n": 4, "mode": "slide", "messages": messages,
+            "schedule": {"kind": "churn", "p": 0.3, "seed": 2}, "seed": 2}
+    path = write(tmp_path / f"m{messages}.json", data)
+    out = tmp_path / f"m{messages}"
+    tracemalloc.start()
+    try:
+        assert main(["run", path, "--out", str(out), "--trace"]) == 0
+        assert main(["audit", str(out / "trace.jsonl")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.slow
+def test_traced_run_and_audit_memory_constant(tmp_path):
+    # 1 message takes 328 rounds, 3 messages 6,493; holding the trace
+    # peaked at 27 MB for the longer run
+    short = _run_and_audit_peak(tmp_path, 1)
+    long = _run_and_audit_peak(tmp_path, 3)
+    assert short < 12 * 2**20 and long < 12 * 2**20
+    assert abs(long - short) < 2 * 2**20
