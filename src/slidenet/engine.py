@@ -243,8 +243,9 @@ class Engine:
 
     def _emit(self, kind, **fields):
         if self.trace is not None:
-            self.trace.append({"k": kind, "T": self.T, "r": self.r_local,
-                               **fields})
+            rec = {"k": kind, "T": self.T, "r": self.r_local}
+            rec.update(fields)
+            self.trace.append(rec)
 
     # -- message supply -----------------------------------------------------
 

@@ -282,8 +282,8 @@ def _run_and_audit_peak(tmp_path, messages):
 
 @pytest.mark.slow
 def test_traced_run_and_audit_memory_constant(tmp_path):
-    # 1 message takes 328 rounds, 3 messages 6,493; holding the trace
-    # peaked at 27 MB for the longer run
+    # 1 message takes 328 rounds, 3 messages 6,493; a run that keeps its
+    # trace in memory until the end peaks at 27 MB on the longer one
     short = _run_and_audit_peak(tmp_path, 1)
     long = _run_and_audit_peak(tmp_path, 3)
     assert short < 12 * 2**20 and long < 12 * 2**20
