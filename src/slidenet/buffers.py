@@ -65,6 +65,9 @@ class SlotArray:
     def clear(self) -> None:
         self._slots = [None] * self.capacity
 
+    def empty(self) -> bool:
+        return self._slots.count(None) == self.capacity
+
     def occupied(self):
         return [h for h in range(1, self.capacity + 1) if self._slots[h - 1] is not None]
 
@@ -267,7 +270,25 @@ class OutgoingBuffer(Buffer):
 
     def check(self) -> None:
         """Structural invariants: height matches occupancy; slot layout is
-        contiguous except for the single flagged-packet gap."""
+        contiguous except for the single flagged-packet gap.  The layout is
+        tested with list operations; only a state that fails them goes
+        through `_check_slow`, which names the broken invariant."""
+        s = self.slots._slots
+        h, fp = self.H, self.H_FP
+        if 0 <= h <= self.capacity and s.count(None) == self.capacity - h:
+            if fp is None:
+                if None not in s[:h] and self.sb == 0 and self.FR is None:
+                    return
+            elif 1 <= fp <= h:
+                if None not in s[:h]:
+                    return
+            elif 1 <= h < fp <= self.capacity:
+                # slots 1..h-1 plus the flagged slot above the top
+                if None not in s[:h - 1] and s[fp - 1] is not None:
+                    return
+        self._check_slow()
+
+    def _check_slow(self) -> None:
         occ = set(self.slots.occupied())
         if len(occ) != self.H:
             self._fail("height differs from occupancy")
@@ -411,6 +432,23 @@ class IncomingBuffer(Buffer):
         self.RR = -1
 
     def check(self) -> None:
+        """Structural invariants: height matches occupancy; slot layout is
+        contiguous except for the ghost gap.  As for outgoing buffers, only
+        a state that fails the list tests goes through `_check_slow`."""
+        s = self.slots._slots
+        h, gp = self.H, self.H_GP
+        if 0 <= h <= self.capacity and s.count(None) == self.capacity - h:
+            if gp is None or gp == h + 1 <= self.capacity:
+                if None not in s[:h]:
+                    return
+            elif 1 <= gp <= h:
+                # slots 1..h+1 minus the ghost gap
+                if s[gp - 1] is None and None not in s[:gp - 1] \
+                        and None not in s[gp:h + 1]:
+                    return
+        self._check_slow()
+
+    def _check_slow(self) -> None:
         occ = set(self.slots.occupied())
         if len(occ) != self.H:
             self._fail("height differs from occupancy")

@@ -137,11 +137,22 @@ class _Findings(list):
             super().append(msg)
 
 
+def _trace_records(fh):
+    """The records of a trace file: one JSON object with a "k" key on each
+    non-blank line."""
+    for line in fh:
+        if line.strip():
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or "k" not in rec:
+                raise ValueError(f"not a trace record: {line.strip()[:80]}")
+            yield rec
+
+
 def cmd_audit(args) -> int:
     try:
         with open(args.trace) as fh:
-            return _audit(json.loads(line) for line in fh if line.strip())
-    except (OSError, json.JSONDecodeError) as exc:
+            return _audit(_trace_records(fh))
+    except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

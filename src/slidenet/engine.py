@@ -660,16 +660,18 @@ class Engine:
 
     # -- metrics / invariant checking ------------------------------------------------
 
-    def _potential(self):
+    def _potential(self, rows=None):
         """Current (non-duplicated, duplication) network potential: the
-        sum of `stack_potential` over every internal node's buffers."""
+        sum of `stack_potential` over every internal node's buffers.
+        `rows`, when given, maps each node id to its buffers' `row()`s."""
         phi_nd = 0
         phi_dup = 0
-        for node in self.nodes.values():
+        for i, node in self.nodes.items():
             if node.role != INTERNAL:
                 continue
-            for buf in node.all_buffers():
-                kind, _, h, extra, accepted = buf.row()
+            node_rows = rows[i] if rows is not None else \
+                [buf.row() for buf in node.all_buffers()]
+            for kind, _, h, extra, accepted in node_rows:
                 nd, dup = stack_potential(kind, h, extra, accepted)
                 phi_nd += nd
                 phi_dup += dup
@@ -688,7 +690,12 @@ class Engine:
         if level == "off" and self.trace is None:
             return
         honest_run = not self.corrupt_nodes
-        phi_nd, phi_dup = self._potential()
+        rows = None
+        if self.trace is not None:
+            # one row pass serves both the potential and the state row
+            rows = {i: [buf.row() for buf in self.nodes[i].all_buffers()]
+                    for i in self.ids}
+        phi_nd, phi_dup = self._potential(rows)
         if level != "off":
             for i in self.ids:
                 if self._is_honest(i):
@@ -712,13 +719,11 @@ class Engine:
                     and self.r_local // 8 != (self.r_local - rounds) // 8:
                 self._check_conservation()
         self._phi_prev = phi_nd
-        if self.trace is not None:
-            self._emit_state_row(phi_nd)
+        if rows is not None:
+            self._emit_state_row(phi_nd, rows)
 
-    def _emit_state_row(self, phi_nd):
-        nodes = {}
-        for i in self.ids:
-            nodes[str(i)] = [buf.row() for buf in self.nodes[i].all_buffers()]
+    def _emit_state_row(self, phi_nd, rows):
+        nodes = {str(i): rows[i] for i in self.ids}
         self._state_row = {
             "k": "state", "g": self.g_round, "T": self.T, "r": self.r_local,
             "gain": self._round_gain, "blocked": int(self._round_blocked),

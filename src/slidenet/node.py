@@ -73,10 +73,11 @@ class NodeState:
             b.check()
         if self.role != INTERNAL:
             return
+        # _buffers is the incoming buffers, then the outgoing ones
         heights = [b.H for b in self._buffers]
+        n_in = len(self.in_buffers)
         if max(heights) - min(heights) > 1 \
-                or max(b.H for b in self.in_buffers.values()) \
-                > min(b.H for b in self.out_buffers.values()):
+                or max(heights[:n_in]) > min(heights[n_in:]):
             raise InvariantError(
                 f"node {self.node_id}: heights differ by more than one, or "
                 f"an incoming buffer tops an outgoing one: " + ", ".join(
@@ -104,6 +105,11 @@ class NodeState:
         total_drop = 0
         bufs = self._buffers
         if not bufs:
+            return 0
+        heights = [b.H for b in bufs]
+        if max(heights) == min(heights):
+            # balanced: the loop below would stop before its first move,
+            # leaving the cursors as they are
             return 0
         while True:
             max_h = max(b.H for b in bufs)
@@ -178,8 +184,9 @@ class NodeState:
         storage, reset the incoming buffers, and decode once enough
         distinct fragments have arrived."""
         for buf in self.in_buffers.values():
-            for h in buf.slots.occupied():
-                self._receiver_take(buf.slots.get(h), plain_mode)
+            if not buf.slots.empty():
+                for h in buf.slots.occupied():
+                    self._receiver_take(buf.slots.get(h), plain_mode)
             buf.reset()
         if not self.decoded and len(self.storage) >= params.decode_threshold:
             frags = [s.packet for s in self.storage.values()]

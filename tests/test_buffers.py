@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from slidenet.buffers import IncomingBuffer, OutgoingBuffer, SlotArray, Stored
 from slidenet.codec import Packet
 from slidenet.node import INTERNAL, NodeState
+from slidenet.util import InvariantError
 
 CAP = 8  # 2n for n=4
 
@@ -65,6 +66,87 @@ def test_check_raises_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith(
         "True node 1, out buffer of peer 2: height differs from occupancy")
+
+
+def _reference_out_check(buf):
+    """The set-based OutgoingBuffer.check that the list-based one
+    replaced, kept as the reference it must match."""
+    occ = set(buf.slots.occupied())
+    if len(occ) != buf.H:
+        buf._fail("height differs from occupancy")
+    if not 0 <= buf.H <= buf.capacity:
+        buf._fail("height outside capacity")
+    if buf.H_FP is None or buf.H_FP <= buf.H:
+        if occ != set(range(1, buf.H + 1)):
+            buf._fail("slots not contiguous")
+    elif occ != set(range(1, buf.H)) | {buf.H_FP}:
+        buf._fail("slots not contiguous below the flagged packet")
+    if buf.H_FP is None:
+        if buf.sb != 0 or buf.FR is not None:
+            buf._fail("problem status without a flagged packet")
+    elif buf.slots.get(buf.H_FP) is None:
+        buf._fail("flagged slot empty")
+
+
+def _reference_in_check(buf):
+    """The set-based IncomingBuffer.check, as above."""
+    occ = set(buf.slots.occupied())
+    if len(occ) != buf.H:
+        buf._fail("height differs from occupancy")
+    if not 0 <= buf.H <= buf.capacity:
+        buf._fail("height outside capacity")
+    if buf.H_GP is None or buf.H_GP > buf.H:
+        if occ != set(range(1, buf.H + 1)):
+            buf._fail("slots not contiguous")
+        if buf.H_GP is not None and buf.H_GP != buf.H + 1:
+            buf._fail("ghost slot not just above the top")
+    elif occ != set(range(1, buf.H + 2)) - {buf.H_GP}:
+        buf._fail("slots not contiguous around the ghost gap")
+    if buf.H_GP is not None and not 1 <= buf.H_GP <= buf.capacity:
+        buf._fail("ghost slot outside capacity")
+
+
+def _outcome(check, buf):
+    try:
+        check(buf)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cap", [6, 8])
+@pytest.mark.parametrize("kind", ["out", "in"])
+def test_check_matches_set_based_reference(kind, cap):
+    """Over every slot occupancy, height and extra slot (and, outgoing,
+    every problem-status/flag-round pair), `check` raises exactly when the
+    set-based reference does, with the same message."""
+    if kind == "out":
+        buf, reference = OutgoingBuffer(1, 2, cap), _reference_out_check
+        fields = [(sb, fr) for sb in (0, 1) for fr in (None, 3)]
+    else:
+        buf, reference = IncomingBuffer(1, 2, cap), _reference_in_check
+        fields = [(None, None)]
+    extras = [None] + list(range(cap + 2))
+    passed = failed = 0
+    for mask in range(1 << cap):
+        buf.slots._slots = [pkt(h + 1) if mask >> h & 1 else None
+                            for h in range(cap)]
+        for h in range(-1, cap + 2):
+            buf.H = h
+            for extra in extras:
+                for sb, fr in fields:
+                    if kind == "out":
+                        buf.H_FP, buf.sb, buf.FR = extra, sb, fr
+                    else:
+                        buf.H_GP = extra
+                    want = _outcome(reference, buf)
+                    assert _outcome(type(buf).check, buf) == want, \
+                        (mask, h, extra, sb, fr)
+                    if want is None:
+                        passed += 1
+                    else:
+                        failed += 1
+    assert passed and failed
 
 
 class TestOutgoingStage1:
@@ -245,9 +327,27 @@ class TestReshuffle:
 
     def test_equal_heights_no_move(self):
         node = make_node([3, 3], [3, 3])
+        node._rr_donor, node._rr_recipient = 2, 3
         moves = []
-        node.reshuffle(record_move=lambda *a: moves.append(a))
+        assert node.reshuffle(record_move=lambda *a: moves.append(a)) == 0
         assert moves == []
+        assert (node._rr_donor, node._rr_recipient) == (2, 3)
+
+    def test_balanced_with_flag_and_ghost_unchanged(self):
+        node = make_node([3, 3], [3, 3])
+        flagged = node.out_buffers[2]
+        flagged.p_tilde = flagged.slots.get(3)
+        flagged.H_FP, flagged.FR = 3, 5
+        ghosted = node.in_buffers[0]
+        ghosted.H_GP = 4
+        node._rr_donor, node._rr_recipient = 1, 2
+        node.check_invariants()
+        before = [(b.slots._slots[:], b.round_state())
+                  for b in node.all_buffers()]
+        assert node.reshuffle() == 0
+        assert [(b.slots._slots[:], b.round_state())
+                for b in node.all_buffers()] == before
+        assert (node._rr_donor, node._rr_recipient) == (1, 2)
 
     def test_flagged_packet_never_moves(self):
         node = make_node([5, 5], [1, 5])

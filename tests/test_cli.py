@@ -232,6 +232,26 @@ class TestAudit:
         assert err.startswith("configuration error:")
         assert "audit:" not in err
 
+    def test_header_not_an_object_exit2(self, tmp_path, capsys):
+        path = tmp_path / "list.jsonl"
+        path.write_text("[]\n")
+        assert main(["audit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "audit:" not in err
+
+    def test_record_without_kind_exit2(self, tmp_path, honest_scenario,
+                                       capsys):
+        trace, rows = _traced_rows(tmp_path, honest_scenario)
+        lines = [json.dumps(rec) for rec in rows]
+        lines.insert(1, '{"g": 1}')
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["audit", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "audit:" not in err
+
     def test_findings_past_20_counted_exactly(self, tmp_path,
                                               honest_scenario, capsys):
         trace, rows = _traced_rows(tmp_path, honest_scenario)

@@ -4,7 +4,8 @@ import pytest
 
 from slidenet.buffers import Stored
 from slidenet.codec import Packet
-from slidenet.engine import ConformingError, Engine, Scenario, run_scenario
+from slidenet.engine import (ConformingError, Engine, InvariantError,
+                             Scenario, run_scenario)
 
 
 def fill_buffer(buf, h):
@@ -138,3 +139,47 @@ class TestConfig:
                       corruptions=[Corruption(0, 1, "deleter")])
         with pytest.raises(ConfigError):
             Engine(sc)
+
+
+def test_buffer_checks_build_no_occupancy_list(monkeypatch):
+    """Buffer checks test the slot list directly: on a run whose
+    invariants all hold they never call `SlotArray.occupied`, which only
+    the slow path that names a broken invariant uses."""
+    from slidenet.buffers import IncomingBuffer, OutgoingBuffer, SlotArray
+    depth = [0]
+    counts = {"check": 0, "occupied_in_check": 0}
+
+    def counting_check(check):
+        def wrapper(buf):
+            counts["check"] += 1
+            depth[0] += 1
+            try:
+                return check(buf)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    occupied = SlotArray.occupied
+
+    def counting_occupied(slots):
+        if depth[0]:
+            counts["occupied_in_check"] += 1
+        return occupied(slots)
+
+    monkeypatch.setattr(SlotArray, "occupied", counting_occupied)
+    for cls in (IncomingBuffer, OutgoingBuffer):
+        monkeypatch.setattr(cls, "check", counting_check(cls.check))
+
+    sc = Scenario(n=4, mode="slide", messages=1, schedule_kind="churn",
+                  schedule_p=0.3, schedule_seed=2, seed=2, checks="full")
+    report, _ = run_scenario(sc)
+    assert len(report["delivered"]) == 1
+    assert counts["check"] > 1000
+    assert counts["occupied_in_check"] == 0
+
+    # a broken buffer takes the slow path, which the counter sees
+    buf = OutgoingBuffer(1, 2, 8)
+    buf.H = 1
+    with pytest.raises(InvariantError, match="height differs"):
+        buf.check()
+    assert counts["occupied_in_check"] > 0
