@@ -22,8 +22,7 @@ def main():
 
     for behavior in ATTACKS:
         t0 = time.time()
-        sc = attack_scenario(args.n, {2: behavior}, messages=1,
-                             checks="light")
+        sc = attack_scenario(args.n, {2: behavior}, messages=1)
         report, eng = run_scenario(sc)
         results = [t["result"] for t in report["transmissions"]]
         print(f"\n=== {behavior} (n={args.n}, {time.time()-t0:.1f}s) ===")

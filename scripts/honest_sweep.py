@@ -23,8 +23,7 @@ def main():
     for seed in range(args.seeds):
         sc = Scenario(n=args.n, mode=args.mode, messages=1,
                       max_transmissions=1, schedule_kind="churn",
-                      schedule_p=args.p, schedule_seed=seed, seed=seed,
-                      checks="light")
+                      schedule_p=args.p, schedule_seed=seed, seed=seed)
         report, eng = run_scenario(sc)
         d = report["delivered"][0]
         tm = report["transmissions"][0]

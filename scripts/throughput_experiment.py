@@ -23,7 +23,7 @@ def main():
     x = n * n + 10
     length = 4 * int(6 * n**3 / (3 / 8))
     sc = Scenario(
-        n=n, mode="auth", messages=x, max_transmissions=x, checks="light",
+        n=n, mode="auth", messages=x, max_transmissions=x,
         schedule_kind="churn", schedule_p=args.p, schedule_seed=args.seed,
         backbone=[0, n - 1],
         corruptions=[

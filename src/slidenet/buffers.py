@@ -270,39 +270,26 @@ class OutgoingBuffer(Buffer):
 
     def check(self) -> None:
         """Structural invariants: height matches occupancy; slot layout is
-        contiguous except for the single flagged-packet gap.  The layout is
-        tested with list operations; only a state that fails them goes
-        through `_check_slow`, which names the broken invariant."""
+        contiguous except for the single flagged-packet gap; the flagged
+        slot lies within capacity and holds a packet.  Each test reads the
+        slot list; once the first holds, 0 <= H <= capacity."""
         s = self.slots._slots
         h, fp = self.H, self.H_FP
-        if 0 <= h <= self.capacity and s.count(None) == self.capacity - h:
-            if fp is None:
-                if None not in s[:h] and self.sb == 0 and self.FR is None:
-                    return
-            elif 1 <= fp <= h:
-                if None not in s[:h]:
-                    return
-            elif 1 <= h < fp <= self.capacity:
-                # slots 1..h-1 plus the flagged slot above the top
-                if None not in s[:h - 1] and s[fp - 1] is not None:
-                    return
-        self._check_slow()
-
-    def _check_slow(self) -> None:
-        occ = set(self.slots.occupied())
-        if len(occ) != self.H:
+        if s.count(None) != self.capacity - h:
             self._fail("height differs from occupancy")
-        if not 0 <= self.H <= self.capacity:
-            self._fail("height outside capacity")
-        if self.H_FP is None or self.H_FP <= self.H:
-            if occ != set(range(1, self.H + 1)):
+        if fp is None or fp <= h:
+            if None in s[:h]:
                 self._fail("slots not contiguous")
-        elif occ != set(range(1, self.H)) | {self.H_FP}:
+        elif h < 1 or fp > self.capacity or None in s[:h - 1] \
+                or s[fp - 1] is None:
+            # slots 1..h-1 plus the flagged slot above the top
             self._fail("slots not contiguous below the flagged packet")
-        if self.H_FP is None:
+        if fp is None:
             if self.sb != 0 or self.FR is not None:
                 self._fail("problem status without a flagged packet")
-        elif self.slots.get(self.H_FP) is None:
+        elif fp < 1:
+            self._fail("flagged slot outside capacity")
+        elif s[fp - 1] is None:
             self._fail("flagged slot empty")
 
 
@@ -433,33 +420,21 @@ class IncomingBuffer(Buffer):
 
     def check(self) -> None:
         """Structural invariants: height matches occupancy; slot layout is
-        contiguous except for the ghost gap.  As for outgoing buffers, only
-        a state that fails the list tests goes through `_check_slow`."""
+        contiguous except for the ghost gap, which sits just above the top
+        or inside the stack.  As for outgoing buffers, each test reads the
+        slot list."""
         s = self.slots._slots
         h, gp = self.H, self.H_GP
-        if 0 <= h <= self.capacity and s.count(None) == self.capacity - h:
-            if gp is None or gp == h + 1 <= self.capacity:
-                if None not in s[:h]:
-                    return
-            elif 1 <= gp <= h:
-                # slots 1..h+1 minus the ghost gap
-                if s[gp - 1] is None and None not in s[:gp - 1] \
-                        and None not in s[gp:h + 1]:
-                    return
-        self._check_slow()
-
-    def _check_slow(self) -> None:
-        occ = set(self.slots.occupied())
-        if len(occ) != self.H:
+        if s.count(None) != self.capacity - h:
             self._fail("height differs from occupancy")
-        if not 0 <= self.H <= self.capacity:
-            self._fail("height outside capacity")
-        if self.H_GP is None or self.H_GP > self.H:
-            if occ != set(range(1, self.H + 1)):
+        if gp is None or gp > h:
+            if None in s[:h]:
                 self._fail("slots not contiguous")
-            if self.H_GP is not None and self.H_GP != self.H + 1:
+            if gp is not None and gp != h + 1:
                 self._fail("ghost slot not just above the top")
-        elif occ != set(range(1, self.H + 2)) - {self.H_GP}:
+        elif gp < 1 or s[gp - 1] is not None or None in s[:gp - 1] \
+                or None in s[gp:h + 1]:
+            # slots 1..h+1 minus the ghost gap
             self._fail("slots not contiguous around the ghost gap")
-        if self.H_GP is not None and not 1 <= self.H_GP <= self.capacity:
+        if gp is not None and gp > self.capacity:
             self._fail("ghost slot outside capacity")

@@ -4,6 +4,9 @@
     slidenet audit <trace.jsonl>
     slidenet gen <kind> [params...] [--out FILE]
 
+The scenario file fixes every input of a run, seeds and mode included;
+its invariant check level is "full" (the default, as `gen` writes) or "off".
+
 Exit codes: 0 success, 2 configuration error, 3 conforming-constraint
 violation, 4 invariant or audit failure.
 """
@@ -63,10 +66,6 @@ def cmd_run(args) -> int:
             with open(args.scenario) as fh:
                 data = json.load(fh)
             scenario = Scenario.from_dict(data)
-            if args.seed is not None:
-                scenario.seed = args.seed
-            if args.mode is not None:
-                scenario.mode = "auth" if args.mode == "auth" else "slide"
             os.makedirs(out_dir, exist_ok=True)
             sink = None
             if args.trace:
@@ -137,14 +136,24 @@ class _Findings(list):
             super().append(msg)
 
 
+# the fields the audit reads from each kind of trace record
+_RECORD_FIELDS = {"run": ("n", "scenario"), "endT": ("T",),
+                  "state": ("g", "r", "gain", "nodes")}
+
+
 def _trace_records(fh):
-    """The records of a trace file: one JSON object with a "k" key on each
-    non-blank line."""
+    """The records of a trace file: one JSON object with a string "k" on
+    each non-blank line, holding the fields the audit reads."""
     for line in fh:
         if line.strip():
             rec = json.loads(line)
-            if not isinstance(rec, dict) or "k" not in rec:
+            if not isinstance(rec, dict) or not isinstance(rec.get("k"), str):
                 raise ValueError(f"not a trace record: {line.strip()[:80]}")
+            missing = [f for f in _RECORD_FIELDS.get(rec["k"], ())
+                       if f not in rec]
+            if missing:
+                raise ValueError(f"{rec['k']} record without "
+                                 f"{', '.join(missing)}: {line.strip()[:80]}")
             yield rec
 
 
@@ -231,7 +240,7 @@ def cmd_gen(args) -> int:
         schedule_kind="static" if args.kind == "honest" else "churn",
         schedule_p=0.0 if args.kind == "honest" else args.p,
         schedule_seed=args.seed, backbone=args.backbone,
-        corruptions=corruptions, seed=args.seed, checks="light")
+        corruptions=corruptions, seed=args.seed)
     try:
         Engine(scenario)
     except (CodecError, ConfigError) as exc:
@@ -262,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--trace", action="store_true",
                        help="record a per-round trace")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--mode", choices=["slide", "auth"], default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_audit = sub.add_parser("audit", help="replay invariants over a trace")

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .util import parse_fraction, register_packer
+from .util import register_packer
 
 GF_BITS = 16
 GF_SIZE = 1 << GF_BITS          # 65536
@@ -56,33 +56,21 @@ class CodecError(ValueError):
 
 @dataclass(frozen=True)
 class CodingParams:
-    """Network-wide coding configuration.
+    """Network-wide coding configuration, built by `derive_params`.
 
     n: node count, lam/sigma: error and information rate of the code,
-    k: signature security parameter in bits (informational; the simulator
-    treats signatures as opaque tags).
+    packets_per_codeword: D = 6n^3/lam, decode_threshold: the distinct
+    fragments that decode, (1-lam)*D = D - 6n^3, data_fragments: the
+    sigma*D information-bearing (systematic) fragments.
     """
 
     n: int
     lam: Fraction
     sigma: Fraction
-    k: int = 128
-    fragment_bytes: int = 2
-
-    @property
-    def packets_per_codeword(self) -> int:
-        """D: fragments per codeword, 6*n^3/lam."""
-        return int(6 * self.n**3 / self.lam)
-
-    @property
-    def decode_threshold(self) -> int:
-        """Distinct fragments needed to decode: (1-lam)*D = D - 6n^3."""
-        return self.packets_per_codeword - 6 * self.n**3
-
-    @property
-    def data_fragments(self) -> int:
-        """Number of information-bearing (systematic) fragments: sigma*D."""
-        return int(self.sigma * self.packets_per_codeword)
+    fragment_bytes: int
+    packets_per_codeword: int
+    decode_threshold: int
+    data_fragments: int
 
     @property
     def message_bytes(self) -> int:
@@ -119,8 +107,18 @@ class Codeword:
     fragments: tuple
 
 
-def derive_params(n, lam, sigma=None, k: int = 128,
-                  fragment_bytes: int = 2) -> CodingParams:
+def _fraction(name, value) -> Fraction:
+    """Parse '3/8', '0.375' or a number into an exact Fraction."""
+    try:
+        if isinstance(value, float):
+            return Fraction(value).limit_denominator(10**9)
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise CodecError(f"{name} must be a fraction such as 3/8, "
+                         f"got {value!r}") from exc
+
+
+def derive_params(n, lam, sigma=None, fragment_bytes: int = 2) -> CodingParams:
     """Validate and freeze coding parameters.
 
     Requires n >= 4, 0 < lam < 1/2 with 6n^3/lam integral, and
@@ -129,7 +127,7 @@ def derive_params(n, lam, sigma=None, k: int = 128,
     """
     if not isinstance(n, int) or n < 4:
         raise CodecError(f"node count must be an integer >= 4, got {n!r}")
-    lam = parse_fraction(lam)
+    lam = _fraction("lam", lam)
     if not (0 < lam < Fraction(1, 2)):
         raise CodecError(f"error rate must satisfy 0 < lam < 1/2, got {lam}")
     d = Fraction(6 * n**3) / lam
@@ -138,7 +136,7 @@ def derive_params(n, lam, sigma=None, k: int = 128,
     d = int(d)
     if d > GF_SIZE:
         raise CodecError(f"D = {d} exceeds the field size {GF_SIZE}")
-    sigma = Fraction(1) - lam if sigma is None else parse_fraction(sigma)
+    sigma = Fraction(1) - lam if sigma is None else _fraction("sigma", sigma)
     if not (0 < sigma <= 1):
         raise CodecError(f"information rate must satisfy 0 < sigma <= 1, got {sigma}")
     if sigma > 1 - lam:
@@ -148,7 +146,8 @@ def derive_params(n, lam, sigma=None, k: int = 128,
         raise CodecError(f"sigma*D = {sigma * d} is not an integer")
     if fragment_bytes < 2 or fragment_bytes % 2:
         raise CodecError("fragment_bytes must be a positive multiple of 2")
-    return CodingParams(n=n, lam=lam, sigma=sigma, k=k, fragment_bytes=fragment_bytes)
+    return CodingParams(n, lam, sigma, fragment_bytes, d, d - 6 * n**3,
+                        int(sigma * d))
 
 
 def _to_words(payload: bytes) -> np.ndarray:
@@ -229,19 +228,16 @@ def encode(msg: Message, params: CodingParams,
     return Codeword(message_index=msg.index, fragments=tuple(fragments))
 
 
-def decode(fragments: Iterable[Packet], params: CodingParams,
-           verify: Optional[Callable[[Packet], bool]] = None) -> Optional[Message]:
+def decode(fragments: Iterable[Packet],
+           params: CodingParams) -> Optional[Message]:
     """Recover the message from a set of fragments, or None if fewer than
-    (1-lam)*D distinct valid fragments are available.
-
-    Fragments failing `verify` are treated as absent.  Mixing fragments of
-    different codewords is a caller error.
+    (1-lam)*D distinct fragments are available.  The caller drops
+    fragments with bad signatures first.  Mixing fragments of different
+    codewords is a caller error.
     """
     by_index = {}
     cw = None
     for frag in fragments:
-        if verify is not None and not verify(frag):
-            continue
         if cw is None:
             cw = frag.codeword_index
         elif frag.codeword_index != cw:

@@ -49,7 +49,7 @@ class Scenario:
     corruptions: list = field(default_factory=list)
     crypto_backend: str = "oracle"
     seed: int = 0
-    checks: str = "full"            # "full" | "light" | "off"
+    checks: str = "full"            # "full" | "off"
     trace: bool = False
 
     def to_dict(self) -> dict:
@@ -70,8 +70,10 @@ class Scenario:
         other missing keys take the field defaults.  An unknown key raises
         ConfigError, so a misspelt key cannot silently run with the
         default."""
+        sched = data.get("schedule", {}) if isinstance(data, dict) else None
+        if not isinstance(sched, dict):
+            raise ConfigError("a scenario and its schedule must be objects")
         _reject_unknown("scenario", data, cls().to_dict())
-        sched = data.get("schedule", {})
         _reject_unknown("schedule", sched, _SCHEDULE_KEYS)
         if "n" not in data:
             raise ConfigError("scenario has no node count n")
@@ -134,7 +136,7 @@ class Engine:
         self.auth_mode = sc.mode == "auth"
         if sc.mode not in ("slide", "auth"):
             raise ConfigError(f"unknown mode {sc.mode!r}")
-        if sc.checks not in ("full", "light", "off"):
+        if sc.checks not in ("full", "off"):
             raise ConfigError(f"unknown check level {sc.checks!r}")
         self.L = 4 * self.D if self.auth_mode else 3 * self.D
         self.ids = list(range(sc.n))
@@ -622,10 +624,8 @@ class Engine:
             elif node.role == RECEIVER:
                 if self.auth_mode and not self.auth[i].sot_complete():
                     continue
-                node.receiver_drain(
-                    self.params, self._on_message,
-                    plain_mode=not self.auth_mode,
-                    decode_fn=lambda frags: codec.decode(frags, self.params))
+                node.receiver_drain(self.params, self._on_message,
+                                    plain_mode=not self.auth_mode)
             else:
                 node.sender_refill()
                 # keep every outgoing buffer supplied once the reservoir
@@ -715,7 +715,7 @@ class Engine:
                         f"duplication potential {phi_dup} outside "
                         f"[0, {bound}]")
             # every 8th round: does the stretch hold a multiple of 8?
-            if level == "full" and honest_run and not self.auth_mode \
+            if honest_run and not self.auth_mode \
                     and self.r_local // 8 != (self.r_local - rounds) // 8:
                 self._check_conservation()
         self._phi_prev = phi_nd

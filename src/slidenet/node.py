@@ -3,6 +3,7 @@ procedure, and the sender/receiver specializations."""
 
 from __future__ import annotations
 
+from . import codec
 from .buffers import IncomingBuffer, OutgoingBuffer, Stored
 from .util import InvariantError
 
@@ -95,7 +96,7 @@ class NodeState:
             if bufs[idx] in pool:
                 return bufs[idx], (idx + 1) % len(bufs)
 
-    def reshuffle(self, record_move=None):
+    def reshuffle(self):
         """Balance buffer heights: repeatedly move the top packet of the
         fullest buffer to the emptiest, while the gap is at least two, or
         exactly one for an incoming-to-outgoing move.  Flagged packets
@@ -139,8 +140,6 @@ class NodeState:
                     f"{donor.kind} buffer of peer {donor.peer}")
             dst = recipient.put_top(item)
             total_drop += src - dst
-            if record_move is not None:
-                record_move(donor, recipient, item, src, dst)
         return total_drop
 
     # -- sender -----------------------------------------------------------
@@ -178,8 +177,7 @@ class NodeState:
 
     # -- receiver ---------------------------------------------------------
 
-    def receiver_drain(self, params, on_message, plain_mode: bool,
-                       decode_fn) -> None:
+    def receiver_drain(self, params, on_message, plain_mode: bool) -> None:
         """Move each incoming slot-1 packet of the current codeword into
         storage, reset the incoming buffers, and decode once enough
         distinct fragments have arrived."""
@@ -190,7 +188,7 @@ class NodeState:
             buf.reset()
         if not self.decoded and len(self.storage) >= params.decode_threshold:
             frags = [s.packet for s in self.storage.values()]
-            msg = decode_fn(frags)
+            msg = codec.decode(frags, params)
             if msg is None:
                 raise InvariantError(
                     f"receiver {self.node_id}: decoding failed with "

@@ -18,19 +18,16 @@ def line_script(n):
     return [sorted(set(edges))]
 
 
-def attack_scenario(n, behaviors, messages=1, checks=None,
-                    max_transmissions=None):
+def attack_scenario(n, behaviors, messages=1, max_transmissions=None):
     """One scenario with the given {node: behavior} map over the thin-line
     topology; every corrupt node turns in round 1, and the honest backbone
     runs through node 1."""
     corruptions = [Corruption(node=node, round_index=1, behavior=name)
                    for node, name in sorted(behaviors.items())]
-    if checks is None:
-        checks = "full" if n <= 4 else "light"
     if max_transmissions is None:
         max_transmissions = 8 + 2 * len(behaviors)
     return Scenario(
         n=n, mode="auth", messages=messages,
-        max_transmissions=max_transmissions, checks=checks,
+        max_transmissions=max_transmissions,
         schedule_kind="scripted", schedule_script=line_script(n),
         backbone=[0, 1, n - 1], corruptions=corruptions)

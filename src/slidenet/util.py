@@ -1,10 +1,9 @@
 """Small shared helpers: the invariant error, canonical byte packing,
-digests, fraction parsing."""
+digests."""
 
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
 
 class InvariantError(RuntimeError):
@@ -88,14 +87,3 @@ def _pack_other(obj, out: bytearray) -> None:
 def digest(obj) -> str:
     """Short stable content digest of a packable structure."""
     return hashlib.blake2b(pack(obj), digest_size=8).hexdigest()
-
-
-def parse_fraction(text) -> Fraction:
-    """Parse '3/8', '0.375' or a number into an exact Fraction."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        return Fraction(text).limit_denominator(10**9)
-    return Fraction(str(text))

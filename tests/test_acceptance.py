@@ -49,10 +49,9 @@ def suite_scenario(n, behavior):
             sc.schedule_script = None
             return sc
         return attack_scenario(n, {2: "deleter", 3: "ghost"}, messages=1,
-                               max_transmissions=14, checks="light")
+                               max_transmissions=14)
     node = 2
-    return attack_scenario(n, {node: behavior}, messages=1,
-                           checks="full" if n == 4 else "light")
+    return attack_scenario(n, {node: behavior}, messages=1)
 
 
 def corrupt_nodes(report_scenario):
@@ -85,7 +84,7 @@ def mixed_run(run_cache):
     n = 4
     x = n * n + 10
     sc = Scenario(
-        n=n, mode="auth", messages=x, max_transmissions=x, checks="light",
+        n=n, mode="auth", messages=x, max_transmissions=x, checks="full",
         schedule_kind="churn", schedule_p=0.15, schedule_seed=5,
         backbone=[0, 3],
         corruptions=[Corruption(node=1, round_index=1, behavior="deleter"),
@@ -154,7 +153,7 @@ def test_criterion_3_buffer_invariants(honest_runs, suite_runs):
             for buf in node.all_buffers():
                 buf.check()
     for (n, behavior), (report, eng) in suite_runs.items():
-        assert eng.sc.checks in ("full", "light")
+        assert eng.sc.checks == "full"
         cap = 2 * (n - 2) * 2 * n
         for node in range(1, n - 1):
             assert report["max_packets_per_node"][str(node)] <= cap
@@ -295,13 +294,13 @@ def test_criterion_10_determinism(tmp_path):
         "slide": {
             "n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
             "schedule": {"kind": "churn", "p": 0.25, "seed": 12},
-            "seed": 12, "checks": "light",
+            "seed": 12, "checks": "full",
         },
         "auth": {
             "n": 4, "mode": "auth", "lam": "3/8", "messages": 1,
             "max_transmissions": 1,
             "schedule": {"kind": "churn", "p": 0.1, "seed": 4},
-            "seed": 4, "checks": "light",
+            "seed": 4, "checks": "full",
         },
     }
     from slidenet.cli import main

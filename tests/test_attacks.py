@@ -54,7 +54,7 @@ class TestSingleAttacker:
 @pytest.fixture(scope="module")
 def ghost_outcome():
     sc = attack_scenario(5, {2: "deleter", 3: "ghost"}, messages=1,
-                         checks="light", max_transmissions=14)
+                         max_transmissions=14)
     return run_scenario(sc)
 
 
@@ -81,7 +81,7 @@ class TestAdversarialTrace:
     def test_trace_audit_passes_for_honest_nodes(self, tmp_path):
         import json
         from slidenet.cli import main
-        sc = attack_scenario(4, {2: "deleter"}, messages=1, checks="light")
+        sc = attack_scenario(4, {2: "deleter"}, messages=1)
         sc.trace = True
         path = tmp_path / "attack.json"
         path.write_text(json.dumps(sc.to_dict()))

@@ -3,6 +3,8 @@ import pytest
 from slidenet.auth import (AuthNode, BlacklistParcel, ElimParcel, Omega,
                            ReasonParcel, RemoveParcel, SenderAuth, Theta,
                            REASON_F3)
+from slidenet.buffers import IncomingBuffer, OutgoingBuffer, Stored
+from slidenet.codec import Packet
 from slidenet.crypto import keygen
 from slidenet.engine import Engine, Scenario, run_scenario
 from slidenet.util import InvariantError
@@ -65,6 +67,27 @@ class TestGates:
         node.bb[("omega", 1)][1].add(2)
         node.en[2] = 1
         assert not node.okay_to_send(2)
+
+
+class TestPacketMsg:
+    def test_bad_sender_signature_dropped(self, ring):
+        """A transfer whose packet no longer matches the sender's
+        signature counts as undelivered, so the fragment never reaches a
+        buffer or the decoder."""
+        sender, node = make_nodes(ring)
+        unsigned = Packet(1, 7, b"\x12\x34")
+        packet = Packet(1, 7, unsigned.payload,
+                        ring.sign(ring.keypair(0), unsigned.signed_body()))
+        ob = OutgoingBuffer(0, 1, 8)
+        ob.slots.put(1, Stored(packet))
+        ob.H, ob.H_IN = 1, 0
+        assert ob.create_flag(1)
+        ib = IncomingBuffer(1, 0, 8)
+        msg = sender.build_packet_msg(ob, 1, 1)
+        assert node.verify_packet_msg(ib, msg, 1, 1) == (Stored(packet), 1)
+        tampered = Packet(1, 7, b"\x12\x35", packet.sender_signature)
+        msg = sender.build_packet_msg(ob, 1, 1, stored=Stored(tampered))
+        assert node.verify_packet_msg(ib, msg, 1, 1) is None
 
 
 class TestSotOrdering:

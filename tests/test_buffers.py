@@ -68,6 +68,17 @@ def test_check_raises_under_python_O():
         "True node 1, out buffer of peer 2: height differs from occupancy")
 
 
+@pytest.mark.parametrize("fp", [0, -2])
+def test_flagged_height_below_one_raises(fp):
+    """A flagged height below 1 indexes the slot list from its top end,
+    which a full buffer has occupied."""
+    buf = OutgoingBuffer(1, 2, CAP)
+    fill(buf, range(1, CAP + 1))
+    buf.H_FP, buf.FR = fp, 3
+    with pytest.raises(InvariantError, match="flagged slot outside capacity"):
+        buf.check()
+
+
 def _reference_out_check(buf):
     """The set-based OutgoingBuffer.check that the list-based one
     replaced, kept as the reference it must match."""
@@ -84,6 +95,8 @@ def _reference_out_check(buf):
     if buf.H_FP is None:
         if buf.sb != 0 or buf.FR is not None:
             buf._fail("problem status without a flagged packet")
+    elif buf.H_FP < 1:
+        buf._fail("flagged slot outside capacity")
     elif buf.slots.get(buf.H_FP) is None:
         buf._fail("flagged slot empty")
 
@@ -312,6 +325,25 @@ def make_node(in_heights, out_heights):
     return node
 
 
+def spy_moves(node):
+    """Patch the node's buffers to log every take_top and put_top as
+    (buffer, item, height), in call order; returns the log."""
+    log = []
+    for buf in node.all_buffers():
+        def take_top(buf=buf, take=buf.take_top):
+            item, h = take()
+            log.append((buf, item, h))
+            return item, h
+
+        def put_top(item, buf=buf, put=buf.put_top):
+            h = put(item)
+            log.append((buf, item, h))
+            return h
+
+        buf.take_top, buf.put_top = take_top, put_top
+    return log
+
+
 class TestReshuffle:
     def test_two_buffers_balance(self):
         node = make_node([5, 3], [4, 4])
@@ -328,9 +360,9 @@ class TestReshuffle:
     def test_equal_heights_no_move(self):
         node = make_node([3, 3], [3, 3])
         node._rr_donor, node._rr_recipient = 2, 3
-        moves = []
-        assert node.reshuffle(record_move=lambda *a: moves.append(a)) == 0
-        assert moves == []
+        log = spy_moves(node)
+        assert node.reshuffle() == 0
+        assert log == []
         assert (node._rr_donor, node._rr_recipient) == (2, 3)
 
     def test_balanced_with_flag_and_ghost_unchanged(self):
@@ -380,10 +412,15 @@ class TestReshuffle:
         ins = [min(CAP, base + g) for g in gains[:2]]
         outs = [max(0, base - l) for l in losses[:2]]
         node = make_node(ins, outs)
-        moves = []
-        node.reshuffle(record_move=lambda *a: moves.append(a))
+        log = spy_moves(node)
+        node.reshuffle()
         node.check_invariants()
-        for donor, recipient, item, src, dst in moves:
+        # each move takes a packet off the donor, then puts it on the
+        # recipient
+        assert len(log) % 2 == 0
+        for (donor, item, src), (recipient, put, dst) in zip(log[::2],
+                                                             log[1::2]):
+            assert put is item and item is not None
             assert not (donor.kind == "out" and recipient.kind == "in")
             assert dst <= src  # packets never climb during re-shuffle
 

@@ -20,7 +20,7 @@ def honest_scenario(tmp_path):
     data = {
         "n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
         "schedule": {"kind": "churn", "p": 0.2, "seed": 3},
-        "seed": 1, "checks": "light",
+        "seed": 1, "checks": "full",
     }
     return write(tmp_path / "honest.json", data)
 
@@ -31,8 +31,8 @@ def corrupt_heights(monkeypatch):
     its invariant checks in round 1."""
     reshuffle = NodeState.reshuffle
 
-    def reshuffle_then_corrupt(node, record_move=None):
-        drop = reshuffle(node, record_move)
+    def reshuffle_then_corrupt(node):
+        drop = reshuffle(node)
         node.all_buffers()[0].H += 1
         return drop
 
@@ -69,15 +69,27 @@ class TestRun:
         {"mesages": 3},
         {"schedule": {"kind": "churn", "p": 0.2, "sede": 9}},
         {"checks": "ful"},
+        {"checks": "light"},
+        {"lam": "abc"},
+        {"sigma": "x/y"},
+        {"schedule": []},
         {"mode": "auth",
          "corruptions": [{"node": 2, "behavior": "deleter", "rnd": 1}]},
     ])
-    def test_malformed_scenario_exit2(self, tmp_path, bad):
+    def test_malformed_scenario_exit2(self, tmp_path, bad, capsys):
         data = {"n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
                 "schedule": {"kind": "churn", "p": 0.2, "seed": 3},
-                "seed": 1, "checks": "light"}
+                "seed": 1, "checks": "full"}
         data.update(bad)
         assert main(["run", write(tmp_path / "bad.json", data)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--mode", "auth"]])
+    def test_run_takes_seed_and_mode_from_the_file(self, honest_scenario,
+                                                  flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", honest_scenario] + flag)
+        assert exc.value.code == 2
 
     def test_missing_node_count_exit2(self, tmp_path):
         assert main(["run", write(tmp_path / "empty.json", {})]) == 2
@@ -129,7 +141,7 @@ def test_scenario_round_trip():
         backbone=[0, 1, 4], schedule_repair=False,
         corruptions=[Corruption(node=2, round_index=5, behavior="replacer",
                                 params={"pool": 1})],
-        crypto_backend="ed25519", seed=11, checks="light", trace=True)
+        crypto_backend="ed25519", seed=11, checks="off", trace=True)
     default = Scenario()
     assert [f.name for f in fields(Scenario)
             if getattr(sc, f.name) == getattr(default, f.name)] == []
@@ -245,6 +257,24 @@ class TestAudit:
         trace, rows = _traced_rows(tmp_path, honest_scenario)
         lines = [json.dumps(rec) for rec in rows]
         lines.insert(1, '{"g": 1}')
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["audit", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "audit:" not in err
+
+    @pytest.mark.parametrize("line", [0, 1, -1])
+    def test_record_without_fields_exit2(self, tmp_path, honest_scenario,
+                                         capsys, line):
+        # a header without n and scenario; a state row without nodes, g,
+        # r and gain, first or last
+        trace, rows = _traced_rows(tmp_path, honest_scenario)
+        lines = [json.dumps(rec) for rec in rows]
+        if line == 0:
+            lines[0] = '{"k": "run"}'
+        else:
+            lines.insert(line % len(lines), '{"k": "state"}')
         trace.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["audit", str(trace)]) == 2

@@ -103,16 +103,6 @@ class TestRoundTrip:
         with pytest.raises(CodecError):
             encode(Message(1, b"\x00" * (p.message_bytes - 2)), p)
 
-    def test_verify_filter_drops_fragments(self):
-        p = make_params()
-        msg = random_message(p, 9)
-        cw = encode(msg, p)
-        subset = cw.fragments[: p.decode_threshold]
-        # rejecting one fragment pushes the set below threshold
-        bad = subset[0].fragment_index
-        assert decode(subset, p,
-                      verify=lambda f: f.fragment_index != bad) is None
-
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31), st.integers(64, 200))
@@ -158,9 +148,8 @@ def test_signature_binds_each_fragment():
     assert not valid(tampered)
     others = [f for f in cw.fragments if f.fragment_index != 7]
     assert all(valid(f) for f in others)
-    # the tampered fragment is treated as absent but does not spoil decode
-    mixed = [tampered] + others[: p.decode_threshold]
-    assert decode(mixed, p, verify=valid) == msg
+    # the engine drops such a fragment before it reaches a buffer:
+    # tests/test_auth.py::TestPacketMsg::test_bad_sender_signature_dropped
 
 
 def test_field_tables_invert():

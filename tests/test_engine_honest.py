@@ -107,7 +107,7 @@ class TestHonestDelivery:
 class TestDeterminism:
     def test_identical_reports(self):
         sc = Scenario(n=4, mode="slide", messages=1, schedule_kind="churn",
-                      schedule_p=0.25, schedule_seed=3, checks="light",
+                      schedule_p=0.25, schedule_seed=3, checks="full",
                       trace=True)
         r1, e1 = run_scenario(sc)
         r2, e2 = run_scenario(sc)

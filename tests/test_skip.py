@@ -31,10 +31,8 @@ ATTACKS = {
     "attack-recovery": lambda: attack_scenario(
         4, {2: "deleter"}, messages=2, max_transmissions=12),
     "attack-ghost-n5": lambda: attack_scenario(
-        5, {2: "deleter", 3: "ghost"}, messages=1, checks="light",
-        max_transmissions=14),
-    "attack-traced": lambda: _attack_traced(4, {2: "deleter"}, messages=1,
-                                            checks="light"),
+        5, {2: "deleter", 3: "ghost"}, messages=1, max_transmissions=14),
+    "attack-traced": lambda: _attack_traced(4, {2: "deleter"}, messages=1),
 }
 
 
