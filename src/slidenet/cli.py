@@ -136,9 +136,9 @@ class _Findings(list):
             super().append(msg)
 
 
-# the fields the audit reads from each kind of trace record
-_RECORD_FIELDS = {"run": ("n", "scenario"), "endT": ("T",),
-                  "state": ("g", "r", "gain", "nodes")}
+# the fields the audit reads from each kind of trace record, and their types
+_RECORD_FIELDS = {"run": {"n": int, "scenario": dict}, "endT": {"T": int},
+                  "state": {"g": int, "r": int, "gain": int, "nodes": dict}}
 
 
 def _trace_records(fh):
@@ -149,11 +149,11 @@ def _trace_records(fh):
             rec = json.loads(line)
             if not isinstance(rec, dict) or not isinstance(rec.get("k"), str):
                 raise ValueError(f"not a trace record: {line.strip()[:80]}")
-            missing = [f for f in _RECORD_FIELDS.get(rec["k"], ())
-                       if f not in rec]
-            if missing:
-                raise ValueError(f"{rec['k']} record without "
-                                 f"{', '.join(missing)}: {line.strip()[:80]}")
+            bad = [f for f, t in _RECORD_FIELDS.get(rec["k"], {}).items()
+                   if not isinstance(rec.get(f), t)]
+            if bad:
+                raise ValueError(f"{rec['k']} record without a valid "
+                                 f"{', '.join(bad)}: {line.strip()[:80]}")
             yield rec
 
 

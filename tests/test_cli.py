@@ -264,17 +264,25 @@ class TestAudit:
         assert err.startswith("configuration error:")
         assert "audit:" not in err
 
-    @pytest.mark.parametrize("line", [0, 1, -1])
+    @pytest.mark.parametrize("at, record", [
+        pytest.param(0, '{"k": "run"}', id="bare-header"),
+        pytest.param(0, '{"k": "run", "n": 4, "scenario": []}',
+                     id="header-scenario-list"),
+        pytest.param(1, '{"k": "state"}', id="bare-state-first"),
+        pytest.param(-1, '{"k": "state"}', id="bare-state-last"),
+        pytest.param(1, '{"k": "state", "g": 1, "r": 1, "gain": 0, '
+                        '"nodes": []}', id="state-nodes-list"),
+    ])
     def test_record_without_fields_exit2(self, tmp_path, honest_scenario,
-                                         capsys, line):
-        # a header without n and scenario; a state row without nodes, g,
-        # r and gain, first or last
+                                         capsys, at, record):
+        # the header replaced, or a state row inserted after the header
+        # or before the last line
         trace, rows = _traced_rows(tmp_path, honest_scenario)
         lines = [json.dumps(rec) for rec in rows]
-        if line == 0:
-            lines[0] = '{"k": "run"}'
+        if at == 0:
+            lines[0] = record
         else:
-            lines.insert(line % len(lines), '{"k": "state"}')
+            lines.insert(at % len(lines), record)
         trace.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["audit", str(trace)]) == 2
