@@ -9,7 +9,9 @@ sender and receiver through nodes that are never corrupted.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,27 +32,53 @@ def edge_key(a, b):
     return (a, b) if a < b else (b, a)
 
 
+# the fewest masks a lazy schedule draws at once, so that a run asking
+# round by round pays the cost of a draw call once per block
+_DRAW_BLOCK = 64
+
+
 class EdgeSchedule:
     """Per-round active undirected edge sets over the complete graph on n
     nodes, stored as bitmasks.  An edge active in a round is active for
-    both stages of that round."""
+    both stages of that round.
 
-    def __init__(self, n: int, masks):
+    `masks` is either a sequence, the pattern that repeats to cover
+    `rounds` rounds (its own length by default), or an iterator of
+    per-round masks, drawn in round order, a block at a time, when a
+    question about a round not yet drawn asks; an iterator needs `rounds`.
+    The schedule keeps only the pattern, or the masks drawn so far."""
+
+    def __init__(self, n: int, masks, rounds: Optional[int] = None):
         self.n = n
         self.edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
         self.bit = {e: i for i, e in enumerate(self.edges)}
-        self.masks = list(masks)
+        self.backbone = None          # a path the schedule prefers ...
+        self.forced = 0               # ... and the bits set in every mask
+        if isinstance(masks, Iterator):
+            self._draw, self._masks = masks, []
+        else:
+            masks = list(masks)
+            if rounds is None:
+                rounds = len(masks)
+            elif rounds and not masks:
+                raise ConfigError("an empty schedule covers no round")
+            if len(set(masks)) == 1:
+                del masks[1:]         # one mask: no round changes it
+            self._draw, self._masks = None, masks
+        self.rounds = rounds
         self._run = (0, 0)            # last run of equal masks scanned
-
-    @property
-    def rounds(self) -> int:
-        return len(self.masks)
 
     def mask(self, r: int) -> int:
         """Bitmask of the edges active in round r (bit `self.bit[e]`)."""
-        if r < 1 or r > len(self.masks):
+        if r < 1 or r > self.rounds:
             raise ConfigError(f"schedule does not cover round {r}")
-        return self.masks[r - 1]
+        masks = self._masks
+        if self._draw is None:
+            return masks[(r - 1) % len(masks)]
+        if len(masks) < r:
+            upto = min(max(r, len(masks) + _DRAW_BLOCK), self.rounds)
+            masks.extend(itertools.islice(self._draw, upto - len(masks)))
+        return masks[r - 1]
 
     def next_change(self, r: int) -> int:
         """The first round after r whose mask differs from round r's, or
@@ -59,13 +87,26 @@ class EdgeSchedule:
         later question about a round inside that run costs nothing."""
         start, end = self._run
         if not start <= r < end:
-            masks = self.masks
             m = self.mask(r)
-            end = r + 1
-            while end <= len(masks) and masks[end - 1] == m:
-                end += 1
+            if self._draw is None and len(self._masks) == 1:
+                end = self.rounds + 1
+            else:
+                end = r + 1
+                while end <= self.rounds and self.mask(end) == m:
+                    end += 1
             self._run = (r, end)
         return end
+
+    def first_rounds(self):
+        """The first round of each distinct mask, in round order.  A lazy
+        schedule is drawn to its last round first."""
+        if self._draw is not None and self.rounds:
+            self.mask(self.rounds)
+        seen = set()
+        for r, m in enumerate(itertools.islice(self._masks, self.rounds), 1):
+            if m not in seen:
+                seen.add(m)
+                yield r
 
     def active(self, r: int, a, b) -> bool:
         return bool(self.mask(r) >> self.bit[edge_key(a, b)] & 1)
@@ -109,6 +150,7 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
     static: every potential edge is active every round.
     churn: each non-backbone edge toggles with probability p per round,
       then the backbone path is forced active so the schedule conforms.
+      The masks are drawn as the run reaches them.
     scripted: explicit per-round edge lists, cycled to cover `rounds`,
       with the backbone forced active.
 
@@ -127,43 +169,48 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
         raise ConfigError("backbone must run from the sender to the receiver")
     forced = path_mask(probe.bit, backbone) if repair else 0
 
-    masks = []
-    if kind == "static":
-        masks = [full_mask(n)] * rounds
+    if kind == "static" or (kind == "churn" and p <= 0):
+        # churn that never flips an edge is the static schedule, and as a
+        # pattern of one mask its next change is known without drawing
+        masks = [full_mask(n)]
     elif kind == "churn":
-        rng = random.Random(f"churn:{seed}:{n}")
-        state = full_mask(n)
-        nbits = n * (n - 1) // 2
-        for _ in range(rounds):
-            flip = 0
-            for i in range(nbits):
-                if rng.random() < p:
-                    flip |= 1 << i
-            state ^= flip
-            masks.append(state | forced)
+        masks = _churn(n, seed, p, forced)
     elif kind == "scripted":
         if not script:
             raise ConfigError("scripted schedule needs per-round edge lists")
-        pattern = []
+        masks = []
         for edge_list in script:
             m = 0
             for a, b in edge_list:
                 m |= 1 << probe.bit[edge_key(a, b)]
-            pattern.append(m | forced)
-        masks = [pattern[i % len(pattern)] for i in range(rounds)]
+            masks.append(m | forced)
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    sched = EdgeSchedule(n, masks)
+    sched = EdgeSchedule(n, masks, rounds)
     sched.backbone = list(backbone)
+    sched.forced = forced
     return sched
+
+
+def _churn(n: int, seed, p: float, forced: int):
+    """Churn masks in round order, without end: every edge toggles with
+    probability p, in edge order, then the forced bits are set."""
+    rand = random.Random(f"churn:{seed}:{n}").random
+    state = full_mask(n)
+    bits = [1 << i for i in range(n * (n - 1) // 2)]
+    while True:
+        for b in bits:
+            if rand() < p:
+                state ^= b
+        yield state | forced
 
 
 def find_honest_path(schedule: EdgeSchedule, r: int, corrupt_nodes,
                      sender, receiver) -> Optional[list]:
     """Shortest active path from sender to receiver avoiding every node the
     plan ever corrupts; deterministic BFS with ascending neighbor order."""
-    if getattr(schedule, "backbone", None):
-        bb = schedule.backbone
+    bb = schedule.backbone
+    if bb:
         if all(node not in corrupt_nodes for node in bb[1:-1]) and \
                 all(schedule.active(r, a, b) for a, b in zip(bb, bb[1:])):
             return list(bb)
@@ -189,9 +236,21 @@ def find_honest_path(schedule: EdgeSchedule, r: int, corrupt_nodes,
 def validate_conforming(schedule: EdgeSchedule, corrupt_nodes, sender,
                         receiver) -> Optional[ConformingViolation]:
     """Check every round has an active sender-receiver path through nodes
-    that are never corrupted; report the first round lacking one."""
-    for r in range(1, schedule.rounds + 1):
-        if find_honest_path(schedule, r, corrupt_nodes, sender, receiver) is None:
+    that are never corrupted; report the first round lacking one.
+
+    A backbone from sender to receiver whose bits are forced into every
+    mask and whose nodes are honest is such a path in every round: one
+    path check proves them all, and a lazy schedule stays undrawn.
+    Otherwise the path search runs once per distinct mask, at its first
+    round."""
+    bb = schedule.backbone
+    proved = bb and bb[0] == sender and bb[-1] == receiver \
+        and not path_mask(schedule.bit, bb) & ~schedule.forced \
+        and not any(node in corrupt_nodes for node in bb[1:-1])
+    rounds = [1] if proved and schedule.rounds else schedule.first_rounds()
+    for r in rounds:
+        if find_honest_path(schedule, r, corrupt_nodes, sender,
+                            receiver) is None:
             return ConformingViolation(r)
     return None
 

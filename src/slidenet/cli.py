@@ -164,6 +164,13 @@ def cmd_audit(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (TypeError, KeyError) as exc:
+        # a field of the right type with malformed contents, such as a
+        # buffer height that is not a number or a corruption that is not
+        # an object
+        print(f"configuration error: malformed trace field: {exc!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def _audit(records) -> int:

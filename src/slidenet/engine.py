@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass, field, fields
 
 from . import codec
-from .adversary import (ConfigError, Corruption, EdgeSchedule, edge_key,
-                        find_honest_path, generate_schedule,
-                        validate_conforming)
+from .adversary import (ConfigError, Corruption, edge_key, find_honest_path,
+                        generate_schedule, validate_conforming)
 from .auth import REASON_OK, AuthNode, SenderAuth
 from .buffers import Stored, stack_potential
 from .crypto import keygen
@@ -169,6 +168,7 @@ class Engine:
                                         self.S, self.R)
         if violation is not None:
             raise ConformingError(violation)
+        self._honest_paths = {}       # mask -> find_honest_path's answer
 
         self.nodes = {}
         for i in self.ids:
@@ -598,8 +598,11 @@ class Engine:
                         verdict.margin)
 
     def _count_wasted(self):
-        path = find_honest_path(self.schedule, self.g_round,
-                                set(self.corrupt_nodes), self.S, self.R)
+        path = self._honest_paths.get(self._mask)
+        if path is None:
+            path = self._honest_paths[self._mask] = find_honest_path(
+                self.schedule, self.g_round, set(self.corrupt_nodes),
+                self.S, self.R)
         for u, v in zip(path, path[1:]):
             if not self.auth[u].okay_to_send(v) \
                     or not self.auth[v].okay_to_receive(u):
@@ -681,10 +684,14 @@ class Engine:
         """The invariant checks of the last `rounds` rounds, which all
         ended in the current state."""
         level = self.sc.checks
-        for i in self.ids:
-            node = self.nodes[i]
-            self.max_packets[i] = max(self.max_packets[i],
-                                      node.total_packets())
+        # one pass over the heights serves the packet high-water marks and
+        # the balance checks
+        heights = {}
+        for i, node in self.nodes.items():
+            h = heights[i] = [b.H for b in node.all_buffers()]
+            total = sum(h)
+            if total > self.max_packets[i]:
+                self.max_packets[i] = total
             if self.auth_mode:
                 self.auth[i].note_watermarks()
         if level == "off" and self.trace is None:
@@ -701,7 +708,7 @@ class Engine:
                 if self._is_honest(i):
                     if not (self.auth_mode
                             and not self.auth[i].sot_complete()):
-                        self.nodes[i].check_invariants()
+                        self.nodes[i].check_invariants(heights[i])
             if honest_run:
                 prev = getattr(self, "_phi_prev", None)
                 if prev is not None and phi_nd - prev > self._round_gain:

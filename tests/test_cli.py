@@ -290,6 +290,28 @@ class TestAudit:
         assert err.startswith("configuration error:")
         assert "audit:" not in err
 
+    @pytest.mark.parametrize("scenario, row", [
+        pytest.param({}, ["in", 0, "x", None, False], id="height-not-int"),
+        pytest.param({"corruptions": [5]}, ["in", 0, 0, None, False],
+                     id="corruption-not-object"),
+    ])
+    def test_malformed_field_contents_exit2(self, tmp_path, capsys,
+                                            scenario, row):
+        # the first state row has a finding (a height above 2n), so an
+        # audit that printed its findings before stopping would show it
+        header = {"k": "run", "n": 4, "honest": True, "scenario": scenario}
+        state = {"k": "state", "g": 1, "T": 1, "r": 1, "gain": 0, "nd": 0,
+                 "nodes": {"1": [["in", 0, 99, None, False]]}}
+        bad = dict(state, g=2, r=2, nodes={"1": [row]})
+        path = tmp_path / "malformed.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n"
+                                for rec in (header, state, bad)))
+        capsys.readouterr()
+        assert main(["audit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "audit:" not in err
+
     def test_findings_past_20_counted_exactly(self, tmp_path,
                                               honest_scenario, capsys):
         trace, rows = _traced_rows(tmp_path, honest_scenario)
