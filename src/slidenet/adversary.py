@@ -42,11 +42,11 @@ class EdgeSchedule:
     nodes, stored as bitmasks.  An edge active in a round is active for
     both stages of that round.
 
-    `masks` is either a sequence, the pattern that repeats to cover
-    `rounds` rounds (its own length by default), or an iterator of
+    `masks` is the pattern that repeats to cover `rounds` rounds (its own
+    length by default).  An iterator given with `rounds` is instead the
     per-round masks, drawn in round order, a block at a time, when a
-    question about a round not yet drawn asks; an iterator needs `rounds`.
-    The schedule keeps only the pattern, or the masks drawn so far."""
+    question about a round not yet drawn asks.  The schedule keeps only
+    the pattern, or the masks drawn so far."""
 
     def __init__(self, n: int, masks, rounds: Optional[int] = None):
         self.n = n
@@ -54,7 +54,7 @@ class EdgeSchedule:
         self.bit = {e: i for i, e in enumerate(self.edges)}
         self.backbone = None          # a path the schedule prefers ...
         self.forced = 0               # ... and the bits set in every mask
-        if isinstance(masks, Iterator):
+        if isinstance(masks, Iterator) and rounds is not None:
             self._draw, self._masks = masks, []
         else:
             masks = list(masks)
@@ -78,6 +78,9 @@ class EdgeSchedule:
         if len(masks) < r:
             upto = min(max(r, len(masks) + _DRAW_BLOCK), self.rounds)
             masks.extend(itertools.islice(self._draw, upto - len(masks)))
+            if len(masks) < r:
+                raise ConfigError(f"schedule ran out of masks before "
+                                  f"round {r}")
         return masks[r - 1]
 
     def next_change(self, r: int) -> int:

@@ -109,7 +109,17 @@ def _audit_state_row(rec, n, honest_nodes, errors) -> tuple:
     for node_str, bufs in sorted(rec["nodes"].items()):
         node = int(node_str)
         heights = []
-        for kind, peer, h, extra, acc in bufs:
+        if not isinstance(bufs, list):
+            raise ValueError(f"round {rec['g']}: node {node} buffers "
+                             f"are not a list: {bufs!r}")
+        for row in bufs:
+            if not (isinstance(row, list) and len(row) == 5
+                    and isinstance(row[2], int)
+                    and (row[3] is None or isinstance(row[3], int))):
+                raise ValueError(f"round {rec['g']}: node {node} buffer row "
+                                 f"{row!r} is not [kind, peer, height, "
+                                 f"extra, accepted]")
+            kind, peer, h, extra, acc = row
             heights.append(h)
             if h < 0 or h > cap:
                 errors.append(f"round {rec['g']}: node {node} buffer "
@@ -164,13 +174,6 @@ def cmd_audit(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TypeError, KeyError) as exc:
-        # a field of the right type with malformed contents, such as a
-        # buffer height that is not a number or a corruption that is not
-        # an object
-        print(f"configuration error: malformed trace field: {exc!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def _audit(records) -> int:
@@ -182,8 +185,14 @@ def _audit(records) -> int:
         return EXIT_CONFIG
     n = header["n"]
     honest = header.get("honest", True)
-    corrupt = {c["node"] for c in
-               header["scenario"].get("corruptions", [])}
+    corruptions = header["scenario"].get("corruptions", [])
+    if not (isinstance(corruptions, list) and all(
+            isinstance(c, dict) and isinstance(c.get("node"), int)
+            for c in corruptions)):
+        raise ValueError(f"run record whose scenario.corruptions is not a "
+                         f"list of objects with an integer node: "
+                         f"{corruptions!r:.80}")
+    corrupt = {c["node"] for c in corruptions}
     honest_nodes = {i for i in range(n) if i not in corrupt}
     dup_bound = 2 * n**3 - 8 * n**2 + 8 * n
 

@@ -168,7 +168,6 @@ class Engine:
                                         self.S, self.R)
         if violation is not None:
             raise ConformingError(violation)
-        self._honest_paths = {}       # mask -> find_honest_path's answer
 
         self.nodes = {}
         for i in self.ids:
@@ -598,11 +597,8 @@ class Engine:
                         verdict.margin)
 
     def _count_wasted(self):
-        path = self._honest_paths.get(self._mask)
-        if path is None:
-            path = self._honest_paths[self._mask] = find_honest_path(
-                self.schedule, self.g_round, set(self.corrupt_nodes),
-                self.S, self.R)
+        path = find_honest_path(self.schedule, self.g_round,
+                                set(self.corrupt_nodes), self.S, self.R)
         for u, v in zip(path, path[1:]):
             if not self.auth[u].okay_to_send(v) \
                     or not self.auth[v].okay_to_receive(u):

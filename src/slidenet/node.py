@@ -66,17 +66,15 @@ class NodeState:
                 len(self.storage), self.kappa, self.decoded,
                 self.duplicate_label)
 
-    def check_invariants(self, heights=None) -> None:
+    def check_invariants(self, heights) -> None:
         """Check every buffer, then an internal node's height balance.
-        `heights`, when given, are the buffers' heights in `all_buffers()`
-        order, as the caller has just read them."""
+        `heights` are the buffers' heights in `all_buffers()` order, as the
+        caller has just read them."""
         for b in self._buffers:
             b.check()
         if self.role != INTERNAL:
             return
         # _buffers is the incoming buffers, then the outgoing ones
-        if heights is None:
-            heights = [b.H for b in self._buffers]
         n_in = len(self.in_buffers)
         if max(heights) - min(heights) > 1 \
                 or max(heights[:n_in]) > min(heights[n_in:]):

@@ -292,6 +292,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("scenario, row", [
         pytest.param({}, ["in", 0, "x", None, False], id="height-not-int"),
+        pytest.param({}, ["out", 0, 2, "y", True], id="extra-not-int"),
         pytest.param({"corruptions": [5]}, ["in", 0, 0, None, False],
                      id="corruption-not-object"),
     ])

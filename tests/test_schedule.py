@@ -143,6 +143,13 @@ def test_explicit_list_schedule():
     assert_same(EdgeSchedule(4, masks), masks)
     assert_same(EdgeSchedule(4, masks[:7], 200), [masks[i % 7]
                                                   for i in range(200)])
+    # an iterator without `rounds` is read into a list, as a list is
+    assert_same(EdgeSchedule(4, iter(masks)), masks)
+    # with `rounds` it is drawn as asked, and running out is an error
+    sched = EdgeSchedule(4, iter(masks), 300)
+    assert sched.mask(200) == masks[-1]
+    with pytest.raises(adversary.ConfigError, match="ran out"):
+        sched.mask(201)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
