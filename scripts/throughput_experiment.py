@@ -9,7 +9,7 @@ x - n^2 floor.
 import argparse
 import time
 
-from slidenet import Corruption, Scenario, run_scenario
+from slidenet import Corruption, Scenario, derive_params, run_scenario
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
 
     n = args.n
     x = n * n + 10
-    length = 4 * int(6 * n**3 / (3 / 8))
+    length = 4 * derive_params(n, "3/8").packets_per_codeword
     sc = Scenario(
         n=n, mode="auth", messages=x, max_transmissions=x,
         schedule_kind="churn", schedule_p=args.p, schedule_seed=args.seed,

@@ -12,7 +12,7 @@ import copy
 import itertools
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 
@@ -162,6 +162,8 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
     """
     if n < 4:
         raise ConfigError("need at least 4 nodes")
+    if kind == "churn" and not 0 <= p <= 1:
+        raise ConfigError(f"churn probability must lie in [0, 1], got {p}")
     probe = EdgeSchedule(n, [])
     if backbone is None:
         backbone = default_backbone(n, set(corrupt_nodes))
@@ -407,31 +409,20 @@ class ReportForger(Behavior):
         return False
 
     def maybe_snapshot(self) -> None:
-        auth = self.auth
-        for peer, led in list(auth.in_led.items()):
-            key = ("in", peer)
-            if key not in self.snapshots and led.sig1.value > 0:
-                self.snapshots[key] = (led.sig1.value, led.sig1.stamp,
-                                       led.sig1.evidence)
+        for peer, led in self.auth.in_led.items():
+            if peer not in self.snapshots and led.sig1.value > 0:
+                self.snapshots[peer] = led.records("in", ("sig1",))[0]
 
     def forge_report(self, parcels, auth):
-        from .auth import StatusParcel
         forged = []
         for parcel in parcels:
-            if parcel.part[0] == "edge":
-                peer = parcel.part[1]
-                snap = self.snapshots.get(("in", peer))
-                if snap is not None and parcel.reason[0] == "f3":
-                    payload = []
-                    for rec in parcel.payload:
-                        if rec[0] == "in" and rec[1] == "sig1":
-                            payload.append(("in", "sig1", rec[2], snap[0],
-                                            snap[1][0], snap[1][1], snap[2]))
-                        else:
-                            payload.append(rec)
-                    parcel = StatusParcel(parcel.origin, parcel.failed_T,
-                                          parcel.reason, parcel.part,
-                                          tuple(payload))
+            snap = (self.snapshots.get(parcel.part[1])
+                    if parcel.part[0] == "edge" else None)
+            if snap is not None and parcel.reason[0] == "f3":
+                # the snapshot replaces the incoming sig1 record
+                parcel = replace(parcel, payload=tuple(
+                    snap if rec[:2] == snap[:2] else rec
+                    for rec in parcel.payload))
             forged.append(parcel)
         return forged
 

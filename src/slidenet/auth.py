@@ -25,6 +25,11 @@ def reason_f4(label):
     return ("f4", label)
 
 
+# the ledger fields a status report holds for each kind of failure; "sigp"
+# is the per-packet entry at the duplicated packet's label
+REPORT_FIELDS = {"f2": ("sig2", "sig3"), "f3": ("sig1",), "f4": ("sigp",)}
+
+
 # ---------------------------------------------------------------------------
 # broadcast parcels
 # ---------------------------------------------------------------------------
@@ -151,6 +156,11 @@ class StatusParcel(Parcel):
 # tags of the start-of-transmission parcels
 SOT_TAGS = frozenset(cls.tag for cls in Parcel.__subclasses__()
                      if cls.sot_stage is not None)
+# parcels that hold up packet transfers over a link until they have
+# passed it: the current transmission's start- and end-of-transmission
+# parcels, and every piece of blacklist news
+GATE_TAGS_THIS_T = SOT_TAGS | {"theta"}
+GATE_TAGS_ANY_T = frozenset(("rm", "know"))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +179,6 @@ class LedgerEntry:
         self.value = value
         self.stamp = stamp
         self.evidence = evidence
-
-    def report(self):
-        return (self.value, self.stamp, self.evidence)
 
 
 class EdgeLedger:
@@ -202,6 +209,24 @@ class EdgeLedger:
 
     def entries(self) -> int:
         return 3 + len(self.sigp)
+
+    def records(self, side, names, reason=None) -> list:
+        """Status-report records (side, field, label, value, stamp_T,
+        stamp_r, evidence) of the fields `names`, the one shape a ledger
+        value takes in every report.  "sigp" is the entry at the label of
+        the F4 failure `reason`; absent, it reads as 0, stamped (0, 0),
+        with no evidence."""
+        out = []
+        for name in names:
+            if name == "sigp":
+                lab = reason[1]
+                entry = self.sigp.get(lab, LedgerEntry())
+            else:
+                lab = None
+                entry = getattr(self, name)
+            out.append((side, name, lab, entry.value, *entry.stamp,
+                        entry.evidence))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +266,7 @@ class AuthNode:
         self._seq = 0
         self.bl = {}                  # node -> failed transmission
         self.en = {}                  # node -> transmission eliminated
-        self.claims = {}              # (claimant, target, failed_T) -> True
+        self.claims = set()           # (claimant, target, failed_T)
         self.last_sent = {p: None for p in self.peers}
         self.cbp_out = {p: 0 for p in self.peers}
         self.alpha_in = {p: None for p in self.peers}
@@ -466,30 +491,22 @@ class AuthNode:
 
     # -- transfer gating ----------------------------------------------------
 
-    def _blocking_bl_info(self, peer) -> bool:
-        for key, (signed, passed, _) in self.bb.items():
-            if key[0] in ("rm", "know") and peer not in passed:
-                return True
-        return False
-
     def okay_to_transfer(self, peer) -> bool:
         """Shared clause list of Okay-to-Send / Okay-to-Receive for the
-        link to `peer`."""
+        link to `peer`: neither end eliminated or blacklisted, this
+        transmission's start complete, and no gating parcel still to pass
+        the link."""
         T = self.current_T
         if peer in self.en:
             return False
         if not self.sot_complete(T):
             return False
-        for key, (signed, passed, _) in self.bb.items():
-            if key[0] in SOT_TAGS and key[-1] == T and peer not in passed:
-                return False
         if self.node_id in self.bl or peer in self.bl:
             return False
-        theta = self.bb.get(("theta", T))
-        if theta is not None and peer not in theta[1]:
-            return False
-        if self._blocking_bl_info(peer):
-            return False
+        for key, (_, passed, _) in self.bb.items():
+            if peer not in passed and (key[0] in GATE_TAGS_ANY_T or (
+                    key[0] in GATE_TAGS_THIS_T and key[-1] == T)):
+                return False
         return True
 
     okay_to_send = okay_to_transfer
@@ -616,8 +633,8 @@ class AuthNode:
     def _note_claim(self, parcel) -> None:
         if parcel.target in self.bl \
                 and self.bl[parcel.target] == parcel.failed_T:
-            self.claims[(parcel.claimant, parcel.target,
-                         parcel.failed_T)] = True
+            self.claims.add((parcel.claimant, parcel.target,
+                             parcel.failed_T))
 
     def _absorb(self, parcel, inner, peer):
         events = []
@@ -696,7 +713,7 @@ class AuthNode:
         buffer except start-of-transmission parcels, claims, blacklist."""
         self.bb = {key: entry for key, entry in self.bb.items()
                    if key[0] in SOT_TAGS}
-        self.claims = {}
+        self.claims = set()
         self.bl = {}
 
     def _prune_outdated(self, node, keep_failed_T) -> None:
@@ -712,41 +729,17 @@ class AuthNode:
                 drop.append(key)
         for key in drop:
             del self.bb[key]
-        for ck in [c for c in self.claims
-                   if c[1] == node and c[2] != keep_failed_T]:
-            del self.claims[ck]
+        self.claims = {c for c in self.claims
+                       if c[1] != node or c[2] == keep_failed_T}
 
     # -- own status report ----------------------------------------------------
 
     def _report_payload(self, peer, reason):
-        led_out = self.out_led.get(peer)
-        led_in = self.in_led.get(peer)
         records = []
-
-        def rec(side, field, entry, label=None):
-            if entry is None:
-                return
-            records.append((side, field, label, entry.value,
-                            entry.stamp[0], entry.stamp[1], entry.evidence))
-
-        if reason[0] == "f2":
-            if led_out is not None:
-                rec("out", "sig2", led_out.sig2)
-                rec("out", "sig3", led_out.sig3)
-            if led_in is not None:
-                rec("in", "sig2", led_in.sig2)
-                rec("in", "sig3", led_in.sig3)
-        elif reason[0] == "f3":
-            if led_out is not None:
-                rec("out", "sig1", led_out.sig1)
-            if led_in is not None:
-                rec("in", "sig1", led_in.sig1)
-        else:
-            label = reason[1]
-            if led_out is not None:
-                rec("out", "sigp", led_out.sigp.get(label, LedgerEntry()), label)
-            if led_in is not None:
-                rec("in", "sigp", led_in.sigp.get(label, LedgerEntry()), label)
+        for side, ledgers in (("out", self.out_led), ("in", self.in_led)):
+            if peer in ledgers:
+                records += ledgers[peer].records(
+                    side, REPORT_FIELDS[reason[0]], reason)
         return tuple(records)
 
     def make_own_report(self, failed_T, reason):
@@ -827,17 +820,6 @@ class SenderAuth(AuthNode):
             st["bls"].add(node)
             self._add_parcel(self.sign(BlacklistParcel(node, failed_T, T)))
 
-    def _archive_own_evidence(self, failed_T) -> dict:
-        own = {}
-        for peer, led in sorted(self.out_led.items()):
-            own[peer] = {
-                "sig1": led.sig1.report(),
-                "sig2": led.sig2.report(),
-                "sig3": led.sig3.report(),
-                "sigp": {lab: e.report() for lab, e in led.sigp.items()},
-            }
-        return own
-
     def prepare_sot(self, kappa: int, packets_per_codeword: int) -> tuple:
         """End-of-transmission processing: classify the outcome, blacklist
         participants of a failure, archive own evidence, and queue the next
@@ -853,48 +835,48 @@ class SenderAuth(AuthNode):
                         if i not in self.en and i not in self.bl]
         if reason != REASON_OK:
             self.F += 1
+            names = ("sig1", "sig2", "sig3") + (
+                ("sigp",) if reason[0] == "f4" else ())
             self.failure_records[T] = {
                 "reason": reason,
                 "participants": participants,
                 "eliminated": frozenset(self.en),
-                "kappa": kappa,
-                "own": self._archive_own_evidence(T),
+                "own": {("edge", peer): led.records("out", names, reason)
+                        for peer, led in sorted(self.out_led.items())},
             }
             for node in participants:
                 if node != self.node_id:
                     self.bl[node] = T
-        omega = Omega(len(self.en), len(self.bl), self.F,
-                      REASON_OK if reason == REASON_OK else reason, T + 1)
-        for led in self.out_led.values():
-            led.clear(T + 1)
-        self.bb = {}
-        self._seq = 0
-        reason_items = [(fT, rec["reason"])
-                        for fT, rec in sorted(self.failure_records.items())]
-        bl_items = sorted(self.bl.items())
-        self._install_sot(T + 1, omega, sorted(self.en), reason_items,
-                          bl_items)
-        self.theta = None
+        self._restart_broadcast(T, reason)
         return reason, participants
 
     def eliminate(self, node, T) -> None:
         """Permanently remove a node: wipe collected state, reset failure
         accounting, and queue a fresh start-of-transmission broadcast."""
         self.en[node] = T
-        self.bb = {}
-        self._seq = 0
         self.bl = {}
-        self.claims = {}
+        self.claims = set()
         self.reports = {}
         self.failure_records = {}
-        self.theta = None
         self.F = 0
-        for led in self.out_led.values():
-            led.clear(T + 1)
         self.sig_nn = 0
         self.halted = True
-        self._install_sot(T + 1, Omega(len(self.en), 0, 0, REASON_OK, T + 1),
-                          sorted(self.en), [], [])
+        self._restart_broadcast(T, REASON_OK)
+
+    def _restart_broadcast(self, T, reason) -> None:
+        """Clear the ledgers and the broadcast buffer, then queue the
+        start-of-transmission broadcast of transmission T + 1, which
+        follows an outcome `reason`."""
+        for led in self.out_led.values():
+            led.clear(T + 1)
+        self.bb = {}
+        self._seq = 0
+        self.theta = None
+        omega = Omega(len(self.en), len(self.bl), self.F, reason, T + 1)
+        reason_items = [(fT, rec["reason"])
+                        for fT, rec in sorted(self.failure_records.items())]
+        self._install_sot(T + 1, omega, sorted(self.en), reason_items,
+                          sorted(self.bl.items()))
 
     # -- receiving broadcast parcels ---------------------------------------
 
@@ -940,8 +922,7 @@ class SenderAuth(AuthNode):
         if self._report_complete(origin, failed_T, record):
             self._add_parcel(self.sign(RemoveParcel(origin, self.current_T)))
             del self.bl[origin]
-            for ck in [c for c in self.claims if c[1] == origin]:
-                del self.claims[ck]
+            self.claims = {c for c in self.claims if c[1] != origin}
             done = [fT for fT in self.failure_records
                     if self._all_reports_complete(fT)]
             if done:
@@ -1000,30 +981,19 @@ class SenderAuth(AuthNode):
             sender=self.node_id, receiver=self.receiver_id,
             participants=list(record["participants"]),
             eliminated=record["eliminated"])
-        own = NodeReport(self.node_id)
-        label = record["reason"][1] if record["reason"][0] == "f4" else None
-        for peer, fields in record["own"].items():
-            out = {}
-            for name in ("sig1", "sig2", "sig3"):
-                out[name] = ReportValue(*fields[name])
-            if label is not None:
-                rep = fields["sigp"].get(label, (0, (failed_T, 0), None))
-                out["sigp"] = ReportValue(*rep)
-            own.out_edges[peer] = out
-        rs.reports[self.node_id] = own
         for node in record["participants"]:
             if node == self.node_id:
-                continue
-            rep = NodeReport(node)
-            for part, signed in sorted(self.reports[(node, failed_T)].items()):
-                parcel = signed.value
-                for side, name, lab, value, sT, sr, evidence in parcel.payload:
+                parts = record["own"]
+            else:
+                parts = {part: signed.value.payload for part, signed
+                         in self.reports[(node, failed_T)].items()}
+            rep = rs.reports[node] = NodeReport(node)
+            for part, payload in sorted(parts.items()):
+                for side, name, _, value, sT, sr, evidence in payload:
                     rv = ReportValue(value, (sT, sr), evidence)
                     if side == "self":
                         rep.sig_nn = rv
                     else:
-                        peer = part[1]
                         target = rep.out_edges if side == "out" else rep.in_edges
-                        target.setdefault(peer, {})[name] = rv
-            rs.reports[node] = rep
+                        target.setdefault(part[1], {})[name] = rv
         return rs

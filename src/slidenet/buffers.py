@@ -184,8 +184,6 @@ class OutgoingBuffer(Buffer):
             self.H_IN, self.RR = None, None
         else:
             self.H_IN, self.RR = reply
-        confirmed = None
-        slide = 0
         if self.d == 1:
             self.d = 0
             if self.RR is None or (self.FR is not None and self.FR > self.RR):
@@ -193,14 +191,7 @@ class OutgoingBuffer(Buffer):
         if self.RR is not None and self.FR is not None and self.FR <= self.RR:
             confirmed = self.p_tilde
             confirmed_height = self.H_FP
-            slide = self.slots.collapse_above(self.H_FP)
-            self.FR = None
-            self.p_tilde = None
-            self.H_FP = None
-            self.sb = 0
-            self.H -= 1
-            self.flag_accepted = False
-            return confirmed, confirmed_height, slide
+            return confirmed, confirmed_height, self._close_flag()
         if (self.RR is not None and self.FR is not None and self.RR < self.FR
                 and self.H_FP is not None and self.H_FP < self.H):
             # peer did not get the copy; re-shuffling may have buried it,
@@ -246,27 +237,31 @@ class OutgoingBuffer(Buffer):
 
     # -- transmission boundary ------------------------------------------
 
+    def _close_flag(self) -> int:
+        """Close the flagged packet's slot, sliding the packets above it
+        down, and clear the flag and problem status.  Returns the number
+        of packets that slid."""
+        slide = 0
+        if self.H_FP is not None:
+            slide = self.slots.collapse_above(self.H_FP)
+            self.H -= 1
+        self.sb = 0
+        self.FR = None
+        self.H_FP = None
+        self.p_tilde = None
+        self.flag_accepted = False
+        return slide
+
     def reset(self) -> None:
         """Empty the buffer and drop any flagged packet."""
+        self._close_flag()
         self.slots.clear()
         self.H = 0
-        self.sb = 0
         self.d = 0
-        self.FR = None
-        self.H_FP = None
-        self.p_tilde = None
-        self.flag_accepted = False
 
     def eot_adjust(self) -> None:
-        if self.H_FP is not None:
-            self.slots.collapse_above(self.H_FP)
-            self.H -= 1
+        self._close_flag()
         self.d = 0
-        self.sb = 0
-        self.FR = None
-        self.H_FP = None
-        self.p_tilde = None
-        self.flag_accepted = False
 
     def check(self) -> None:
         """Structural invariants: height matches occupancy; slot layout is

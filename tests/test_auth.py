@@ -7,6 +7,7 @@ from slidenet.buffers import IncomingBuffer, OutgoingBuffer, Stored
 from slidenet.codec import Packet
 from slidenet.crypto import keygen
 from slidenet.engine import Engine, Scenario, run_scenario
+from slidenet.localize import ReportValue
 from slidenet.util import InvariantError
 
 IDS = [0, 1, 2, 3]
@@ -122,12 +123,12 @@ class TestSotOrdering:
         sender = self.build_sot(ring)
         node = AuthNode(1, ring, IDS, 0, 3)
         node.current_T = 2
-        node.claims[(2, 3, 1)] = True
+        node.claims.add((2, 3, 1))
         ps = self.parcels(sender)
         deliver(sender, node, ps[("omega", 2)], T=2)
         events = deliver(sender, node, ps[("elim", 2, 2)], T=2)
         assert ("wipe", 2) in events
-        assert node.en == {2: 2} and node.claims == {}
+        assert node.en == {2: 2} and node.claims == set()
 
     def test_own_blacklist_parcel_generates_report(self, ring):
         sender = self.build_sot(ring)
@@ -251,3 +252,83 @@ class TestLedgerPairing:
             assert led.counts == {k: e.value for k, e in led.sigp.items()}
         la.clear(2)
         assert la.counts == {} and la.sigp == {}
+
+
+class TestReportRoundTrip:
+    """Ledger entries each node holds, through `make_own_report`, signing
+    and delivery, come back out of `SenderAuth.build_report_set` with the
+    same value, stamp and evidence; so does the sender's own archive."""
+
+    LABEL, OTHER = (1, 7), (1, 8)
+    CASES = {
+        "f2": (5, None, LABEL, ("sig2", "sig3")),
+        "f3": (10, None, LABEL, ("sig1",)),
+        "f4": (10, LABEL, LABEL, ("sigp",)),
+        "f4-label-absent": (10, LABEL, OTHER, ("sigp",)),
+    }
+
+    @staticmethod
+    def fill(node, sigp_label):
+        """Give every ledger entry of `node` its own value, stamp and
+        evidence, and a per-packet entry at `sigp_label`."""
+        k = 100 * node.node_id
+        for ledgers in (node.out_led, node.in_led):
+            for led in ledgers.values():
+                for name in ("sig1", "sig2", "sig3"):
+                    k += 1
+                    getattr(led, name).set(k, (1, k), node.sign(("ev", k)))
+                k += 1
+                led.set_sigp(sigp_label, k, (1, k), node.sign(("ev", k)))
+        node.sig_nn = k + 1
+
+    @staticmethod
+    def held(node, names, label):
+        """{(side, peer, field): (value, stamp, evidence)} of the entries
+        `node` holds; an absent per-packet entry reads as zero."""
+        view = {}
+        for side, ledgers in (("out", node.out_led), ("in", node.in_led)):
+            for peer, led in ledgers.items():
+                for name in names:
+                    entry = (led.sigp.get(label) if name == "sigp"
+                             else getattr(led, name))
+                    view[(side, peer, name)] = (
+                        (0, (0, 0), None) if entry is None
+                        else (entry.value, entry.stamp, entry.evidence))
+        return view
+
+    @staticmethod
+    def reported(rep):
+        return {(side, peer, name): (rv.value, rv.stamp, rv.evidence)
+                for side, edges in (("out", rep.out_edges),
+                                    ("in", rep.in_edges))
+                for peer, table in edges.items()
+                for name, rv in table.items()}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values_stamps_and_evidence_survive(self, ring, case):
+        kappa, dup_label, sigp_label, names = self.CASES[case]
+        sender = SenderAuth(0, ring, IDS, 0, 3)
+        nodes = [AuthNode(i, ring, IDS, 0, 3) for i in (1, 2, 3)]
+        for node in [sender] + nodes:
+            self.fill(node, sigp_label)
+        own_names = ("sig1", "sig2", "sig3") + (
+            ("sigp",) if dup_label else ())
+        sender_held = self.held(sender, own_names, dup_label)
+        sender.theta = Theta(False, dup_label, 1)
+        reason, participants = sender.prepare_sot(kappa, 10)
+        assert reason[0] == case[:2] and participants == IDS
+        events = []
+        for node in nodes:
+            for parcel in node.make_own_report(1, reason):
+                events += deliver(node, sender, node.sign(parcel), T=2)
+        assert events == [("localize", 1)]
+        rs = sender.build_report_set(1, len(IDS))
+        assert self.reported(rs.reports[0]) == sender_held
+        assert rs.reports[0].sig_nn is None
+        for node in nodes:
+            rep = rs.reports[node.node_id]
+            assert self.reported(rep) == self.held(node, names, dup_label)
+            if reason[0] == "f2":
+                assert rep.sig_nn == ReportValue(node.sig_nn, (0, 0), None)
+            else:
+                assert rep.sig_nn is None

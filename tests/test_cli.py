@@ -75,6 +75,8 @@ class TestRun:
         {"schedule": []},
         {"mode": "auth",
          "corruptions": [{"node": 2, "behavior": "deleter", "rnd": 1}]},
+        {"schedule": {"kind": "churn", "p": 1.5, "seed": 3}},
+        {"schedule": {"kind": "churn", "p": -2, "seed": 3}},
     ])
     def test_malformed_scenario_exit2(self, tmp_path, bad, capsys):
         data = {"n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
@@ -178,6 +180,15 @@ class TestGen:
 
     def test_gen_unknown_behavior_refused(self, tmp_path):
         assert main(["gen", "attack", "--behavior", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("p", ["1.5", "-2"])
+    def test_gen_churn_probability_outside_unit_interval_refused(
+            self, tmp_path, p, capsys):
+        out = tmp_path / "sc.json"
+        assert main(["gen", "churn", "--n", "4", "--p", p,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
 
 
 def _lower_internal_height(rows):

@@ -206,7 +206,8 @@ FIELDS = {
                                "omega", None),
     "auth.bl": lambda e: _put(e.auth[1].bl, -1, 1),
     "auth.en": lambda e: _put(e.auth[1].en, -1, 1),
-    "auth.claims": lambda e: _put(e.auth[1].claims, NEW, True),
+    "auth.claims": lambda e: _set(e.auth[1], "claims",
+                                  e.auth[1].claims | {NEW}),
     "sender.theta": lambda e: _set(e.auth[e.S], "theta", NEW),
     "sender.reports": lambda e: _put(e.auth[e.S].reports, NEW, {1: None}),
     "sender.halted": lambda e: _set(e.auth[e.S], "halted", NEW),
