@@ -2,17 +2,20 @@
 broadcast subsystem (start/end-of-transmission parcels, blacklist, status
 reports), packet-transfer gating, and the sender's failure lifecycle.
 
-Every packet transfer is wrapped in a signed seven-item statement whose
-counters must advance consistently with the receiver's ledger; the signed
-statements double as evidence in status reports when a transmission fails.
+Every packet transfer and every receipt is a signed statement, laid out in
+`STATEMENTS`, whose counters must advance in step with the counterpart's
+ledger; the statements double as evidence in status reports when a
+transmission fails.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import Optional
 
 from .buffers import Stored
+from .codec import Packet
 from .crypto import Signed
 from .util import InvariantError, register_packer
 
@@ -28,6 +31,25 @@ def reason_f4(label):
 # the ledger fields a status report holds for each kind of failure; "sigp"
 # is the per-packet entry at the duplicated packet's label
 REPORT_FIELDS = {"f2": ("sig2", "sig3"), "f3": ("sig1",), "f4": ("sigp",)}
+
+
+# Signed statements by tag: length, the counters' positions as the
+# counterpart's ledger names them, and the (position, type) of each field a
+# verifier computes with.  s1, a receiver's stage-1 reply: ("s1", T, r,
+# height, round_received, sig1, sig3, sigp); s2, a transfer: ("s2", T, r,
+# packet, FR, sig1, sig2, sig3, sigp); a broadcast hop: ("hop", T, r, parcel).
+Statement = namedtuple("Statement", "length sig1 sig2 sigp types")
+STATEMENTS = {
+    "s1": Statement(8, 5, 6, 7, ((3, int), (4, int), (5, int), (6, int))),
+    "s2": Statement(9, 5, 7, 8, ((3, Packet), (4, int), (5, int), (7, int))),
+    "hop": Statement(4, None, None, None, ((3, Signed),)),
+}
+
+
+def is_statement(v, tag) -> bool:
+    """Whether `v` has the tag and the length of a `tag` statement."""
+    return isinstance(v, tuple) and len(v) == STATEMENTS[tag].length \
+        and v[0] == tag
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +163,8 @@ class KnowledgeParcel(Parcel):
 class StatusParcel(Parcel):
     """One slice of a node's status report: the signed ledger values for
     both directions of the edge pair with one neighbor (or the node's own
-    re-shuffle ledger).  payload is a tuple of
-    (field, label, value, stamp_T, stamp_r, evidence) records."""
+    re-shuffle ledger).  payload is a tuple of the records
+    `EdgeLedger.records` makes."""
     tag, key_fields, priority = ("status", ("origin", "failed_T", "part"),
                                  (5, 0))
     signer = "origin"
@@ -151,6 +173,19 @@ class StatusParcel(Parcel):
     reason: tuple
     part: tuple                   # ("edge", peer) or ("self",)
     payload: tuple
+
+    def records_ok(self) -> bool:
+        """Whether every record has the shape `EdgeLedger.records` makes:
+        side "out" or "in" and a `REPORT_FIELDS` field in an edge part,
+        "self" and "sig_nn" in the self part; int value and stamp."""
+        if self.part[0] == "edge":
+            sides, names = ("out", "in"), REPORT_FIELDS[self.reason[0]]
+        else:
+            sides, names = ("self",), ("sig_nn",)
+        return isinstance(self.payload, tuple) and all(
+            isinstance(rec, tuple) and len(rec) == 7 and rec[0] in sides
+            and rec[1] in names and all(isinstance(x, int) for x in rec[3:6])
+            for rec in self.payload)
 
 
 # tags of the start-of-transmission parcels
@@ -171,9 +206,7 @@ class LedgerEntry:
     __slots__ = ("value", "stamp", "evidence")
 
     def __init__(self, value=0, stamp=(0, 0), evidence=None):
-        self.value = value
-        self.stamp = stamp
-        self.evidence = evidence
+        self.set(value, stamp, evidence)
 
     def set(self, value, stamp, evidence):
         self.value = value
@@ -201,7 +234,7 @@ class EdgeLedger:
         self.counts = {}
 
     def set_sigp(self, label, value, stamp, evidence) -> None:
-        self.sigp.setdefault(label, LedgerEntry()).set(value, stamp, evidence)
+        self.sigp[label] = LedgerEntry(value, stamp, evidence)
         self.counts[label] = value
 
     def sigp_value(self, label) -> int:
@@ -209,6 +242,28 @@ class EdgeLedger:
 
     def entries(self) -> int:
         return 3 + len(self.sigp)
+
+    def next_counts(self, stored) -> tuple:
+        """(sig1, sigp) after one more crossing of `stored`: a fresh copy
+        advances both counts, a stale copy or none advances neither."""
+        if stored is not None and stored.fresh:
+            label = stored.packet.label()
+            return self.sig1.value + 1, (label, self.sigp_value(label) + 1)
+        return self.sig1.value, None
+
+    def adopt(self, signed, stamp, own_drop) -> None:
+        """Take sig1, sig2 and a fresh copy's sigp from the counterpart's
+        verified statement `signed`, as evidence stamped `stamp`, and add
+        `own_drop`, unless None, to the own potential change sig3."""
+        v = signed.value
+        _, i1, i2, ip, _ = STATEMENTS[v[0]]
+        self.sig1.set(v[i1], stamp, signed)
+        self.sig2.set(v[i2], stamp, signed)
+        sigp = v[ip]
+        if sigp is not None:
+            self.set_sigp(sigp[0], sigp[1], stamp, signed)
+        if own_drop is not None:
+            self.sig3.set(self.sig3.value + own_drop, stamp, None)
 
     def records(self, side, names, reason=None) -> list:
         """Status-report records (side, field, label, value, stamp_T,
@@ -367,125 +422,90 @@ class AuthNode:
     # -- stage 1: signed height replies ------------------------------------
 
     def build_stage1_reply(self, ib, T, r, height) -> Signed:
-        """The receiving side's signed seven items for edge E(peer, self):
-        (T, round, height, round-received, net packets, own potential
-        change, per-packet count for the most recent packet)."""
+        """The receiving side's signed s1 statement for edge E(peer, self)."""
         led = self.in_led[ib.peer]
         last = self.last_fresh[ib.peer]
         sigp = None if last is None else (last, led.sigp_value(last))
         return self.sign(("s1", T, r, height, ib.RR, led.sig1.value,
                           led.sig3.value, sigp))
 
+    def _open(self, signed, peer, tag, T, r):
+        """The value of `peer`'s `tag` statement `signed` of round (T, r),
+        or None unless it is signed, shaped and typed as `STATEMENTS`
+        says: a corrupt node may sign anything as itself."""
+        if not self.ring.verify_as(signed, peer):
+            return None
+        v = signed.value
+        if not is_statement(v, tag) or v[1] != T or v[2] != r:
+            return None
+        for pos, kind in STATEMENTS[tag].types:
+            if not isinstance(v[pos], kind):
+                return None
+        return v
+
     def verify_stage1_reply(self, ob, signed, T, r):
         """Check the peer's signed stage-1 reply against our outgoing
         ledger.  Returns the (height, round-received) pair to fold, or
         None to treat the exchange as an edge failure."""
-        if not self.ring.verify_as(signed, ob.peer):
+        v = self._open(signed, ob.peer, "s1", T, r)
+        if v is None:
             return None
-        v = signed.value
-        if not (isinstance(v, tuple) and len(v) == 8 and v[0] == "s1"):
-            return None
-        _, mT, mr, h, rr, sig1, sig3, sigp = v
-        if mT != T or mr != r:
-            return None
+        _, _, _, h, rr, sig1, sig3, sigp = v
         if self.relaxed_verify:
             return (h, rr)
         led = self.out_led[ob.peer]
-        claimed = (ob.FR is not None and rr is not None and rr != -1
-                   and rr >= ob.FR)
+        claimed = ob.FR is not None and rr != -1 and rr >= ob.FR
         if claimed:
-            fresh = ob.p_tilde is not None and ob.p_tilde.fresh
-            delta2 = sig3 - led.sig2.value
-            if not (0 <= delta2 <= (ob.H_FP or 0)):
+            if not 0 <= sig3 - led.sig2.value <= ob.H_FP:
                 return None
-            if fresh:
-                label = ob.p_tilde.packet.label()
-                if sig1 != led.sig1.value + 1:
-                    return None
-                if sigp is None or sigp[0] != label \
-                        or sigp[1] != led.sigp_value(label) + 1:
-                    return None
-            else:
-                if sig1 != led.sig1.value or sigp is not None:
-                    return None
-        else:
-            if sig1 != led.sig1.value or sig3 != led.sig2.value:
+            if (sig1, sigp) != led.next_counts(ob.p_tilde):
                 return None
+        elif sig1 != led.sig1.value or sig3 != led.sig2.value:
+            return None
         return (h, rr)
 
     def sync_on_confirm(self, ob, signed, confirmed_height, slide, T,
                         r) -> None:
         """After confirmation of receipt, adopt the receiver's signed
         counters and record our own potential drop."""
-        led = self.out_led[ob.peer]
-        v = signed.value
-        led.sig1.set(v[5], (T, r), signed)
-        led.sig2.set(v[6], (T, r), signed)
-        # verify_stage1_reply has checked that a confirmed fresh copy comes
-        # with (its label, prior count + 1) and a stale one with None
-        if v[7] is not None:
-            led.set_sigp(v[7][0], v[7][1], (T, r), signed)
-        led.sig3.set(led.sig3.value + confirmed_height, (T, r), None)
+        self.out_led[ob.peer].adopt(signed, (T, r), confirmed_height)
         self.add_local_drop(slide)
 
     # -- stage 2: signed packet transfers -----------------------------------
 
     def build_packet_msg(self, ob, T, r, stored=None) -> Signed:
         """Wrap the flagged packet (or a substitute chosen by a corrupt
-        behavior) in the signed seven items of a transfer."""
+        behavior) in a signed s2 statement, laid out in `STATEMENTS`."""
         stored = ob.p_tilde if stored is None else stored
         led = self.out_led[ob.peer]
-        label = stored.packet.label()
-        if stored.fresh:
-            body = ("s2", T, r, stored.packet, ob.FR, led.sig1.value + 1,
-                    led.sig2.value, led.sig3.value + ob.H_FP,
-                    (label, led.sigp_value(label) + 1))
-        else:
-            body = ("s2", T, r, stored.packet, ob.FR, led.sig1.value,
-                    led.sig2.value, led.sig3.value + ob.H_FP, None)
-        return self.sign(body)
+        sig1, sigp = led.next_counts(stored)
+        return self.sign(("s2", T, r, stored.packet, ob.FR, sig1,
+                          led.sig2.value, led.sig3.value + ob.H_FP, sigp))
 
     def verify_packet_msg(self, ib, signed, T, r):
         """Validate an incoming transfer; returns (Stored, flagged_round)
         or None if the transfer must be treated as undelivered."""
-        if not self.ring.verify_as(signed, ib.peer):
+        v = self._open(signed, ib.peer, "s2", T, r)
+        if v is None:
             return None
-        v = signed.value
-        if not (isinstance(v, tuple) and len(v) == 9 and v[0] == "s2"):
-            return None
-        _, mT, mr, packet, fr, sig1, _sig2own, sig3, sigp = v
-        if mT != T or mr != r or fr is None:
-            return None
+        _, _, _, packet, fr, sig1, _sig2own, sig3, sigp = v
         if not self.ring.verify_as(packet.sender_signature, self.sender_id):
             return None
         if packet.sender_signature.value != packet.signed_body():
             return None
-        fresh = sigp is not None
+        stored = Stored(packet, sigp is not None)
         if self.relaxed_verify:
-            return (Stored(packet, fresh), fr)
+            return (stored, fr)
         led = self.in_led[ib.peer]
         if sig3 - led.sig2.value < ib.landing_height():
             return None
-        if fresh:
-            label = packet.label()
-            if sig1 != led.sig1.value + 1:
-                return None
-            if sigp[0] != label or sigp[1] != led.sigp_value(label) + 1:
-                return None
-        else:
-            if sig1 != led.sig1.value:
-                return None
-        return (Stored(packet, fresh), fr)
+        if (sig1, sigp) != led.next_counts(stored):
+            return None
+        return (stored, fr)
 
     def sync_on_accept(self, ib, signed, stored, land, T, r) -> None:
-        led = self.in_led[ib.peer]
-        v = signed.value
-        led.sig1.set(v[5], (T, r), signed)
-        led.sig2.set(v[7], (T, r), signed)
-        if v[8] is not None:
-            led.set_sigp(v[8][0], v[8][1], (T, r), signed)
-        if self.node_id != self.receiver_id:
-            led.sig3.set(led.sig3.value + land, (T, r), None)
+        self.in_led[ib.peer].adopt(
+            signed, (T, r), None if self.node_id == self.receiver_id else land)
         self.last_fresh[ib.peer] = (stored.packet.label() if stored.fresh
                                     else None)
 
@@ -597,15 +617,11 @@ class AuthNode:
         """The signed parcel inside `peer`'s hop of round (T, r), or None
         unless both signatures verify and the parcel's type accepts its
         signer."""
-        if not self.ring.verify_as(hop, peer):
-            return None
-        v = hop.value
-        if not (isinstance(v, tuple) and len(v) == 4 and v[0] == "hop"):
-            return None
-        if v[1] != T or v[2] != r:
+        v = self._open(hop, peer, "hop", T, r)
+        if v is None:
             return None
         inner = v[3]
-        if not isinstance(inner, Signed) or not self.ring.verify(inner):
+        if not self.ring.verify(inner):
             return None
         parcel = inner.value
         if not isinstance(parcel, Parcel) or inner.signer != \
@@ -859,16 +875,14 @@ class SenderAuth(AuthNode):
         self.reports = {}
         self.failure_records = {}
         self.F = 0
-        self.sig_nn = 0
         self.halted = True
         self._restart_broadcast(T, REASON_OK)
 
     def _restart_broadcast(self, T, reason) -> None:
-        """Clear the ledgers and the broadcast buffer, then queue the
-        start-of-transmission broadcast of transmission T + 1, which
-        follows an outcome `reason`."""
-        for led in self.out_led.values():
-            led.clear(T + 1)
+        """Clear the ledgers, the re-shuffle total and the broadcast
+        buffer, then queue the start-of-transmission broadcast of
+        transmission T + 1, which follows an outcome `reason`."""
+        self._clear_sig_buffers(T + 1)
         self.bb = {}
         self._seq = 0
         self.theta = None
@@ -910,7 +924,8 @@ class SenderAuth(AuthNode):
             return []
         expected = expected_parts(self.ids, origin, record["reason"],
                                   record["eliminated"])
-        if parcel.reason != record["reason"] or parcel.part not in expected:
+        if parcel.reason != record["reason"] or parcel.part not in expected \
+                or not parcel.records_ok():
             return [("eliminate", origin,
                      f"node {origin} returned a mismatched status parcel "
                      f"for transmission {failed_T}")]

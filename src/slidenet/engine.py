@@ -522,8 +522,7 @@ class Engine:
                 if self.auth_mode:
                     self.auth[b].sync_on_accept(ib, msg, stored, land,
                                                 self.T, r)
-                self.nodes[a].out_buffers[b].note_accepted(
-                    msg.value[4] if self.auth_mode else msg[1])
+                self.nodes[a].out_buffers[b].note_accepted(parsed[1])
                 if a == self.S:
                     inserted = True
                     if b != self.R:

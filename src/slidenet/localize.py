@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .auth import REASON_F2, REASON_F3, REASON_OK, reason_f4
+from .auth import (REASON_F2, REASON_F3, REASON_OK, STATEMENTS, is_statement,
+                   reason_f4)
 
 
 class LocalizationError(RuntimeError):
@@ -88,10 +89,6 @@ def classify_failure(kappa: int, packets_per_codeword: int, theta) -> tuple:
 # evidence checking
 # ---------------------------------------------------------------------------
 
-_S1_FIELDS = {"sig1": 5, "sig2": 6}        # stage-1 reply positions
-_S2_FIELDS = {"sig1": 5, "sig2": 7}        # packet-wrapper positions
-
-
 def _evidence_ok(rv: ReportValue, side: str, name: str, counterpart, ring,
                  failed_T, label=None) -> bool:
     """A nonzero counterpart-attributed value must carry the counterpart's
@@ -104,21 +101,13 @@ def _evidence_ok(rv: ReportValue, side: str, name: str, counterpart, ring,
     if not ring.verify_as(ev, counterpart):
         return False
     v = ev.value
-    if not isinstance(v, tuple) or len(v) < 3:
-        return False
-    if side == "out" and v[0] == "s1" and len(v) == 8:
-        pass
-    elif side == "in" and v[0] == "s2" and len(v) == 9:
-        pass
-    else:
+    tag = "s1" if side == "out" else "s2"
+    if not is_statement(v, tag):
         return False
     if (v[1], v[2]) != rv.stamp or v[1] != failed_T:
         return False
-    if name == "sigp":
-        sigp = v[7] if side == "out" else v[8]
-        return sigp is not None and sigp[0] == label and sigp[1] == rv.value
-    pos = _S1_FIELDS[name] if side == "out" else _S2_FIELDS[name]
-    return v[pos] == rv.value
+    want = (label, rv.value) if name == "sigp" else rv.value
+    return v[getattr(STATEMENTS[tag], name)] == want
 
 
 def _iter_values(report: NodeReport):

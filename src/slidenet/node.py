@@ -46,7 +46,7 @@ class NodeState:
 
         # sender extras
         self.reservoir = []          # undistributed Stored packets
-        self.kappa = 0               # packets knowingly inserted/received
+        self.kappa = 0               # packets knowingly inserted
         # receiver extras
         self.storage = {}            # fragment_index -> Stored
         self.current_codeword = 1
@@ -183,7 +183,7 @@ class NodeState:
         for buf in self.in_buffers.values():
             if not buf.slots.empty():
                 for h in buf.slots.occupied():
-                    self._receiver_take(buf.slots.get(h), plain_mode)
+                    self._receiver_take(buf.slots.get(h))
             buf.reset()
         if not self.decoded and len(self.storage) >= params.decode_threshold:
             frags = [s.packet for s in self.storage.values()]
@@ -197,11 +197,9 @@ class NodeState:
             if plain_mode:
                 self.advance_codeword()
 
-    def _receiver_take(self, item: Stored, plain_mode: bool) -> None:
+    def _receiver_take(self, item: Stored) -> None:
         pkt = item.packet
-        if pkt.codeword_index != self.current_codeword:
-            return
-        if not plain_mode and not item.fresh:
+        if pkt.codeword_index != self.current_codeword or not item.fresh:
             return
         idx = pkt.fragment_index
         if idx in self.storage:
@@ -209,7 +207,6 @@ class NodeState:
                 self.duplicate_label = pkt.label()
             return
         self.storage[idx] = item
-        self.kappa += 1
 
     def advance_codeword(self) -> None:
         self.current_codeword += 1
@@ -217,7 +214,6 @@ class NodeState:
 
     def reset_codeword_state(self) -> None:
         self.storage = {}
-        self.kappa = 0
         self.duplicate_label = None
         self.decoded = False
 

@@ -1,13 +1,19 @@
+import json
+from dataclasses import replace
+
 import pytest
 
+from slidenet.adversary import ReportForger
 from slidenet.auth import (AuthNode, BlacklistParcel, ElimParcel, Omega,
                            ReasonParcel, RemoveParcel, SenderAuth, Theta,
                            REASON_F3)
 from slidenet.buffers import IncomingBuffer, OutgoingBuffer, Stored
+from slidenet.cli import main
 from slidenet.codec import Packet
 from slidenet.crypto import keygen
 from slidenet.engine import Engine, Scenario, run_scenario
-from slidenet.localize import ReportValue
+from slidenet.localize import ReportValue, _evidence_ok
+from slidenet.scenarios import attack_scenario
 from slidenet.util import InvariantError
 
 IDS = [0, 1, 2, 3]
@@ -91,6 +97,150 @@ class TestPacketMsg:
         assert node.verify_packet_msg(ib, msg, 1, 1) is None
 
 
+LABEL, OTHER = (1, 7), (1, 8)
+
+
+def _put(v, pos, value):
+    return v[:pos] + (value,) + v[pos + 1:]
+
+
+# one-field changes to a signed statement value `v` whose per-packet count
+# sits at position `p`; the verifier must refuse each
+MUTATIONS = {
+    "sig1+1": lambda v, p: _put(v, 5, v[5] + 1),
+    "sig1-1": lambda v, p: _put(v, 5, v[5] - 1),
+    "sigp-label": lambda v, p: _put(v, p, (OTHER, v[p][1])),
+    "sigp-count": lambda v, p: _put(v, p, (v[p][0], v[p][1] + 1)),
+    "sigp-on-stale": lambda v, p: _put(v, p, (LABEL, 1)),
+    "no-sigp": lambda v, p: _put(v, p, None),
+    "T": lambda v, p: _put(v, 1, v[1] + 1),
+    "r": lambda v, p: _put(v, 2, v[2] + 1),
+    "tag": lambda v, p: ("s1" if v[0] == "s2" else "s2",) + v[1:],
+    "length": lambda v, p: v + (None,),
+}
+COMMON = ("sig1+1", "sig1-1", "T", "r", "tag", "length")
+FRESH = COMMON + ("sigp-label", "sigp-count", "no-sigp")
+STALE = COMMON + ("sigp-on-stale",)
+
+
+def exchange(ring, fresh, accepted=True):
+    """Sender 0 sends node 1 a fresh or stale copy of packet LABEL over
+    edge (0, 1) in round (1, 1), on ledgers that agree on three earlier
+    crossings; node 1 accepts it if `accepted`, or never hears it, and
+    signs its stage-1 reply of round (1, 2)."""
+    sender, node = make_nodes(ring)
+    out, inn = sender.out_led[1], node.in_led[0]
+    for led in (out, inn):
+        led.sig1.set(3, (1, 0), None)
+        led.set_sigp(OTHER, 2, (1, 0), None)
+    out.sig2.set(4, (1, 0), None)
+    out.sig3.set(5, (1, 0), None)
+    inn.sig2.set(5, (1, 0), None)
+    inn.sig3.set(4, (1, 0), None)
+    unsigned = Packet(*LABEL, b"\x12\x34")
+    packet = Packet(*LABEL, unsigned.payload,
+                    ring.sign(ring.keypair(0), unsigned.signed_body()))
+    ob = OutgoingBuffer(0, 1, 8)
+    ob.slots.put(1, Stored(packet, fresh))
+    ob.H, ob.H_IN = 1, 0
+    assert ob.create_flag(1)
+    ib = IncomingBuffer(1, 0, 8)
+    ib.fold_stage1(ob.stage1_msg())
+    msg = sender.build_packet_msg(ob, 1, 1)
+    if accepted:
+        parsed = node.verify_packet_msg(ib, msg, 1, 1)
+        _, stored, land = ib.receive(parsed, 1)
+        node.sync_on_accept(ib, msg, stored, land, 1, 1)
+    else:
+        node.last_fresh[0] = OTHER        # a fresh copy accepted earlier
+    reply = node.build_stage1_reply(ib, 1, 2, ib.H)
+    return sender, node, ob, ib, msg, reply
+
+
+# case -> (statement, fresh copy, copy accepted before the reply,
+#          mutations refused)
+COUNTER_CASES = {
+    "s1-claimed-fresh": ("s1", True, True, FRESH),
+    "s1-claimed-stale": ("s1", False, True, STALE),
+    "s1-unclaimed": ("s1", True, False, COMMON),
+    "s2-fresh": ("s2", True, False, FRESH),
+    "s2-stale": ("s2", False, False, STALE),
+}
+
+
+def _verify(ring, case, change=None, relaxed=False):
+    """Run the case's verifier on its honest statement, or on that
+    statement with `change` applied and signed again by its signer."""
+    tag, fresh, accepted, _ = COUNTER_CASES[case]
+    sender, node, ob, ib, msg, reply = exchange(ring, fresh, accepted)
+    sender.relaxed_verify = node.relaxed_verify = relaxed
+    signer, signed = (node, reply) if tag == "s1" else (sender, msg)
+    if change is not None:
+        signed = signer.sign(change(signed.value))
+    if tag == "s1":
+        return sender.verify_stage1_reply(ob, signed, 1, 2), signed
+    return node.verify_packet_msg(ib, signed, 1, 1), signed
+
+
+class TestCounterRule:
+    """Each verifier accepts the statement its counterpart builds and
+    refuses it after any one-field change: the net count and the
+    per-packet count advance for a fresh copy only."""
+
+    @pytest.mark.parametrize("case", sorted(COUNTER_CASES))
+    def test_honest_statement_accepted(self, ring, case):
+        got, signed = _verify(ring, case)
+        if signed.value[0] == "s1":
+            assert got == signed.value[3:5]
+        else:
+            assert got == (Stored(signed.value[3], case == "s2-fresh"), 1)
+
+    @pytest.mark.parametrize("case,mutation", [
+        (case, m) for case, spec in sorted(COUNTER_CASES.items())
+        for m in spec[3]])
+    def test_one_field_change_refused(self, ring, case, mutation):
+        pos = 7 if COUNTER_CASES[case][0] == "s1" else 8
+        got, _ = _verify(ring, case, lambda v: MUTATIONS[mutation](v, pos))
+        assert got is None
+
+    # position of every field a verifier computes with
+    TYPED_FIELDS = {"s1-height": 3, "s1-rr": 4, "s1-sig1": 5, "s1-sig3": 6,
+                    "s2-packet": 3, "s2-FR": 4, "s2-sig1": 5, "s2-sig3": 7}
+
+    @pytest.mark.parametrize("relaxed", [False, True],
+                             ids=["honest", "relaxed"])
+    @pytest.mark.parametrize("field", sorted(TYPED_FIELDS))
+    def test_mistyped_field_refused(self, ring, field, relaxed):
+        """A corrupt node may sign any value as itself: a well-signed
+        statement with a non-int counter, height or round, or an s2
+        whose packet is no Packet, is an edge failure, also for a
+        verifier that skips the counter checks."""
+        case = "s1-claimed-fresh" if field[:2] == "s1" else "s2-fresh"
+        pos = self.TYPED_FIELDS[field]
+        got, _ = _verify(ring, case, lambda v: _put(v, pos, "x"), relaxed)
+        assert got is None
+
+    def test_evidence_sides(self, ring):
+        """A ledger value is backed by an s1 for an outgoing edge and an
+        s2 for an incoming one, signed by the counterpart; the other
+        statement, however signed, is refused."""
+        sender, node, ob, ib, msg, reply = exchange(ring, True)
+        assert sender.verify_stage1_reply(ob, reply, 1, 2) is not None
+        sender.sync_on_confirm(ob, reply, ob.H_FP, 0, 1, 2)
+        held = {"out": (sender.out_led[1], 1), "in": (node.in_led[0], 0)}
+        for side, (led, peer) in held.items():
+            for name in ("sig1", "sig2", "sigp"):
+                entry = led.sigp[LABEL] if name == "sigp" \
+                    else getattr(led, name)
+                rv = ReportValue(entry.value, entry.stamp, entry.evidence)
+                assert _evidence_ok(rv, side, name, peer, ring, 1, LABEL)
+                other = (msg if side == "out" else reply).value
+                swapped = replace(rv, evidence=ring.sign(
+                    ring.keypair(peer), other), stamp=other[1:3])
+                assert not _evidence_ok(swapped, side, name, peer, ring, 1,
+                                        LABEL)
+
+
 class TestSotOrdering:
     def build_sot(self, ring):
         sender = SenderAuth(0, ring, IDS, 0, 3)
@@ -157,6 +307,35 @@ class TestSotOrdering:
         deliver(sender, node, removal, T=2)
         assert 1 not in node.bl
         assert not [k for k in node.bb if k[0] == "status"]
+
+
+@pytest.mark.parametrize("decoded", [True, False], ids=["ok", "f3"])
+def test_sender_reshuffle_total_cleared_at_transmission_end(ring, decoded):
+    """The sender clears its re-shuffle total at every transmission end,
+    as every other node does at each start of transmission."""
+    sender = SenderAuth(0, ring, IDS, 0, 3)
+    sender.add_local_drop(7)
+    sender.theta = Theta(decoded, None, 1)
+    reason, _ = sender.prepare_sot(10, 10)
+    assert reason[0] == ("ok" if decoded else "f3")
+    assert sender.sig_nn == 0
+
+
+def test_malformed_status_payload_eliminates_its_author(tmp_path,
+                                                        monkeypatch):
+    """A status report whose records are not ledger records is a
+    mismatched parcel: its author is eliminated, and the run ends
+    normally."""
+    def forge(self, parcels, auth):
+        return [replace(p, payload=(("out", "sig1"),)) for p in parcels]
+    monkeypatch.setattr(ReportForger, "forge_report", forge)
+    path = tmp_path / "scenario.json"
+    sc = attack_scenario(4, {2: "report-forger"}, messages=1)
+    path.write_text(json.dumps(sc.to_dict()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(e["node"], e["kind"]) for e in report["eliminations"]] == \
+        [(2, "malformed-report")]
 
 
 @pytest.fixture(scope="module")
@@ -332,3 +511,30 @@ class TestReportRoundTrip:
                 assert rep.sig_nn == ReportValue(node.sig_nn, (0, 0), None)
             else:
                 assert rep.sig_nn is None
+
+    # one change each to the shape of the records `EdgeLedger.records`
+    # makes for an F3 report's edge part
+    BAD_PAYLOADS = {
+        "not-a-tuple": lambda recs: list(recs),
+        "short-record": lambda recs: (recs[0][:2],) + recs[1:],
+        "self-side": lambda recs: (("self",) + recs[0][1:],) + recs[1:],
+        "foreign-field": lambda recs: (recs[0][:1] + ("sig2",)
+                                       + recs[0][2:],) + recs[1:],
+        "str-value": lambda recs: (recs[0][:3] + ("x",)
+                                   + recs[0][4:],) + recs[1:],
+        "str-stamp": lambda recs: (recs[0][:4] + ("x",)
+                                   + recs[0][5:],) + recs[1:],
+    }
+
+    @pytest.mark.parametrize("change", sorted(BAD_PAYLOADS))
+    def test_malformed_records_are_a_mismatched_parcel(self, ring, change):
+        sender = SenderAuth(0, ring, IDS, 0, 3)
+        node = AuthNode(1, ring, IDS, 0, 3)
+        self.fill(node, self.LABEL)
+        sender.theta = Theta(False, None, 1)
+        reason, _ = sender.prepare_sot(10, 10)
+        parcel = node.make_own_report(1, reason)[0]
+        bad = replace(parcel, payload=self.BAD_PAYLOADS[change](
+            parcel.payload))
+        events = deliver(node, sender, node.sign(bad), T=2)
+        assert [ev[:2] for ev in events] == [("eliminate", 1)]

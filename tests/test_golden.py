@@ -15,6 +15,7 @@ import pytest
 
 from slidenet.adversary import Corruption
 from slidenet.cli import main
+from slidenet.crypto import KeyRing
 from slidenet.engine import Scenario, run_scenario
 
 # thin honest line 0-1-3 with node 2 attached to every other node
@@ -129,3 +130,29 @@ def test_cli_file_digests(name, tmp_path):
     assert main(["run", str(path), "--out", str(out), "--trace"]) == 0
     assert (_file_sha256(out / "report.json"),
             _file_sha256(out / "trace.jsonl")) == CLI_GOLDEN[name]
+
+
+# sha256 over the packed bytes of every value signed in a run, in signing
+# order: the signed statements, parcels and status reports themselves,
+# which no report or trace digest above covers.
+SIGNED_GOLDEN = {
+    "deleter-n4":
+        "516a71002cd1679b4281ddb507371f2aacc058548a3be4249fe64b691355e33d",
+    "duplicator-n4":
+        "ef775ac7a3e471241ca1e7ecf5f7b22111e3f96e9cad7014c28a92d14bf06188",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_GOLDEN))
+def test_signed_bytes_digest(name, monkeypatch):
+    digest = hashlib.sha256()
+    sign = KeyRing.sign
+
+    def recording_sign(ring, key, value):
+        signed = sign(ring, key, value)
+        digest.update(signed.body)
+        return signed
+
+    monkeypatch.setattr(KeyRing, "sign", recording_sign)
+    run_scenario(SCENARIOS[name]())
+    assert digest.hexdigest() == SIGNED_GOLDEN[name]
