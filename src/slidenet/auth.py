@@ -214,16 +214,48 @@ class LedgerEntry:
         self.evidence = evidence
 
 
+class LedgerPairing:
+    """The per-packet half of the check that an edge's two ledgers agree,
+    kept on write: both ends' counts (label -> count) and how many labels
+    the sending end holds at a count other than the receiving end's
+    (absent reads as 0).  The two ledgers share this record, so neither
+    points at the other."""
+
+    __slots__ = ("out_counts", "in_counts", "mismatched")
+
+    def __init__(self, out_counts, in_counts):
+        self.out_counts = out_counts
+        self.in_counts = in_counts
+        self.recount()
+
+    def _differs(self, label) -> bool:
+        out = self.out_counts
+        return label in out and out[label] != self.in_counts.get(label, 0)
+
+    def set(self, counts, label, value) -> None:
+        """Write `value` at `label` into `counts`, one end's counts."""
+        before = self._differs(label)
+        counts[label] = value
+        self.mismatched += self._differs(label) - before
+
+    def recount(self) -> None:
+        self.mismatched = sum(map(self._differs, self.out_counts))
+
+
 class EdgeLedger:
     """Running signed totals for one directed edge, from one endpoint's
     point of view.  sig1: net current-codeword packets across the edge;
     sig2: the counterpart's signed potential change; sig3: own potential
     change; sigp: per-fragment net crossings, with `counts` holding just
-    their values (label -> count) so two ledgers compare in one step."""
+    their values (label -> count).  `pair` compares `counts` with the
+    counterpart's; the engine pairs the two ends of each edge, and until
+    then a ledger is paired with no counts."""
 
-    __slots__ = ("sig1", "sig2", "sig3", "sigp", "counts")
+    __slots__ = ("sig1", "sig2", "sig3", "sigp", "counts", "pair")
 
     def __init__(self):
+        self.counts = {}
+        self.pair = LedgerPairing(self.counts, {})
         self.clear(0)
 
     def clear(self, T):
@@ -231,11 +263,12 @@ class EdgeLedger:
         self.sig2 = LedgerEntry(0, (T, 0), None)
         self.sig3 = LedgerEntry(0, (T, 0), None)
         self.sigp = {}
-        self.counts = {}
+        self.counts.clear()
+        self.pair.recount()
 
     def set_sigp(self, label, value, stamp, evidence) -> None:
         self.sigp[label] = LedgerEntry(value, stamp, evidence)
-        self.counts[label] = value
+        self.pair.set(self.counts, label, value)
 
     def sigp_value(self, label) -> int:
         return self.counts.get(label, 0)

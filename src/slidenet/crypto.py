@@ -111,7 +111,7 @@ class _Ed25519Backend:
             return False
 
 
-_BACKENDS = {"oracle": _OracleBackend, "ed25519": _Ed25519Backend}
+BACKENDS = {"oracle": _OracleBackend, "ed25519": _Ed25519Backend}
 
 
 class KeyRing:
@@ -122,10 +122,10 @@ class KeyRing:
         node_ids = list(node_ids)
         if len(set(node_ids)) != len(node_ids):
             raise CryptoError("duplicate node ids")
-        if backend not in _BACKENDS:
+        if backend not in BACKENDS:
             raise CryptoError(f"unknown crypto backend {backend!r}")
         self.node_ids = node_ids
-        self._backend = _BACKENDS[backend](node_ids, seed)
+        self._backend = BACKENDS[backend](node_ids, seed)
 
     def keypair(self, node_id) -> KeyPair:
         if node_id not in self.node_ids:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, fields
 from . import codec
 from .adversary import (ConfigError, Corruption, edge_key, find_honest_path,
                         generate_schedule, validate_conforming)
-from .auth import REASON_OK, AuthNode, SenderAuth
+from .auth import REASON_OK, AuthNode, LedgerPairing, SenderAuth
 from .buffers import Stored, stack_potential
-from .crypto import keygen
+from .crypto import BACKENDS, keygen
 from .localize import run_localization
 from .node import INTERNAL, RECEIVER, SENDER, NodeState
 from .util import InvariantError, digest
@@ -137,6 +137,8 @@ class Engine:
             raise ConfigError(f"unknown mode {sc.mode!r}")
         if sc.checks not in ("full", "off"):
             raise ConfigError(f"unknown check level {sc.checks!r}")
+        if sc.crypto_backend not in BACKENDS:
+            raise ConfigError(f"unknown crypto backend {sc.crypto_backend!r}")
         self.L = 4 * self.D if self.auth_mode else 3 * self.D
         self.ids = list(range(sc.n))
         self.S = 0
@@ -150,6 +152,9 @@ class Engine:
                 raise ConfigError(f"unknown node {c.node}")
             if not self.auth_mode:
                 raise ConfigError("corruptions require authenticated mode")
+            if type(c.round_index) is not int or c.round_index < 1:
+                raise ConfigError(f"corruption round {c.round_index!r} is "
+                                  f"not a positive int")
             self.corrupt_nodes[c.node] = (c.round_index, c.make())
 
         budget = sc.max_transmissions
@@ -185,15 +190,24 @@ class Engine:
                 cls = SenderAuth if i == self.S else AuthNode
                 self.auth[i] = cls(i, self.ring, self.ids, self.S, self.R)
 
-        # packet channels: every directed edge except into the sender or
-        # out of the receiver
-        self.packet_edges = [(a, b) for a in self.ids for b in self.ids
-                             if a != b and a != self.R and b != self.S]
-        self.all_pairs = [(a, b) for a in self.ids for b in self.ids
-                          if a != b]
+        # one channel (a, b, ob, ib, auth_a, auth_b) per packet edge: every
+        # directed edge except into the sender or out of the receiver.  An
+        # auth channel's two ledgers share one pairing record.
+        auth = self.auth or dict.fromkeys(self.ids)
+        self.channels = [(a, b, self.nodes[a].out_buffers[b],
+                          self.nodes[b].in_buffers[a], auth[a], auth[b])
+                         for a in self.ids for b in self.ids
+                         if a != b and a != self.R and b != self.S]
+        if self.auth_mode:
+            for a, b, _, _, auth_a, auth_b in self.channels:
+                la, lb = auth_a.out_led[b], auth_b.in_led[a]
+                la.pair = lb.pair = LedgerPairing(la.counts, lb.counts)
+        # every ordered pair (x, y, auth_x, auth_y), for the broadcast
+        self.all_pairs = [(a, b, auth[a], auth[b]) for a in self.ids
+                          for b in self.ids if a != b]
         # each ordered pair with its edge's bit in a schedule mask
         self._pair_bits = [((a, b), 1 << self.schedule.bit[edge_key(a, b)])
-                           for a, b in self.all_pairs]
+                           for a, b, _, _ in self.all_pairs]
 
         self.T = 1
         self.delivered = []           # (message_index, global_round, T)
@@ -203,25 +217,20 @@ class Engine:
         self.max_packets = {i: 0 for i in self.ids}
         self._copy = None
         self._expected = {}           # message index -> payload
+        self._behavior = [None] * sc.n    # node -> its active behavior
 
     # -- helpers -----------------------------------------------------------
-
-    def _behavior(self, node):
-        entry = self.corrupt_nodes.get(node)
-        if entry is None:
-            return None
-        act, beh = entry
-        return beh if self.g_round >= act else None
 
     def _activate_behaviors(self):
         for node, (act, beh) in self.corrupt_nodes.items():
             if self.g_round >= act and beh.auth is None:
                 beh.attach(self.nodes[node], self.auth[node])
                 self.auth[node].attach_behavior(beh)
+                self._behavior[node] = beh
                 self._emit("corrupt", node=node, behavior=beh.name)
 
     def _suppressed(self, node) -> bool:
-        beh = self._behavior(node)
+        beh = self._behavior[node]
         if beh is not None and beh.suppress_output():
             return True
         return self.auth_mode and node in self.auth[node].en
@@ -240,7 +249,7 @@ class Engine:
             for (a, b), bit in self._pair_bits}
 
     def _is_honest(self, node) -> bool:
-        return self._behavior(node) is None
+        return self._behavior[node] is None
 
     def _emit(self, kind, **fields):
         if self.trace is not None:
@@ -378,71 +387,58 @@ class Engine:
     # -- stage 1 ---------------------------------------------------------------
 
     def _stage1(self):
-        r = self.r_local
-        if self.auth_mode:
+        r, T, auth_mode = self.r_local, self.T, self.auth_mode
+        if auth_mode:
             self._broadcast_control()
         delivery = self._delivery
-        adverts = {}
-        replies = {}
-        for a, b in self.packet_edges:
+        behavior = self._behavior
+        sent = []                     # per channel: (advert, reply) or None
+        for a, b, ob, ib, _, auth_b in self.channels:
             if not delivery[(a, b)] and not delivery[(b, a)]:
+                sent.append(None)
                 continue
-            ob = self.nodes[a].out_buffers[b]
-            ib = self.nodes[b].in_buffers[a]
-            adverts[(a, b)] = ob.stage1_msg()
+            advert = ob.stage1_msg()
             height = ib.H
-            beh_b = self._behavior(b)
-            if beh_b is not None:
-                height = beh_b.stage1_reply_height(ib, height)
-            if self.auth_mode:
-                replies[(a, b)] = self.auth[b].build_stage1_reply(
-                    ib, self.T, r, height=height)
+            if behavior[b] is not None:
+                height = behavior[b].stage1_reply_height(ib, height)
+            if auth_mode:
+                reply = auth_b.build_stage1_reply(ib, T, r, height=height)
             else:
-                replies[(a, b)] = (height, ib.RR)
+                reply = (height, ib.RR)
+            sent.append((advert, reply))
 
-        for a, b in self.packet_edges:
-            ob = self.nodes[a].out_buffers[b]
-            ib = self.nodes[b].in_buffers[a]
+        for (a, b, ob, ib, auth_a, _), msgs in zip(self.channels, sent):
+            advert, reply = msgs or (None, None)
             # advert a -> b
-            ib.fold_stage1(adverts.get((a, b)) if delivery[(a, b)] else None)
+            ib.fold_stage1(advert if delivery[(a, b)] else None)
             # reply b -> a, then reset outgoing variables
-            reply = replies.get((a, b)) if delivery[(b, a)] else None
+            if not delivery[(b, a)]:
+                reply = None
             signed = None
-            if reply is not None and self.auth_mode:
+            if reply is not None and auth_mode:
                 signed = reply
-                reply = self.auth[a].verify_stage1_reply(ob, signed, self.T, r)
+                reply = auth_a.verify_stage1_reply(ob, signed, T, r)
             confirmed, height, slide = ob.fold_reply(reply)
             if confirmed is not None:
                 self._busy = True
-                if self.auth_mode:
-                    self.auth[a].sync_on_confirm(ob, signed, height, slide,
-                                                 self.T, r)
+                if auth_mode:
+                    auth_a.sync_on_confirm(ob, signed, height, slide, T, r)
                     self._check_ledger_pairing(a, b)
                 if a == self.S:
                     self.nodes[a].note_confirmed()
-                beh = self._behavior(a)
-                if beh is not None:
-                    beh.after_forward(ob, confirmed)
+                if behavior[a] is not None:
+                    behavior[a].after_forward(ob, confirmed)
                 self._emit("confirm", e=[a, b], h=height)
 
     def _broadcast_control(self):
-        r = self.r_local
-        msgs = {}
-        for x, y in self.all_pairs:
-            if not self._delivery[(x, y)]:
-                continue
-            ax = self.auth[x]
-            msgs[(x, y)] = (ax.take_cbp(y), ax.make_request(y))
-        for x, y in self.all_pairs:
-            ay = self.auth[y]
-            got = msgs.get((x, y))
-            if got is None:
-                ay.on_cbp(x, 0)
-                ay.on_request(x, None)
-            else:
-                cbp, alpha = got
-                ay.on_cbp(x, cbp)
-                ay.on_request(x, alpha)
+        """Stage 1's control channel: every ordered pair passes its cbp
+        bit and request; an undelivered pair's arrive as (0, None)."""
+        delivery = self._delivery
+        msgs = [(ax.take_cbp(y), ax.make_request(y)) if delivery[(x, y)]
+                else (0, None) for x, y, ax, _ in self.all_pairs]
+        for (x, _, _, ay), (cbp, alpha) in zip(self.all_pairs, msgs):
+            ay.on_cbp(x, cbp)
+            ay.on_request(x, alpha)
 
     def _check_ledger_pairing(self, a, b):
         """After a confirmation the two ledgers for edge (a,b) agree
@@ -453,89 +449,77 @@ class Engine:
             return
         la = self.auth[a].out_led[b]
         lb = self.auth[b].in_led[a]
-        ok = (la.sig1.value == lb.sig1.value
-              and la.sig2.value == lb.sig3.value
-              and la.sig3.value == lb.sig2.value)
-        # every count of la equal in lb: one C-level subset test; a label
-        # lb lacks still passes at count 0, which only the loop sees
-        if ok and not la.counts.items() <= lb.counts.items():
-            for label, entry in la.sigp.items():
-                if lb.sigp_value(label) != entry.value:
-                    ok = False
-                    break
-        if not ok:
+        # the per-packet counts: `LedgerPairing` keeps how many differ
+        if la.sig1.value != lb.sig1.value or la.sig2.value != lb.sig3.value \
+                or la.sig3.value != lb.sig2.value or la.pair.mismatched:
             raise InvariantError(
                 f"ledger mismatch on edge ({a},{b}) after confirmation")
 
     # -- stage 2 -----------------------------------------------------------------
 
     def _stage2(self):
-        r = self.r_local
+        r, T, auth_mode = self.r_local, self.T, self.auth_mode
         self._round_wasted = False
-        if self.auth_mode:
+        if auth_mode:
             self._broadcast_parcels()
             self._count_wasted()
-        sends = {}
+        behavior = self._behavior
+        sends = [None] * len(self.channels)
         s_node = self.nodes[self.S]
         self._s_had_packets = any(ob.H > 0
                                   for ob in s_node.out_buffers.values())
-        for a, b in self.packet_edges:
-            ob = self.nodes[a].out_buffers[b]
+        for i, (a, b, ob, _, auth_a, _) in enumerate(self.channels):
             if ob.H_IN is None:
                 continue
             ob.create_flag(r)
             if not ob.should_send():
                 continue
             ob.mark_sent()
-            beh = self._behavior(a)
-            if self.auth_mode:
-                if a == self.S and self.auth[a].halted:
+            beh = behavior[a]
+            if auth_mode:
+                if a == self.S and auth_a.halted:
                     continue
-                gate_ok = (beh is not None) or self.auth[a].okay_to_send(b)
+                gate_ok = (beh is not None) or auth_a.okay_to_send(b)
                 if not gate_ok:
                     continue
                 substitute = beh.substitute_send(ob) if beh else None
-                sends[(a, b)] = self.auth[a].build_packet_msg(
-                    ob, self.T, r, stored=substitute)
+                sends[i] = auth_a.build_packet_msg(ob, T, r,
+                                                   stored=substitute)
             else:
-                sends[(a, b)] = (ob.p_tilde, ob.FR)
-        if sends:
+                sends[i] = (ob.p_tilde, ob.FR)
             self._busy = True
 
         insert_gain = 0
         inserted = False
-        for a, b in self.packet_edges:
-            ib = self.nodes[b].in_buffers[a]
-            msg = sends.get((a, b)) if self._delivery[(a, b)] else None
+        for (a, b, ob, ib, _, auth_b), msg in zip(self.channels, sends):
+            if not self._delivery[(a, b)]:
+                msg = None
             parsed = msg
             blocked = False
-            if self.auth_mode:
-                blocked = self._behavior(b) is None \
-                    and not self.auth[b].okay_to_receive(a)
+            if auth_mode:
+                blocked = behavior[b] is None \
+                    and not auth_b.okay_to_receive(a)
                 if msg is not None:
-                    parsed = self.auth[b].verify_packet_msg(ib, msg, self.T,
-                                                            r)
+                    parsed = auth_b.verify_packet_msg(ib, msg, T, r)
             res = ib.receive(parsed, r, blocked=blocked)
             if res[0] == "accept":
                 self._busy = True
                 _, stored, land = res
-                if self.auth_mode:
-                    self.auth[b].sync_on_accept(ib, msg, stored, land,
-                                                self.T, r)
-                self.nodes[a].out_buffers[b].note_accepted(parsed[1])
+                if auth_mode:
+                    auth_b.sync_on_accept(ib, msg, stored, land, T, r)
+                ob.note_accepted(parsed[1])
                 if a == self.S:
                     inserted = True
                     if b != self.R:
                         insert_gain += land
                 self._emit("accept", e=[a, b], h=land,
                            p=list(stored.packet.label()))
-                beh_b = self._behavior(b)
-                if beh_b is not None and not beh_b.after_accept(ib, stored,
-                                                                land):
+                if behavior[b] is not None \
+                        and not behavior[b].after_accept(ib, stored, land):
                     ib.discard(land)
             elif res[0] == "dup" or res[0] == "idle":
-                if self.auth_mode and res[1]:
-                    self.auth[b].add_local_drop(res[1])
+                if auth_mode and res[1]:
+                    auth_b.add_local_drop(res[1])
         self.tm["insert_gain"] += insert_gain
         self._round_blocked = not inserted and self._s_had_packets
         if self._round_blocked:
@@ -543,19 +527,19 @@ class Engine:
         self._round_gain = insert_gain
 
     def _broadcast_parcels(self):
-        r = self.r_local
-        chosen = {}
-        for x, y in self.all_pairs:
+        r, T = self.r_local, self.T
+        chosen = []                   # in pair order: (x, y, auth_y, hop)
+        for x, y, ax, ay in self.all_pairs:
             if not self._delivery[(x, y)]:
                 continue
-            parcel = self.auth[x].choose_parcel(y)
+            parcel = ax.choose_parcel(y)
             if parcel is not None:
-                chosen[(x, y)] = self.auth[x].wrap_hop(parcel, self.T, r)
+                chosen.append((x, y, ay, ax.wrap_hop(parcel, T, r)))
         if chosen:
             self._busy = True
         events = []
-        for (x, y), hop in sorted(chosen.items()):
-            for ev in self.auth[y].on_parcel(x, hop, self.T, r):
+        for x, y, ay, hop in chosen:
+            for ev in ay.on_parcel(x, hop, T, r):
                 events.append((y, ev))
         for y, ev in events:
             if ev[0] == "wipe":

@@ -2,6 +2,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidenet.adversary import ReportForger
 from slidenet.auth import (AuthNode, BlacklistParcel, ElimParcel, Omega,
@@ -431,6 +433,64 @@ class TestLedgerPairing:
             assert led.counts == {k: e.value for k, e in led.sigp.items()}
         la.clear(2)
         assert la.counts == {} and la.sigp == {}
+
+
+def per_label_pairing(la, lb) -> bool:
+    """The reference for `_check_ledger_pairing`, label by label: the
+    three scalar pairs, then every per-packet count of `la` against
+    `lb`'s, an absent label reading as 0."""
+    ok = (la.sig1.value == lb.sig1.value
+          and la.sig2.value == lb.sig3.value
+          and la.sig3.value == lb.sig2.value)
+    if ok and not la.counts.items() <= lb.counts.items():
+        for label, entry in la.sigp.items():
+            if lb.sigp_value(label) != entry.value:
+                ok = False
+                break
+    return ok
+
+
+LABELS = [(1, 0), (1, 1), (1, 2)]
+END = st.sampled_from(["out", "in"])
+# one write at one end of edge (1, 2): a per-packet count (zero included),
+# a counterpart's statement adopted, or the end's ledger cleared
+LEDGER_STEP = st.one_of(
+    st.tuples(st.just("set"), END, st.sampled_from(LABELS),
+              st.integers(0, 2)),
+    st.tuples(st.just("adopt"), END, st.integers(0, 1), st.integers(0, 1),
+              st.one_of(st.none(), st.tuples(st.sampled_from(LABELS),
+                                             st.integers(0, 2))),
+              st.sampled_from([None, 0, 1])),
+    st.tuples(st.just("clear"), END, st.integers(1, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LEDGER_STEP, max_size=25))
+def test_pairing_record_verdict_matches_per_label_check(steps):
+    """On ledgers the engine paired, `_check_ledger_pairing` raises after a
+    step exactly when the per-label comparison fails."""
+    eng = Engine(Scenario(n=4, mode="auth"))
+    ends = {"out": eng.auth[1].out_led[2], "in": eng.auth[2].in_led[1]}
+    for r, (kind, end, *args) in enumerate(steps, 1):
+        led = ends[end]
+        if kind == "set":
+            label, value = args
+            led.set_sigp(label, value, (1, r), None)
+        elif kind == "adopt":
+            sig1, sig2, sigp, own_drop = args
+            # s1 carries (sig1, sig2, sigp) at 5-7, s2 at 5, 7 and 8
+            value = (("s1", 1, r, 0, 0, sig1, sig2, sigp) if end == "out"
+                     else ("s2", 1, r, None, 0, sig1, 0, sig2, sigp))
+            led.adopt(eng.auth[2 if end == "out" else 1].sign(value),
+                      (1, r), own_drop)
+        else:
+            led.clear(args[0])
+        try:
+            eng._check_ledger_pairing(1, 2)
+            verdict = True
+        except InvariantError:
+            verdict = False
+        assert verdict == per_label_pairing(ends["out"], ends["in"])
 
 
 class TestReportRoundTrip:

@@ -77,6 +77,11 @@ class TestRun:
          "corruptions": [{"node": 2, "behavior": "deleter", "rnd": 1}]},
         {"schedule": {"kind": "churn", "p": 1.5, "seed": 3}},
         {"schedule": {"kind": "churn", "p": -2, "seed": 3}},
+        *({"mode": "auth", "corruptions": [
+            {"node": 2, "round": bad_round, "behavior": "deleter"}]}
+          for bad_round in ("x", None, 1000.5, 0)),
+        *({"mode": mode, "crypto_backend": backend}
+          for mode in ("slide", "auth") for backend in ("rsa", 5)),
     ])
     def test_malformed_scenario_exit2(self, tmp_path, bad, capsys):
         data = {"n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
