@@ -190,24 +190,29 @@ class Engine:
                 cls = SenderAuth if i == self.S else AuthNode
                 self.auth[i] = cls(i, self.ring, self.ids, self.S, self.R)
 
-        # one channel (a, b, ob, ib, auth_a, auth_b) per packet edge: every
-        # directed edge except into the sender or out of the receiver.  An
-        # auth channel's two ledgers share one pairing record.
+        # every ordered pair (x, y, auth_x, auth_y), for the broadcast;
+        # `_delivery` holds each pair's predicate at its index here
         auth = self.auth or dict.fromkeys(self.ids)
+        self.all_pairs = [(a, b, auth[a], auth[b]) for a in self.ids
+                          for b in self.ids if a != b]
+        pair_index = {(a, b): i for i, (a, b, _, _)
+                      in enumerate(self.all_pairs)}
+        # each ordered pair with its edge's bit in a schedule mask
+        self._pair_bits = [(a, b, 1 << self.schedule.bit[edge_key(a, b)])
+                           for a, b, _, _ in self.all_pairs]
+        # one channel (a, b, ob, ib, auth_a, auth_b, ab, ba) per packet
+        # edge: every directed edge except into the sender or out of the
+        # receiver, with the indices of its pairs (a, b) and (b, a).  An
+        # auth channel's two ledgers share one pairing record.
         self.channels = [(a, b, self.nodes[a].out_buffers[b],
-                          self.nodes[b].in_buffers[a], auth[a], auth[b])
+                          self.nodes[b].in_buffers[a], auth[a], auth[b],
+                          pair_index[a, b], pair_index[b, a])
                          for a in self.ids for b in self.ids
                          if a != b and a != self.R and b != self.S]
         if self.auth_mode:
-            for a, b, _, _, auth_a, auth_b in self.channels:
+            for a, b, _, _, auth_a, auth_b, _, _ in self.channels:
                 la, lb = auth_a.out_led[b], auth_b.in_led[a]
                 la.pair = lb.pair = LedgerPairing(la.counts, lb.counts)
-        # every ordered pair (x, y, auth_x, auth_y), for the broadcast
-        self.all_pairs = [(a, b, auth[a], auth[b]) for a in self.ids
-                          for b in self.ids if a != b]
-        # each ordered pair with its edge's bit in a schedule mask
-        self._pair_bits = [((a, b), 1 << self.schedule.bit[edge_key(a, b)])
-                           for a, b, _, _ in self.all_pairs]
 
         self.T = 1
         self.delivered = []           # (message_index, global_round, T)
@@ -236,17 +241,16 @@ class Engine:
         return self.auth_mode and node in self.auth[node].en
 
     def _refresh_delivery(self):
-        """Cache the per-round delivery predicate for every ordered pair:
-        edge active, sending side not silenced, neither side treating the
-        other as eliminated."""
+        """Cache the per-round delivery predicate for every ordered pair,
+        in `all_pairs` order: edge active, sending side not silenced,
+        neither side treating the other as eliminated."""
         mask = self._mask = self.schedule.mask(self.g_round)
-        suppressed = {x: self._suppressed(x) for x in self.ids}
-        en = ({x: self.auth[x].en for x in self.ids} if self.auth_mode
-              else dict.fromkeys(self.ids, ()))
-        self._delivery = {
-            (a, b): (bool(mask & bit) and not suppressed[a]
-                     and a not in en[b] and b not in en[a])
-            for (a, b), bit in self._pair_bits}
+        suppressed = [self._suppressed(x) for x in self.ids]
+        en = ([self.auth[x].en for x in self.ids] if self.auth_mode
+              else [()] * self.n)
+        self._delivery = [bool(mask & bit) and not suppressed[a]
+                          and a not in en[b] and b not in en[a]
+                          for a, b, bit in self._pair_bits]
 
     def _is_honest(self, node) -> bool:
         return self._behavior[node] is None
@@ -392,28 +396,26 @@ class Engine:
             self._broadcast_control()
         delivery = self._delivery
         behavior = self._behavior
-        sent = []                     # per channel: (advert, reply) or None
-        for a, b, ob, ib, _, auth_b in self.channels:
-            if not delivery[(a, b)] and not delivery[(b, a)]:
-                sent.append(None)
-                continue
-            advert = ob.stage1_msg()
-            height = ib.H
-            if behavior[b] is not None:
-                height = behavior[b].stage1_reply_height(ib, height)
-            if auth_mode:
-                reply = auth_b.build_stage1_reply(ib, T, r, height=height)
-            else:
-                reply = (height, ib.RR)
+        sent = []                     # per channel: (advert, reply), each
+                                      # None unless its direction delivers
+        for a, b, ob, ib, _, auth_b, ab, ba in self.channels:
+            advert = ob.stage1_msg() if delivery[ab] else None
+            reply = None
+            if delivery[ba]:
+                height = ib.H
+                if behavior[b] is not None:
+                    height = behavior[b].stage1_reply_height(ib, height)
+                if auth_mode:
+                    reply = auth_b.build_stage1_reply(ib, T, r, height=height)
+                else:
+                    reply = (height, ib.RR)
             sent.append((advert, reply))
 
-        for (a, b, ob, ib, auth_a, _), msgs in zip(self.channels, sent):
-            advert, reply = msgs or (None, None)
+        for (a, b, ob, ib, auth_a, _, _, _), (advert, reply) in zip(
+                self.channels, sent):
             # advert a -> b
-            ib.fold_stage1(advert if delivery[(a, b)] else None)
+            ib.fold_stage1(advert)
             # reply b -> a, then reset outgoing variables
-            if not delivery[(b, a)]:
-                reply = None
             signed = None
             if reply is not None and auth_mode:
                 signed = reply
@@ -433,9 +435,9 @@ class Engine:
     def _broadcast_control(self):
         """Stage 1's control channel: every ordered pair passes its cbp
         bit and request; an undelivered pair's arrive as (0, None)."""
-        delivery = self._delivery
-        msgs = [(ax.take_cbp(y), ax.make_request(y)) if delivery[(x, y)]
-                else (0, None) for x, y, ax, _ in self.all_pairs]
+        msgs = [(ax.take_cbp(y), ax.make_request(y)) if delivered
+                else (0, None) for (_, y, ax, _), delivered
+                in zip(self.all_pairs, self._delivery)]
         for (x, _, _, ay), (cbp, alpha) in zip(self.all_pairs, msgs):
             ay.on_cbp(x, cbp)
             ay.on_request(x, alpha)
@@ -468,7 +470,7 @@ class Engine:
         s_node = self.nodes[self.S]
         self._s_had_packets = any(ob.H > 0
                                   for ob in s_node.out_buffers.values())
-        for i, (a, b, ob, _, auth_a, _) in enumerate(self.channels):
+        for i, (a, b, ob, _, auth_a, _, _, _) in enumerate(self.channels):
             if ob.H_IN is None:
                 continue
             ob.create_flag(r)
@@ -491,8 +493,8 @@ class Engine:
 
         insert_gain = 0
         inserted = False
-        for (a, b, ob, ib, _, auth_b), msg in zip(self.channels, sends):
-            if not self._delivery[(a, b)]:
+        for (a, b, ob, ib, _, auth_b, ab, _), msg in zip(self.channels, sends):
+            if not self._delivery[ab]:
                 msg = None
             parsed = msg
             blocked = False
@@ -529,8 +531,8 @@ class Engine:
     def _broadcast_parcels(self):
         r, T = self.r_local, self.T
         chosen = []                   # in pair order: (x, y, auth_y, hop)
-        for x, y, ax, ay in self.all_pairs:
-            if not self._delivery[(x, y)]:
+        for (x, y, ax, ay), delivered in zip(self.all_pairs, self._delivery):
+            if not delivered:
                 continue
             parcel = ax.choose_parcel(y)
             if parcel is not None:

@@ -12,6 +12,19 @@ INTERNAL = "internal"
 RECEIVER = "receiver"
 
 
+def _first(heights, h, lo, hi, cursor):
+    """The first index in [lo, hi) whose height is h, scanning round-robin
+    from `cursor`; None if there is none."""
+    if lo < cursor < hi:
+        tail = heights[cursor:hi]
+        if h in tail:
+            return cursor + tail.index(h)
+    head = heights[lo:hi]
+    if h in head:
+        return lo + head.index(h)
+    return None
+
+
 class NodeState:
     """One node's routing state.
 
@@ -85,24 +98,19 @@ class NodeState:
 
     # -- re-shuffle -------------------------------------------------------
 
-    def _pick(self, candidates, prefer_kind, cursor):
-        """Among candidate buffers pick by kind preference, then
-        round-robin from the cursor over the fixed buffer order."""
-        pool = [b for b in candidates if b.kind == prefer_kind] or candidates
-        bufs = self._buffers
-        for offset in range(len(bufs)):
-            idx = (cursor + offset) % len(bufs)
-            if bufs[idx] in pool:
-                return bufs[idx], (idx + 1) % len(bufs)
-
     def reshuffle(self):
         """Balance buffer heights: repeatedly move the top packet of the
         fullest buffer to the emptiest, while the gap is at least two, or
         exactly one for an incoming-to-outgoing move.  Flagged packets
         never move; ghost slots are never filled.  Returns the total
         potential drop from all moves (recorded into the re-shuffle
-        ledger by the authenticated protocol)."""
-        total_drop = 0
+        ledger by the authenticated protocol).
+
+        The donor is a fullest buffer, incoming if one is; the recipient
+        an emptiest, outgoing if one is, and only outgoing when the donor
+        is.  Each is the first such from its round-robin cursor over the
+        fixed buffer order, in which `heights` lists every buffer and
+        index < n_in marks the incoming ones."""
         bufs = self._buffers
         if not bufs:
             return 0
@@ -111,34 +119,36 @@ class NodeState:
             # balanced: the loop below would stop before its first move,
             # leaving the cursors as they are
             return 0
+        n, n_in = len(bufs), len(self.in_buffers)
+        total_drop = 0
         while True:
-            max_h = max(b.H for b in bufs)
-            donor, d_cursor = self._pick([b for b in bufs if b.H >= max_h],
-                                         "in", self._rr_donor)
-            if donor.kind == "out":
-                # packets never re-shuffle from an outgoing buffer into an
-                # incoming one; restrict the recipient pool accordingly
-                pool = [b for b in self.out_buffers.values() if b is not donor]
-            else:
-                pool = [b for b in bufs if b is not donor]
-            if not pool:
-                break
-            min_h = min(b.H for b in pool)
-            recipient, r_cursor = self._pick(
-                [b for b in pool if b.H <= min_h], "out", self._rr_recipient)
+            max_h = max(heights)
+            d = _first(heights, max_h, 0, n_in, self._rr_donor)
+            if d is None:
+                d = _first(heights, max_h, n_in, n, self._rr_donor)
+            # packets never re-shuffle from an outgoing buffer into an
+            # incoming one.  The donor stays in the pool: at the maximum,
+            # it is picked only when the gap is 0, which stops the loop.
+            min_h = min(heights) if d < n_in else min(heights[n_in:])
             gap = max_h - min_h
-            ok = gap > 1 or (gap == 1 and donor.kind == "in"
-                             and recipient.kind == "out")
-            if not ok:
+            if gap < 1:
                 break
-            self._rr_donor, self._rr_recipient = d_cursor, r_cursor
+            r = _first(heights, min_h, n_in, n, self._rr_recipient)
+            if r is None:
+                r = _first(heights, min_h, 0, n_in, self._rr_recipient)
+            # at a gap of one, only an incoming-to-outgoing move
+            if gap == 1 and (d >= n_in or r < n_in):
+                break
+            self._rr_donor, self._rr_recipient = (d + 1) % n, (r + 1) % n
+            donor = bufs[d]
             item, src = donor.take_top()
             if item is None:
                 raise InvariantError(
                     f"node {self.node_id}: re-shuffle picked the empty "
                     f"{donor.kind} buffer of peer {donor.peer}")
-            dst = recipient.put_top(item)
-            total_drop += src - dst
+            total_drop += src - bufs[r].put_top(item)
+            heights[d] -= 1
+            heights[r] += 1
         return total_drop
 
     # -- sender -----------------------------------------------------------

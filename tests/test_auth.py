@@ -17,6 +17,7 @@ from slidenet.engine import Engine, Scenario, run_scenario
 from slidenet.localize import ReportValue, _evidence_ok
 from slidenet.scenarios import attack_scenario
 from slidenet.util import InvariantError
+from test_golden import SCENARIOS as GOLDEN
 
 IDS = [0, 1, 2, 3]
 
@@ -381,6 +382,64 @@ class TestHonestAuthRun:
                       schedule_seed=11, checks="full")
         report, _ = run_scenario(sc)
         assert len(report["delivered"]) == 1
+
+
+def _delivers(eng, x, y) -> bool:
+    """The delivery predicate of pair (x, y) in the engine's current
+    round, from the edge's mask bit, suppression and both eliminated
+    sets."""
+    return (eng.schedule.active(eng.g_round, x, y) and not eng._suppressed(x)
+            and x not in eng.auth[y].en and y not in eng.auth[x].en)
+
+
+def test_every_stage1_reply_built_is_delivered(monkeypatch):
+    """Over golden ghost-n4, whose silenced node sends nothing, a stage-1
+    reply b -> a is signed only when that direction delivers, and each
+    one built on round (T, r) is verified by its peer on that round."""
+    built, verified, engines = [], [], []
+    build, verify = AuthNode.build_stage1_reply, AuthNode.verify_stage1_reply
+    stage1 = Engine._stage1
+
+    def recording_stage1(eng):
+        engines.append(eng)
+        stage1(eng)
+
+    def recording_build(self, ib, T, r, height):
+        built.append((ib.peer, self.node_id, T, r,
+                      _delivers(engines[-1], self.node_id, ib.peer)))
+        return build(self, ib, T, r, height=height)
+
+    def recording_verify(self, ob, signed, T, r):
+        verified.append((self.node_id, ob.peer, T, r, True))
+        return verify(self, ob, signed, T, r)
+
+    monkeypatch.setattr(Engine, "_stage1", recording_stage1)
+    monkeypatch.setattr(AuthNode, "build_stage1_reply", recording_build)
+    monkeypatch.setattr(AuthNode, "verify_stage1_reply", recording_verify)
+    run_scenario(GOLDEN["ghost-n4"]())
+    assert built and sorted(built) == sorted(verified)
+
+
+@pytest.mark.parametrize("name,cause", [("deleter-n4", "eliminated"),
+                                        ("ghost-n4", "suppressed")])
+def test_delivery_list_matches_predicate(monkeypatch, name, cause):
+    """In every round, `_delivery[i]` is the predicate of `all_pairs[i]`.
+    deleter-n4 eliminates node 2; ghost-n4 suppresses it."""
+    seen = {"off": 0, "suppressed": 0, "eliminated": 0}
+    stage1 = Engine._stage1
+
+    def checking_stage1(eng):
+        assert len(eng._delivery) == len(eng.all_pairs)
+        for (x, y, ax, ay), delivered in zip(eng.all_pairs, eng._delivery):
+            assert delivered == _delivers(eng, x, y)
+            seen["off"] += not delivered
+            seen["suppressed"] += eng._suppressed(x)
+            seen["eliminated"] += x in ay.en or y in ax.en
+        stage1(eng)
+
+    monkeypatch.setattr(Engine, "_stage1", checking_stage1)
+    run_scenario(GOLDEN[name]())
+    assert seen["off"] and seen[cause]
 
 
 class TestLedgerPairing:

@@ -10,14 +10,19 @@ from pathlib import Path
 from slidenet.engine import Scenario, run_scenario
 from test_golden import SCENARIOS as GOLDEN
 
-LAYERS = Path(__file__).resolve().parents[1] / "slidebench" / "layers.py"
+BENCH = Path(__file__).resolve().parents[1] / "slidebench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"slidebench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _layers():
-    spec = importlib.util.spec_from_file_location("slidebench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    return _load("layers")
 
 
 def _owner(target):
@@ -42,10 +47,9 @@ def test_every_span_target_resolves():
     assert missing == []
 
 
-def test_every_span_records_a_call_over_a_deleter_run():
-    """The tracer over a whole deleter-n4 run, from the parsed scenario
-    on: every span but the command line's records a call, and the run
-    reaches one verdict.  The patched attributes are restored after."""
+def _traced_run(name):
+    """The tracer over a whole run of golden scenario `name`, from the
+    parsed scenario on; the patched attributes are restored after."""
     layers = _layers()
     saved = []
     for target, attr, _span in layers.SPANS:
@@ -54,13 +58,32 @@ def test_every_span_records_a_call_over_a_deleter_run():
     tracer = layers.Tracer()
     try:
         tracer.install()
-        run_scenario(Scenario.from_dict(GOLDEN["deleter-n4"]().to_dict()))
+        run_scenario(Scenario.from_dict(GOLDEN[name]().to_dict()))
     finally:
         for owner, attr, original in reversed(saved):
             setattr(owner, attr, original)
-    silent = sorted(span for span in tracer.spans
-                    if tracer.calls(span) == 0 and not span.startswith("cli."))
-    assert silent == []
-    assert tracer.counts.get("verdicts") == 1
     assert all(vars(owner)[attr] is original
                for owner, attr, original in saved)
+    return tracer
+
+
+def _silent(tracer, idle):
+    return sorted(span for span in tracer.spans
+                  if tracer.calls(span) == 0 and not span.startswith(idle))
+
+
+def test_every_span_records_a_call_over_a_deleter_run():
+    """Over deleter-n4, every span but the command line's records a call,
+    and the run reaches one verdict."""
+    tracer = _traced_run("deleter-n4")
+    assert _silent(tracer, ("cli.",)) == []
+    assert tracer.counts.get("verdicts") == 1
+
+
+def test_every_slide_span_records_a_call_over_a_slide_run():
+    """Over slide-n4-churn, every span records a call but the command
+    line's and those the benchmark's slide workloads declare idle.  This
+    covers slide-mode paths the deleter run never takes."""
+    idle = _load("workloads").SLIDE_IDLE + ("cli.",)
+    tracer = _traced_run("slide-n4-churn")
+    assert _silent(tracer, idle) == []

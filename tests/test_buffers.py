@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from slidenet.buffers import IncomingBuffer, OutgoingBuffer, SlotArray, Stored
 from slidenet.codec import Packet
-from slidenet.node import INTERNAL, NodeState
+from slidenet.node import INTERNAL, SENDER, NodeState
 from slidenet.util import InvariantError
 
 CAP = 8  # 2n for n=4
@@ -441,3 +441,132 @@ class TestReshuffle:
         before = sum(b.H for b in node.all_buffers())
         node.reshuffle()
         assert sum(b.H for b in node.all_buffers()) == before
+
+
+# -- re-shuffle against the list-based reference ---------------------------
+
+def _ref_pick(node, candidates, prefer_kind, cursor):
+    pool = [b for b in candidates if b.kind == prefer_kind] or candidates
+    bufs = node._buffers
+    for offset in range(len(bufs)):
+        idx = (cursor + offset) % len(bufs)
+        if bufs[idx] in pool:
+            return bufs[idx], (idx + 1) % len(bufs)
+
+
+def _ref_reshuffle(node):
+    """Re-shuffle as written before heights were tracked by index: every
+    pass rebuilds the candidate lists from the buffers' heights."""
+    total_drop = 0
+    bufs = node._buffers
+    if not bufs:
+        return 0
+    heights = [b.H for b in bufs]
+    if max(heights) == min(heights):
+        return 0
+    while True:
+        max_h = max(b.H for b in bufs)
+        donor, d_cursor = _ref_pick(node, [b for b in bufs if b.H >= max_h],
+                                    "in", node._rr_donor)
+        if donor.kind == "out":
+            pool = [b for b in node.out_buffers.values() if b is not donor]
+        else:
+            pool = [b for b in bufs if b is not donor]
+        if not pool:
+            break
+        min_h = min(b.H for b in pool)
+        recipient, r_cursor = _ref_pick(
+            node, [b for b in pool if b.H <= min_h], "out",
+            node._rr_recipient)
+        gap = max_h - min_h
+        ok = gap > 1 or (gap == 1 and donor.kind == "in"
+                         and recipient.kind == "out")
+        if not ok:
+            break
+        node._rr_donor, node._rr_recipient = d_cursor, r_cursor
+        item, src = donor.take_top()
+        if item is None:
+            raise InvariantError(
+                f"node {node.node_id}: re-shuffle picked the empty "
+                f"{donor.kind} buffer of peer {donor.peer}")
+        dst = recipient.put_top(item)
+        total_drop += src - dst
+    return total_drop
+
+
+@st.composite
+def reshuffle_inputs(draw):
+    """A node's role and size, then per buffer a height plus an optional
+    flagged packet (outgoing) or ghost slot (incoming), each in a layout
+    its `check()` accepts, then both cursors.  One buffer may be hollow:
+    its height kept, its packets gone, so re-shuffle can pick an empty
+    donor."""
+    n = draw(st.integers(3, 6))
+    node_id = draw(st.integers(0, n - 2))   # 0 is the sender, n-1 the receiver
+    cap = 2 * n
+    layouts = []
+    for kind in ["in"] * (n - 2 if node_id else 0) + ["out"] * (n - 2):
+        h = draw(st.integers(0, cap))
+        extra = None
+        if kind == "out" and h >= 1 and draw(st.booleans()):
+            # a flag above the top leaves a gap at the top
+            extra = draw(st.integers(1, cap))
+        elif kind == "in" and h < cap and draw(st.booleans()):
+            # a ghost slot just above the top or inside the stack
+            extra = draw(st.integers(1, h + 1))
+        layouts.append((h, extra))
+    n_bufs = len(layouts)
+    cursors = (draw(st.integers(0, n_bufs - 1)),
+               draw(st.integers(0, n_bufs - 1)))
+    hollow = draw(st.none() | st.integers(0, n_bufs - 1))
+    return n, node_id, layouts, cursors, hollow
+
+
+def _build_reshuffle_node(n, node_id, layouts, cursors, hollow):
+    role = SENDER if node_id == 0 else INTERNAL
+    node = NodeState(node_id, role, list(range(n)), 0, n - 1)
+    label = iter(range(10**6))
+    for i, (buf, (h, extra)) in enumerate(zip(node.all_buffers(), layouts)):
+        if buf.kind == "out":
+            occupied = list(range(1, h + 1))
+            if extra is not None and extra > h:
+                occupied = list(range(1, h)) + [extra]
+        else:
+            occupied = list(range(1, h + 1))
+            if extra is not None and extra <= h:
+                occupied = [s for s in range(1, h + 2) if s != extra]
+            buf.H_GP = extra
+        for s in occupied:
+            buf.slots.put(s, pkt(next(label)))
+        buf.H = h
+        if buf.kind == "out" and extra is not None:
+            buf.H_FP, buf.FR = extra, 1
+            buf.p_tilde = buf.slots.get(extra)
+        buf.check()
+        if i == hollow:
+            buf.slots.clear()
+    node._rr_donor, node._rr_recipient = cursors
+    return node
+
+
+def _reshuffle_outcome(node, reshuffle):
+    try:
+        result = reshuffle()
+    except (InvariantError, IndexError) as exc:
+        result = (type(exc), str(exc))
+    slots = [[None if s is None else s.packet.fragment_index
+              for s in b.slots._slots] for b in node.all_buffers()]
+    return (result, node._rr_donor, node._rr_recipient, slots,
+            [b.round_state()[:2] for b in node.all_buffers()])
+
+
+@settings(max_examples=400, deadline=None)
+@given(reshuffle_inputs())
+def test_reshuffle_matches_list_reference(inputs):
+    """The index-based re-shuffle moves the same packets between the same
+    buffers as the list-based reference, with the same drop, cursors and
+    errors, on internal and sender nodes with flags and ghost slots."""
+    node = _build_reshuffle_node(*inputs)
+    ref = _build_reshuffle_node(*inputs)
+    assert _reshuffle_outcome(node, node.reshuffle) == \
+        _reshuffle_outcome(ref, lambda: _ref_reshuffle(ref))
