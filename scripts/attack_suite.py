@@ -10,9 +10,10 @@ import argparse
 import time
 
 from slidenet import run_scenario
+from slidenet.adversary import BEHAVIORS
 from slidenet.scenarios import attack_scenario
 
-ATTACKS = ["deleter", "liar", "duplicator", "replacer", "report-forger"]
+ATTACKS = [name for name in BEHAVIORS if name != "honest"]
 
 
 def main():

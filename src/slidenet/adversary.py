@@ -275,16 +275,15 @@ class Behavior:
 
     def __init__(self, params=None):
         self.params = dict(params or {})
-        self.node = self.auth = None     # set once the node turns
+        self.auth = None     # set once the node turns
 
-    def attach(self, node, auth):
-        self.node = node
+    def attach(self, auth):
         self.auth = auth
 
     def round_state(self):
         """This behaviour's own state, by value."""
         return [(name, copy.copy(value)) for name, value in vars(self).items()
-                if name not in ("node", "auth", "params")]
+                if name not in ("auth", "params")]
 
     def suppress_output(self) -> bool:
         """Ghost nodes answer nothing on any edge."""

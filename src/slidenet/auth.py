@@ -435,8 +435,9 @@ class AuthNode:
 
     def round_state(self):
         """The fields the next round reads: broadcast-buffer entries and
-        their passed sets, the control channel, the ledgers, the
-        start-of-transmission stages and the data buffer.  The broadcast
+        their passed sets, the control channel, the ledgers, the last
+        fresh label per peer, the start-of-transmission stages and the
+        data buffer.  The broadcast
         buffer is summed up by its size, its count of additions and the
         sizes of its passed sets, which change with every entry added,
         removed or passed."""
@@ -448,7 +449,8 @@ class AuthNode:
         return (len(self.bb), self._seq,
                 sum(len(entry[1]) for entry in self.bb.values()),
                 tuple(self.cbp_out.values()), tuple(self.alpha_in.values()),
-                tuple(self.last_sent.values()), ledgers, self.sig_nn,
+                tuple(self.last_sent.values()), ledgers,
+                tuple(self.last_fresh.values()), self.sig_nn,
                 self._sot_done(self.current_T), len(self.bl), len(self.en),
                 len(self.claims))
 
@@ -574,8 +576,7 @@ class AuthNode:
             if missing is not None:
                 return (peer, self.bl[peer], missing)
         for (claimant, target, failed_T) in sorted(self.claims):
-            if claimant == peer and target in self.bl \
-                    and self.bl[target] == failed_T:
+            if claimant == peer and self.bl.get(target) == failed_T:
                 missing = self._missing_part(target, failed_T)
                 if missing is not None:
                     return (target, failed_T, missing)
@@ -595,10 +596,6 @@ class AuthNode:
             if key[0] == "reason" and key[1] == failed_T:
                 return signed.value.reason
         return None
-
-    def has_complete_report(self, origin, failed_T) -> bool:
-        return self._missing_part(origin, failed_T) is None \
-            and self._reason_for(failed_T) is not None
 
     def on_request(self, peer, alpha) -> None:
         self.alpha_in[peer] = alpha
@@ -635,7 +632,7 @@ class AuthNode:
                     rank = (4, 0)
                 elif parcel.origin not in self.bl:
                     continue
-            tie = (rank, seq, str(key))
+            tie = (rank, seq)
             if best_rank is None or tie < best_rank:
                 best_rank = tie
                 best = signed
@@ -680,8 +677,7 @@ class AuthNode:
         return self._absorb(parcel, inner, peer)
 
     def _note_claim(self, parcel) -> None:
-        if parcel.target in self.bl \
-                and self.bl[parcel.target] == parcel.failed_T:
+        if self.bl.get(parcel.target) == parcel.failed_T:
             self.claims.add((parcel.claimant, parcel.target,
                              parcel.failed_T))
 
@@ -728,17 +724,15 @@ class AuthNode:
             if parcel.T == self.current_T:
                 self._add_parcel(inner, mark_peer=peer)
                 if parcel.node in self.bl:
-                    self.bl.pop(parcel.node)
-                    self._prune_outdated(parcel.node, None)
+                    self._unblacklist(parcel.node)
         elif isinstance(parcel, KnowledgeParcel):
             self._note_claim(parcel)
         elif isinstance(parcel, StatusParcel):
-            if parcel.origin in self.bl \
-                    and self.bl[parcel.origin] == parcel.failed_T \
+            if self.bl.get(parcel.origin) == parcel.failed_T \
                     and self._status_shape_ok(parcel):
                 added = self._add_parcel(inner, mark_peer=peer)
-                if added and self.has_complete_report(parcel.origin,
-                                                      parcel.failed_T):
+                if added and self._missing_part(parcel.origin,
+                                                parcel.failed_T) is None:
                     know = KnowledgeParcel(self.node_id, parcel.origin,
                                            parcel.failed_T)
                     self._add_parcel(self.sign(know))
@@ -780,6 +774,11 @@ class AuthNode:
             del self.bb[key]
         self.claims = {c for c in self.claims
                        if c[1] != node or c[2] == keep_failed_T}
+
+    def _unblacklist(self, node) -> None:
+        """Take `node` off the blacklist, with all status data about it."""
+        del self.bl[node]
+        self._prune_outdated(node, None)
 
     # -- own status report ----------------------------------------------------
 
@@ -950,7 +949,7 @@ class SenderAuth(AuthNode):
 
     def _on_status_parcel(self, parcel: StatusParcel, inner) -> list:
         origin, failed_T = parcel.origin, parcel.failed_T
-        if origin not in self.bl or self.bl[origin] != failed_T:
+        if self.bl.get(origin) != failed_T:
             return []
         record = self.failure_records.get(failed_T)
         if record is None:
@@ -969,8 +968,7 @@ class SenderAuth(AuthNode):
         events = []
         if self._report_complete(origin, failed_T, record):
             self._add_parcel(self.sign(RemoveParcel(origin, self.current_T)))
-            del self.bl[origin]
-            self.claims = {c for c in self.claims if c[1] != origin}
+            self._unblacklist(origin)
             done = [fT for fT in self.failure_records
                     if self._all_reports_complete(fT)]
             if done:

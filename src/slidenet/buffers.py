@@ -148,8 +148,8 @@ class OutgoingBuffer(Buffer):
         return [self.kind, self.peer, self.H, self.H_FP, self.flag_accepted]
 
     def round_state(self):
-        """The fields the next round reads; the slots change only with
-        them or with an event the engine sees."""
+        """The fields the next round reads; the slots change only along
+        with them."""
         return (self.H, self.H_FP, self.FR, self.RR, self.H_IN, self.sb,
                 self.d, self.p_tilde, self.flag_accepted)
 
@@ -304,8 +304,8 @@ class IncomingBuffer(Buffer):
         return [self.kind, self.peer, self.H, self.H_GP, False]
 
     def round_state(self):
-        """The fields the next round reads; the slots change only with
-        them or with an event the engine sees."""
+        """The fields the next round reads; the slots change only along
+        with them."""
         return (self.H, self.H_GP, self.RR, self.H_OUT, self.sb_OUT)
 
     def _take_height(self) -> int:

@@ -229,7 +229,7 @@ class Engine:
     def _activate_behaviors(self):
         for node, (act, beh) in self.corrupt_nodes.items():
             if self.g_round >= act and beh.auth is None:
-                beh.attach(self.nodes[node], self.auth[node])
+                beh.attach(self.auth[node])
                 self.auth[node].attach_behavior(beh)
                 self._behavior[node] = beh
                 self._emit("corrupt", node=node, behavior=beh.name)
@@ -314,8 +314,7 @@ class Engine:
         while r <= self.L:
             self.r_local = r
             self.g_round = (self.T - 1) * self.L + r
-            self._busy = False        # set by sends, hops, confirmations,
-                                      # acceptances and re-shuffle moves
+            self._confirmed = False   # set by a stage-1 confirmation
             self._activate_behaviors()
             self._refresh_delivery()
             self._stage1()
@@ -335,9 +334,13 @@ class Engine:
     # followed by a round with the same schedule mask, repeats itself until
     # the mask changes or a scheduled event comes due, so the engine
     # advances over that stretch in one step (next-event time advance).
+    # Comparing `_round_state()` with the previous round's proves a round
+    # quiet.  The one event flag, a confirmation, only spares taking the
+    # state in rounds that almost never repeat.
 
     def _round_state(self):
-        """Every field the next round reads, by value."""
+        """Every field the next round reads, by value: equal states at
+        the end of two rounds on one mask prove the second quiet."""
         state = [node.round_state() for node in self.nodes.values()]
         if self.auth_mode:
             state += [a.round_state() for a in self.auth.values()]
@@ -346,12 +349,12 @@ class Engine:
 
     def _fixed_point(self) -> bool:
         """Whether round r_local left the state as it found it, with round
-        r_local + 1 on the same mask.  The cheap tests come first: the
-        mask, then the round's events.  Only a round that passes both has
+        r_local + 1 on the same mask.  The cheap tests come first: no
+        confirmation, then the mask.  Only a round that passes both has
         its state taken, and compared with the previous round's, which
-        must have passed them too."""
+        must have passed them too; that comparison decides."""
         g = self.g_round
-        if self._busy or self.r_local + 1 >= self.L \
+        if self._confirmed or self.r_local + 1 >= self.L \
                 or self.schedule.mask(g + 1) != self._mask:
             self._quiet_prev = None
             return False
@@ -422,7 +425,7 @@ class Engine:
                 reply = auth_a.verify_stage1_reply(ob, signed, T, r)
             confirmed, height, slide = ob.fold_reply(reply)
             if confirmed is not None:
-                self._busy = True
+                self._confirmed = True
                 if auth_mode:
                     auth_a.sync_on_confirm(ob, signed, height, slide, T, r)
                     self._check_ledger_pairing(a, b)
@@ -489,7 +492,6 @@ class Engine:
                                                    stored=substitute)
             else:
                 sends[i] = (ob.p_tilde, ob.FR)
-            self._busy = True
 
         insert_gain = 0
         inserted = False
@@ -505,7 +507,6 @@ class Engine:
                     parsed = auth_b.verify_packet_msg(ib, msg, T, r)
             res = ib.receive(parsed, r, blocked=blocked)
             if res[0] == "accept":
-                self._busy = True
                 _, stored, land = res
                 if auth_mode:
                     auth_b.sync_on_accept(ib, msg, stored, land, T, r)
@@ -537,8 +538,6 @@ class Engine:
             parcel = ax.choose_parcel(y)
             if parcel is not None:
                 chosen.append((x, y, ay, ax.wrap_hop(parcel, T, r)))
-        if chosen:
-            self._busy = True
         events = []
         for x, y, ay, hop in chosen:
             for ev in ay.on_parcel(x, hop, T, r):
@@ -601,8 +600,6 @@ class Engine:
                 if self.auth_mode and not self.auth[i].sot_complete():
                     continue
                 drop = node.reshuffle()
-                if drop:
-                    self._busy = True
                 if self.auth_mode:
                     self.auth[i].add_local_drop(drop)
             elif node.role == RECEIVER:

@@ -16,8 +16,8 @@ def cached_run(cache, key, scenario):
 
 # attributes that point at shared or fixed objects (the key ring, keys,
 # back-references, hooks), not at state a round changes
-_SNAPSHOT_SKIP = frozenset({"ring", "key", "node", "auth", "report_hook",
-                            "params", "owner"})
+_SNAPSHOT_SKIP = frozenset({"ring", "key", "auth", "report_hook", "params",
+                            "owner"})
 
 
 def _keep(obj):

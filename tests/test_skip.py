@@ -38,9 +38,10 @@ ATTACKS = {
 
 COMPLETE_N4 = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
-# the two stops the other scenarios never reach: a behaviour that turns in
-# the middle of a quiet stretch, and a mask that holds for 700 rounds at a
-# time and then changes
+# the stops the other scenarios never reach: a behaviour that turns in the
+# middle of a quiet stretch, and a mask that holds for 700 rounds at a time
+# and then changes, once with every node live and once with a silent ghost
+# that every live node keeps sending the same parcel
 EXTRA = {
     "late-deleter": lambda: Scenario(
         n=4, mode="auth", messages=1, schedule_kind="static",
@@ -49,6 +50,11 @@ EXTRA = {
         seed=0, trace=True),
     "scripted-runs": lambda: Scenario(
         n=4, mode="auth", messages=1, schedule_kind="scripted",
+        schedule_script=[COMPLETE_N4] * 700 + [THIN_LINE_N4[0]] * 700,
+        backbone=[0, 1, 3], seed=0, trace=True),
+    "ghost-scripted-runs": lambda: Scenario(
+        n=4, mode="auth", messages=1, schedule_kind="scripted",
+        corruptions=[Corruption(node=2, round_index=1, behavior="ghost")],
         schedule_script=[COMPLETE_N4] * 700 + [THIN_LINE_N4[0]] * 700,
         backbone=[0, 1, 3], seed=0, trace=True),
 }
@@ -106,9 +112,11 @@ def test_skip_matches_every_round_stops(monkeypatch, name):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(ATTACKS))
 def test_skip_matches_every_round_attacks(monkeypatch, name):
-    # attack-ghost-n5 skips nothing: a parcel hop towards the silent ghost
-    # repeats every round, and a hop is an event
-    _check_equivalent(monkeypatch, ATTACKS[name])
+    skipped = _check_equivalent(monkeypatch, ATTACKS[name])
+    if name == "attack-ghost-n5":
+        # the parcel hop towards the silent ghost repeats every round, and
+        # leaves the state as it found it
+        assert skipped >= 27000
 
 
 def test_quiet_stretch_stops_before_scheduled_events(monkeypatch):
@@ -198,6 +206,7 @@ FIELDS = {
     "auth.cbp_out": lambda e: _put(e.auth[1].cbp_out, 0, NEW),
     "auth.alpha_in": lambda e: _put(e.auth[1].alpha_in, 0, NEW),
     "auth.last_sent": lambda e: _put(e.auth[1].last_sent, 0, NEW),
+    "auth.last_fresh": lambda e: _put(e.auth[1].last_fresh, 0, NEW),
     "auth.ledger": lambda e: _set(_first(e.auth[1].in_led).sig1, "value",
                                   NEW),
     "auth.sigp": lambda e: _put(_first(e.auth[1].in_led).sigp, NEW, None),
