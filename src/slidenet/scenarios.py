@@ -1,9 +1,14 @@
-"""Scenario builders shared by the tests and the experiment scripts."""
+"""The scenario families that the tests and `scripts/bounds.py` share:
+each maps a node count n to the scenarios that check the paper's bounds at
+that n, with the seeds and churn rates the acceptance suite checks."""
 
 from __future__ import annotations
 
-from .adversary import Corruption
+from .adversary import BEHAVIORS, Corruption
+from .codec import derive_params
 from .engine import Scenario
+
+ATTACKERS = [name for name in BEHAVIORS if name != "honest"]
 
 
 def line_script(n):
@@ -31,3 +36,32 @@ def attack_scenario(n, behaviors, messages=1, max_transmissions=None):
         max_transmissions=max_transmissions,
         schedule_kind="scripted", schedule_script=line_script(n),
         backbone=[0, 1, n - 1], corruptions=corruptions)
+
+
+def honest_churn(n, seed):
+    """One message routed by plain Slide under churn p=0.3 at `seed`."""
+    return Scenario(n=n, mode="slide", messages=1, schedule_kind="churn",
+                    schedule_p=0.3, schedule_seed=seed, seed=seed)
+
+
+def throughput_mix(n):
+    """x = n^2 + 10 auth transmissions over churn p=0.15 at seed 5, with a
+    deleter at node 1 from round 1 and a duplicator at node 2 from round
+    3L, the end of transmission 3: the paper's throughput setting, in
+    which at least x - n^2 messages arrive."""
+    x = n * n + 10
+    length = 4 * derive_params(n, "3/8").packets_per_codeword
+    return Scenario(
+        n=n, mode="auth", messages=x, max_transmissions=x,
+        schedule_kind="churn", schedule_p=0.15, schedule_seed=5,
+        backbone=[0, n - 1],
+        corruptions=[Corruption(1, 1, "deleter"),
+                     Corruption(2, 3 * length, "duplicator")])
+
+
+FAMILIES = {
+    "honest": lambda n: [honest_churn(n, seed) for seed in range(20)],
+    "attack": lambda n: [attack_scenario(n, {2: name})
+                         for name in ATTACKERS],
+    "throughput": lambda n: [throughput_mix(n)],
+}

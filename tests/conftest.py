@@ -3,11 +3,14 @@ import pytest
 
 @pytest.fixture(scope="session")
 def run_cache():
-    """Session-wide cache so acceptance tests can share expensive runs."""
+    """Session-wide cache so tests can share expensive runs."""
     return {}
 
 
-def cached_run(cache, key, scenario):
+def cached_run(cache, scenario):
+    """`run_scenario(scenario)`, once per session for each scenario: two
+    equal scenarios have the same `digest()`, which leaves out `trace`."""
+    key = (scenario.digest(), scenario.trace)
     if key not in cache:
         from slidenet.engine import run_scenario
         cache[key] = run_scenario(scenario)

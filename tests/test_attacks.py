@@ -4,10 +4,16 @@ budget, and no honest casualties (the engine raises on those)."""
 
 import pytest
 
-from slidenet.engine import run_scenario
+from conftest import cached_run
 from slidenet.scenarios import attack_scenario
+from test_acceptance import GHOST
 
 pytestmark = pytest.mark.slow
+
+
+def recovery_scenario():
+    return attack_scenario(4, {2: "deleter"}, messages=2,
+                           max_transmissions=12)
 
 
 def failures_before_elimination(report):
@@ -29,9 +35,8 @@ class TestSingleAttacker:
         ("replacer", {"F4-duplication"}),
         ("report-forger", {"pairwise-inconsistency", "malformed-report"}),
     ])
-    def test_attacker_eliminated(self, behavior, expected_kinds):
-        sc = attack_scenario(4, {2: behavior}, messages=1)
-        report, eng = run_scenario(sc)
+    def test_attacker_eliminated(self, behavior, expected_kinds, run_cache):
+        report, eng = cached_run(run_cache, attack_scenario(4, {2: behavior}))
         results = [t["result"] for t in report["transmissions"]]
         assert len(report["delivered"]) == 1, results
         # every failed transmission carries exactly one recognized reason
@@ -42,20 +47,16 @@ class TestSingleAttacker:
         assert elim[0]["kind"] in expected_kinds
         assert all(span <= 4 for span in failures_before_elimination(report))
 
-    def test_recovery_after_elimination(self):
-        sc = attack_scenario(4, {2: "deleter"}, messages=2,
-                             max_transmissions=12)
-        report, eng = run_scenario(sc)
+    def test_recovery_after_elimination(self, run_cache):
+        report, eng = cached_run(run_cache, recovery_scenario())
         assert [d["message"] for d in report["delivered"]] == [1, 2]
         results = [t["result"] for t in report["transmissions"]]
         assert results.count("ok") >= 2
 
 
 @pytest.fixture(scope="module")
-def ghost_outcome():
-    sc = attack_scenario(5, {2: "deleter", 3: "ghost"}, messages=1,
-                         max_transmissions=14)
-    return run_scenario(sc)
+def ghost_outcome(run_cache):
+    return cached_run(run_cache, GHOST[5]())
 
 
 class TestGhost:
@@ -81,8 +82,7 @@ class TestAdversarialTrace:
     def test_trace_audit_passes_for_honest_nodes(self, tmp_path):
         import json
         from slidenet.cli import main
-        sc = attack_scenario(4, {2: "deleter"}, messages=1)
-        sc.trace = True
+        sc = attack_scenario(4, {2: "deleter"})
         path = tmp_path / "attack.json"
         path.write_text(json.dumps(sc.to_dict()))
         out = tmp_path / "out"

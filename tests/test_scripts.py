@@ -1,36 +1,58 @@
-"""Smoke test for scripts/: each script's main() runs to the end at its
-smallest arguments, so a change to the scenario API the scripts build on
-cannot break one of them unnoticed."""
+"""scripts/bounds.py: each scenario family runs to the end within every
+bound, a limit planted below its measured value exits 4, and a
+configuration error exits 2.  Runs go through the session's run cache, so
+the scenarios the acceptance suite already ran are not run again."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from conftest import cached_run
+from slidenet.scenarios import FAMILIES
 
-# script -> (smallest arguments, a line its output must contain)
-CASES = {
-    "honest_sweep.py": (["--n", "4", "--seeds", "1"], "median delivery"),
-    "attack_suite.py": (["--n", "4"], "=== report-forger (n=4"),
-    "throughput_experiment.py": (["--n", "4"], "delivered"),
-}
-SLOW = {"throughput_experiment.py"}     # ~10 s: 26 auth transmissions
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_every_script_has_a_case():
-    assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(CASES)
+    assert [p.name for p in SCRIPTS.glob("*.py")] == ["bounds.py"]
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=[pytest.mark.slow] if name in SLOW else [])
-    for name in sorted(CASES)])
-def test_script_main_runs(name, monkeypatch, capsys):
-    argv, expect = CASES[name]
-    spec = importlib.util.spec_from_file_location(name[:-3], SCRIPTS / name)
+@pytest.fixture
+def bounds(monkeypatch, run_cache):
+    spec = importlib.util.spec_from_file_location("bounds",
+                                                  SCRIPTS / "bounds.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [name] + argv)
-    module.main()
-    assert expect in capsys.readouterr().out
+    monkeypatch.setattr(module, "run_scenario",
+                        lambda sc: cached_run(run_cache, sc))
+    return module
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(name, marks=[pytest.mark.slow] if name == "throughput"
+                 else []) for name in sorted(FAMILIES)])
+def test_bounds_family_within_limits(bounds, family, capsys):
+    assert bounds.main(["--family", family, "--n", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "wasted rounds per transmission" in out and " > " not in out
+
+
+def test_bounds_limit_exceeded_exits_4(bounds, monkeypatch, capsys):
+    # the attack family holds exactly D+3 = 1027 signatures on an edge
+    name, measure = "signatures per edge", bounds.measure
+
+    def planted(report, eng):
+        table = measure(report, eng)
+        table[name] = (table[name][0] - 1, table[name][1])
+        return table
+
+    monkeypatch.setattr(bounds, "measure", planted)
+    assert bounds.main(["--family", "attack", "--n", "4"]) == 4
+    assert f"{name:<32}  1027 > 1026" in capsys.readouterr().out
+
+
+def test_bounds_config_error_exits_2(bounds, capsys):
+    assert bounds.main(["--family", "attack", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1

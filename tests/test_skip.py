@@ -1,6 +1,6 @@
 """The quiet-round skip against the round-by-round engine.
 
-Every golden scenario and every scenario of test_attacks.py runs twice:
+Every golden scenario and every attack scenario below runs twice:
 as shipped, and with `Engine._fixed_point` patched to answer False, so
 that every round runs.  At the end of every skipped stretch the skipping
 run's whole state (`engine_snapshot`) must equal the other run's after the
@@ -12,27 +12,20 @@ import pytest
 from conftest import engine_snapshot
 from slidenet.adversary import Corruption
 from slidenet.engine import Engine, Scenario, run_scenario
-from slidenet.scenarios import attack_scenario
+from slidenet.scenarios import ATTACKERS, attack_scenario
+from test_acceptance import GHOST
+from test_attacks import recovery_scenario
 from test_golden import SCENARIOS as GOLDEN
 from test_golden import THIN_LINE_N4
 
 
-def _attack_traced(n, behaviors, **kwargs):
-    sc = attack_scenario(n, behaviors, **kwargs)
-    sc.trace = True
-    return sc
-
-
-# the scenarios test_attacks.py runs
+# every golden case is traced, so the n=4 attacks run here untraced, with
+# the two test_attacks.py runs that no golden case covers
 ATTACKS = {
-    **{f"attack-{b}": (lambda b=b: attack_scenario(4, {2: b}, messages=1))
-       for b in ("deleter", "liar", "duplicator", "replacer",
-                 "report-forger")},
-    "attack-recovery": lambda: attack_scenario(
-        4, {2: "deleter"}, messages=2, max_transmissions=12),
-    "attack-ghost-n5": lambda: attack_scenario(
-        5, {2: "deleter", 3: "ghost"}, messages=1, max_transmissions=14),
-    "attack-traced": lambda: _attack_traced(4, {2: "deleter"}, messages=1),
+    **{f"attack-{b}": (lambda b=b: attack_scenario(4, {2: b}))
+       for b in ATTACKERS},
+    "attack-recovery": recovery_scenario,
+    "attack-ghost-n5": GHOST[5],
 }
 
 
