@@ -14,6 +14,7 @@ import time
 from slidenet import run_scenario
 from slidenet.adversary import ConfigError
 from slidenet.codec import CodecError
+from slidenet.engine import FAILED_RESULTS
 from slidenet.scenarios import FAMILIES
 
 
@@ -21,7 +22,7 @@ def measure(report, eng):
     """bound -> (its limit, the values one run measures), with the
     formulas tests/test_acceptance.py asserts."""
     n, D, ts = eng.n, eng.D, report["transmissions"]
-    failed = [t["T"] for t in ts if t["result"] in ("f2", "f3", "f4")]
+    failed = [t["T"] for t in ts if t["result"] in FAILED_RESULTS]
     memory = report.get("memory", {})
     slide = eng.sc.mode == "slide"
     return {

@@ -153,6 +153,12 @@ class OutgoingBuffer(Buffer):
         return (self.H, self.H_FP, self.FR, self.RR, self.H_IN, self.sb,
                 self.d, self.p_tilde, self.flag_accepted)
 
+    def is_empty(self) -> bool:
+        """No packet, no flagged copy, and nothing to re-send or to learn
+        about a send."""
+        return self.H == 0 and self.H_FP is None and self.sb == 0 \
+            and self.d == 0
+
     def _take_height(self) -> int:
         # the top packet, skipping a flagged one at or above the top
         if self.H_FP is not None and self.H_FP >= self.H:
@@ -308,6 +314,9 @@ class IncomingBuffer(Buffer):
         with them."""
         return (self.H, self.H_GP, self.RR, self.H_OUT, self.sb_OUT)
 
+    def is_empty(self) -> bool:
+        return self.H == 0
+
     def _take_height(self) -> int:
         # the top packet, which sits one higher above a ghost gap
         if self.H + 1 <= self.capacity and self.slots.get(self.H + 1) is not None:
@@ -345,6 +354,12 @@ class IncomingBuffer(Buffer):
         else:
             self.sb_OUT = 0
             self.H_OUT = h
+
+    def idle_ghost(self, heard: bool) -> None:
+        """The ghost slot `receive` leaves in a round in which this buffer
+        and the peer's outgoing one are empty: slot 1 is reserved exactly
+        when the peer's advertisement did not arrive."""
+        self.H_GP = None if heard else 1
 
     # -- stage 2 --------------------------------------------------------
 

@@ -22,7 +22,8 @@ import sys
 from .adversary import ConfigError, Corruption
 from .buffers import stack_potential
 from .codec import CodecError
-from .engine import (ConformingError, Engine, InvariantError, Scenario)
+from .engine import (FAILED_RESULTS, ConformingError, Engine, InvariantError,
+                     Scenario)
 from .localize import LocalizationError
 
 EXIT_OK = 0
@@ -93,9 +94,11 @@ def cmd_run(args) -> int:
         if sink is not None:
             sink.commit()
     delivered = len(report["delivered"])
+    failed = sum(t["result"] in FAILED_RESULTS
+                 for t in report["transmissions"])
     print(f"delivered {delivered}/{report['messages_requested']} messages "
           f"in {len(report['transmissions'])} transmissions; "
-          f"{len(report['failures'])} failed; "
+          f"{failed} failed; "
           f"{len(report['eliminations'])} eliminations")
     return EXIT_OK
 

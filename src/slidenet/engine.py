@@ -24,6 +24,12 @@ from .node import INTERNAL, RECEIVER, SENDER, NodeState
 from .util import InvariantError, digest
 
 
+# the transmission results that count against the paper's failure budgets
+# (n per elimination, n^2 in all); a transmission that ends in an
+# elimination is not one of them
+FAILED_RESULTS = ("f2", "f3", "f4")
+
+
 class ConformingError(RuntimeError):
     def __init__(self, violation):
         super().__init__(str(violation))
@@ -323,7 +329,9 @@ class Engine:
             if not self.auth_mode \
                     and len(self.delivered) >= self.sc.messages:
                 break
-            if self._fixed_point():
+            if self._network_empty():
+                self._skip_empty()
+            elif self._fixed_point():
                 self._skip_quiet()
             r = self.r_local + 1
         self._end_transmission()
@@ -380,16 +388,81 @@ class Engine:
         skipped = stop - 1 - r0
         if skipped <= 0:
             return
-        tm = self.tm
-        tm["blocked"] += skipped * self._round_blocked
-        tm["wasted"] += skipped * self._round_wasted
-        tm["beta"] += skipped * self._round_beta
         if self.trace is not None:
             row = self._state_row
             for i in range(1, skipped):
                 self.trace.append(dict(row, g=g0 + i, r=r0 + i))
         self.r_local, self.g_round = stop - 1, g0 + skipped
+        self._end_stretch(skipped)
+
+    def _end_stretch(self, skipped):
+        """The tail both advances share, once the state is the last
+        skipped round's: the per-transmission counters grow by that
+        round's increments times the stretch, and the invariant checks
+        run once."""
+        tm = self.tm
+        tm["blocked"] += skipped * self._round_blocked
+        tm["wasted"] += skipped * self._round_wasted
+        tm["beta"] += skipped * self._round_beta
         self._check_round(rounds=skipped)
+
+    # -- empty-network rounds ----------------------------------------------------
+    #
+    # A slide transmission runs its full L rounds, also after the receiver
+    # has decoded its message.  Once that message is delivered and the
+    # reservoir and every buffer are empty, a round moves no packet and
+    # sets only the per-edge stage-1 registers (`H_IN`, `RR`, `H_OUT`,
+    # `sb_OUT`, `H_GP`), each from whether its edge delivers on that
+    # round's mask, so the engine advances to round L in one step.  Auth
+    # mode is left out: its empty rounds still move the control channel
+    # and the broadcast state.
+
+    def _network_empty(self) -> bool:
+        """Whether slide round r_local left the transmission's message
+        delivered and the reservoir and every buffer empty.  The cheap
+        tests come first, so auth mode and the transmission that carries
+        the last message never scan the buffers."""
+        if self.auth_mode or len(self.delivered) < self.tm["message"]:
+            return False
+        return not self.nodes[self.S].reservoir and all(
+            buf.is_empty() for node in self.nodes.values()
+            for buf in node.all_buffers())
+
+    def _skip_empty(self):
+        """Advance over rounds r_local+1 .. L of an empty network, leaving
+        the registers as round L leaves them: through the buffers' own
+        stage-1 folds, stage-2 `receive` of no packet and the receiver's
+        drain, on round L's delivery.  A traced run first writes the state
+        row of each round before L from that round's ghost slots, the only
+        registers a row reads.  An empty round inserts, blocks and wastes
+        nothing, so the counters do not grow."""
+        r0, base = self.r_local, self.g_round - self.r_local
+        skipped = self.L - r0
+        if skipped <= 0:
+            return
+        self._round_gain = 0
+        self._round_blocked = self._round_wasted = self._round_beta = False
+        if self.trace is not None:
+            # the receiver's drain clears its own ghost slots every round
+            ghosts = [(ib, ab) for _, b, _, ib, _, _, ab, _ in self.channels
+                      if b != self.R]
+            for r in range(r0 + 1, self.L):
+                self.r_local, self.g_round = r, base + r
+                self._refresh_delivery()
+                for ib, ab in ghosts:
+                    ib.idle_ghost(self._delivery[ab])
+                rows = self._buffer_rows()
+                self._emit_state_row(self._potential(rows)[0], rows)
+        self.r_local, self.g_round = self.L, base + self.L
+        self._refresh_delivery()
+        delivery = self._delivery
+        for _, _, ob, ib, _, _, ab, ba in self.channels:
+            ib.fold_stage1(ob.stage1_msg() if delivery[ab] else None)
+            ob.fold_reply((ib.H, ib.RR) if delivery[ba] else None)
+            ib.receive(None, self.L)
+        for ib in self.nodes[self.R].in_buffers.values():
+            ib.reset()
+        self._end_stretch(skipped)
 
     # -- stage 1 ---------------------------------------------------------------
 
@@ -675,11 +748,8 @@ class Engine:
         if level == "off" and self.trace is None:
             return
         honest_run = not self.corrupt_nodes
-        rows = None
-        if self.trace is not None:
-            # one row pass serves both the potential and the state row
-            rows = {i: [buf.row() for buf in self.nodes[i].all_buffers()]
-                    for i in self.ids}
+        # one row pass serves both the potential and the state row
+        rows = self._buffer_rows() if self.trace is not None else None
         phi_nd, phi_dup = self._potential(rows)
         if level != "off":
             for i in self.ids:
@@ -706,6 +776,11 @@ class Engine:
         self._phi_prev = phi_nd
         if rows is not None:
             self._emit_state_row(phi_nd, rows)
+
+    def _buffer_rows(self):
+        """Each node id -> its buffers' `row()`s."""
+        return {i: [buf.row() for buf in self.nodes[i].all_buffers()]
+                for i in self.ids}
 
     def _emit_state_row(self, phi_nd, rows):
         nodes = {str(i): rows[i] for i in self.ids}

@@ -5,6 +5,7 @@ budget, and no honest casualties (the engine raises on those)."""
 import pytest
 
 from conftest import cached_run
+from slidenet.engine import FAILED_RESULTS
 from slidenet.scenarios import attack_scenario
 from test_acceptance import GHOST
 
@@ -20,7 +21,7 @@ def failures_before_elimination(report):
     """Failed transmissions between the first failure and each
     elimination, inclusive."""
     fail_ts = [t["T"] for t in report["transmissions"]
-               if t["result"] in ("f2", "f3", "f4")]
+               if t["result"] in FAILED_RESULTS]
     spans = []
     for e in report["eliminations"]:
         spans.append(len([T for T in fail_ts if T <= e["T"]]))

@@ -8,6 +8,7 @@ from slidenet.adversary import Corruption
 from slidenet.cli import main
 from slidenet.engine import Scenario
 from slidenet.node import NodeState
+from test_golden import SCENARIOS
 
 
 def write(path, data):
@@ -128,6 +129,23 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("configuration error:")
+
+    def test_summary_counts_classified_failures(self, tmp_path, capsys):
+        """The golden deleter run ends f3, eliminated, ok: one failure
+        against the paper's budgets, though `report.json` lists both
+        transmissions that are not ok."""
+        scenario = SCENARIOS["deleter-n4"]()
+        scenario.trace = False
+        path = write(tmp_path / "deleter.json", scenario.to_dict())
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "delivered 1/1 messages in 3 transmissions; 1 failed; "
+            "1 eliminations\n")
+        report = json.loads((out / "report.json").read_text())
+        assert [t["result"] for t in report["transmissions"]] == [
+            "f3", "eliminated", "ok"]
+        assert report["failures"] == [1, 2]
 
     def test_determinism_byte_identical(self, tmp_path, honest_scenario):
         outs = []

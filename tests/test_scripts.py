@@ -3,15 +3,10 @@ bound, a limit planted below its measured value exits 4, and a
 configuration error exits 2.  Runs go through the session's run cache, so
 the scenarios the acceptance suite already ran are not run again."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-from conftest import cached_run
+from conftest import SCRIPTS, cached_run, load_bounds
 from slidenet.scenarios import FAMILIES
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_every_script_has_a_case():
@@ -20,10 +15,7 @@ def test_every_script_has_a_case():
 
 @pytest.fixture
 def bounds(monkeypatch, run_cache):
-    spec = importlib.util.spec_from_file_location("bounds",
-                                                  SCRIPTS / "bounds.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_bounds()
     monkeypatch.setattr(module, "run_scenario",
                         lambda sc: cached_run(run_cache, sc))
     return module

@@ -1,10 +1,12 @@
-"""The quiet-round skip against the round-by-round engine.
+"""The quiet-round skip and the empty-network advance against the
+round-by-round engine.
 
 Every golden scenario and every attack scenario below runs twice:
-as shipped, and with `Engine._fixed_point` patched to answer False, so
-that every round runs.  At the end of every skipped stretch the skipping
-run's whole state (`engine_snapshot`) must equal the other run's after the
-same round, and the two runs' reports and traces must be equal.
+as shipped, and with `Engine._fixed_point` and `Engine._network_empty`
+patched to answer False, so that every round runs.  At the end of every
+skipped stretch the skipping run's whole state (`engine_snapshot`) must
+equal the other run's after the same round, and the two runs' reports and
+traces must be equal.
 """
 
 import pytest
@@ -53,19 +55,26 @@ EXTRA = {
 }
 
 
+SKIPS = ("_skip_quiet", "_skip_empty")
+
+
 def _check_equivalent(monkeypatch, make):
-    """Run `make()` with and without the skip and compare them; returns
-    how many rounds the skip advanced over."""
+    """Run `make()` with and without the skips and compare them; returns
+    how many rounds each skip (by method name) advanced over."""
     at_end = {}
-    skip_quiet = Engine._skip_quiet
 
-    def recording_skip(self):
-        before = self.g_round
-        skip_quiet(self)
-        at_end[self.g_round] = (self.g_round - before,
-                                engine_snapshot(self))
+    def recording(name):
+        skip = getattr(Engine, name)
 
-    monkeypatch.setattr(Engine, "_skip_quiet", recording_skip)
+        def recording_skip(self):
+            before = self.g_round
+            skip(self)
+            at_end[self.g_round] = (name, self.g_round - before,
+                                    engine_snapshot(self))
+        return recording_skip
+
+    for name in SKIPS:
+        monkeypatch.setattr(Engine, name, recording(name))
     report, engine = run_scenario(make())
     monkeypatch.undo()
 
@@ -78,38 +87,133 @@ def _check_equivalent(monkeypatch, make):
             seen[self.g_round] = engine_snapshot(self)
 
     monkeypatch.setattr(Engine, "_fixed_point", lambda self: False)
+    monkeypatch.setattr(Engine, "_network_empty", lambda self: False)
     monkeypatch.setattr(Engine, "_post_round", recording_post_round)
     ref_report, ref = run_scenario(make())
     monkeypatch.undo()
 
     assert sorted(seen) == sorted(at_end)
-    for g, (_, snapshot) in sorted(at_end.items()):
+    for g, (_, _, snapshot) in sorted(at_end.items()):
         assert snapshot == seen[g], f"state differs after round {g}"
     assert report == ref_report
     assert engine.trace == ref.trace
-    return sum(skipped for skipped, _ in at_end.values())
+    skipped = dict.fromkeys(SKIPS, 0)
+    for name, rounds, _ in at_end.values():
+        skipped[name] += rounds
+    return skipped
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_skip_matches_every_round_golden(monkeypatch, name):
     skipped = _check_equivalent(monkeypatch, GOLDEN[name])
     if name == "auth-n4-static":
-        assert skipped > 3000
+        assert skipped["_skip_quiet"] > 3000
+    # each traced slide run's first transmission ends in an empty network;
+    # auth mode never advances over one
+    assert (skipped["_skip_empty"] > 0) == name.startswith("slide")
 
 
 @pytest.mark.parametrize("name", sorted(EXTRA))
 def test_skip_matches_every_round_stops(monkeypatch, name):
-    assert _check_equivalent(monkeypatch, EXTRA[name]) > 0
+    assert _check_equivalent(monkeypatch, EXTRA[name])["_skip_quiet"] > 0
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(ATTACKS))
 def test_skip_matches_every_round_attacks(monkeypatch, name):
     skipped = _check_equivalent(monkeypatch, ATTACKS[name])
+    assert skipped["_skip_empty"] == 0
     if name == "attack-ghost-n5":
         # the parcel hop towards the silent ghost repeats every round, and
         # leaves the state as it found it
-        assert skipped >= 27000
+        assert skipped["_skip_quiet"] >= 27000
+
+
+# -- empty-network stretches -------------------------------------------------
+
+def benchmark_slide():
+    """The scenario of the benchmark's traced slide workload at seed 0:
+    n=5, churn p=0.3, 3 messages; run here untraced."""
+    return Scenario(n=5, mode="slide", messages=3, schedule_kind="churn",
+                    schedule_p=0.3, schedule_seed=0, seed=0)
+
+
+def test_empty_stretch_untraced_matches_every_round(monkeypatch):
+    """The golden slide runs are traced, so their advance sets the
+    registers for every skipped round; an untraced one sets them once per
+    stretch, for round L only."""
+    assert _check_equivalent(monkeypatch, benchmark_slide)["_skip_empty"] > 0
+
+
+def test_benchmark_slide_runs_few_rounds(monkeypatch):
+    """Only the rounds before each network empties run: at most 2,500 of
+    the scenario's 12,526."""
+    stage2 = Engine._stage2
+    executed = []
+
+    def counting_stage2(self):
+        executed.append(self.g_round)
+        stage2(self)
+
+    monkeypatch.setattr(Engine, "_stage2", counting_stage2)
+    report, engine = run_scenario(benchmark_slide())
+    assert [d["message"] for d in report["delivered"]] == [1, 2, 3]
+    assert engine.g_round == 12526
+    assert len(executed) <= 2500
+
+
+class _Empty(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def empty_engine():
+    """The benchmark slide engine, stopped at its first empty network."""
+    engine = Engine(benchmark_slide())
+
+    def stop(self):
+        raise _Empty
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_skip_empty", stop)
+        with pytest.raises(_Empty):
+            engine.run()
+    return engine
+
+
+def _buffers(engine, kind):
+    return [b for node in engine.nodes.values() for b in node.all_buffers()
+            if b.kind == kind]
+
+
+# each case sets one field, on every buffer of a kind in turn
+EMPTY_FIELDS = {
+    **{f"out.{f}": ("out", f) for f in ("H", "H_FP", "sb", "d")},
+    "in.H": ("in", "H"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(EMPTY_FIELDS))
+def test_network_empty_sees_field(empty_engine, field):
+    assert empty_engine._network_empty()
+    kind, attr = EMPTY_FIELDS[field]
+    for buf in _buffers(empty_engine, kind):
+        undo = _set(buf, attr, 1)
+        try:
+            assert not empty_engine._network_empty(), (buf.owner, buf.peer)
+        finally:
+            undo()
+    assert empty_engine._network_empty()
+
+
+def test_network_empty_sees_reservoir(empty_engine):
+    sender = empty_engine.nodes[empty_engine.S]
+    undo = _set(sender, "reservoir", [None])
+    try:
+        assert not empty_engine._network_empty()
+    finally:
+        undo()
+    assert empty_engine._network_empty()
 
 
 def test_quiet_stretch_stops_before_scheduled_events(monkeypatch):
