@@ -10,13 +10,12 @@ moves packets between slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .util import InvariantError
 
 
-@dataclass(frozen=True)
-class Stored:
+class Stored(NamedTuple):
     """A packet held in a buffer.  `fresh` marks packets inserted by the
     sender during the current transmission; packets held over from an
     earlier transmission are stale and are excluded from the per-packet
@@ -49,42 +48,6 @@ def stack_potential(kind, h, extra, accepted):
     return total, 0
 
 
-class SlotArray:
-    """Height-indexed slot storage shared by both buffer kinds."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._slots = [None] * capacity
-
-    def get(self, h: int):
-        return self._slots[h - 1]
-
-    def put(self, h: int, item) -> None:
-        self._slots[h - 1] = item
-
-    def clear(self) -> None:
-        self._slots = [None] * self.capacity
-
-    def empty(self) -> bool:
-        return self._slots.count(None) == self.capacity
-
-    def occupied(self):
-        return [h for h in range(1, self.capacity + 1) if self._slots[h - 1] is not None]
-
-    def collapse_above(self, h: int) -> int:
-        """Empty slot h and slide every occupied slot above it down one,
-        preserving order.  Returns the number of packets moved (each drops
-        in height by exactly one)."""
-        moved = 0
-        for j in range(h, self.capacity):
-            item = self._slots[j]
-            self._slots[j - 1] = item
-            if item is not None:
-                moved += 1
-        self._slots[self.capacity - 1] = None
-        return moved
-
-
 class Buffer:
     """What both buffer kinds share: the slots, the height, and the moves
     re-shuffling and sender redistribution make between buffers."""
@@ -94,7 +57,7 @@ class Buffer:
     def __init__(self, owner, peer, capacity: int):
         self.owner = owner
         self.peer = peer
-        self.slots = SlotArray(capacity)
+        self.slots = [None] * capacity    # slot h at index h - 1
         self.capacity = capacity
         self.H = 0
 
@@ -102,9 +65,9 @@ class Buffer:
         """Remove the packet re-shuffling moves off this buffer.  Returns
         (item, height), with item None when there is no such packet."""
         h = self._take_height()
-        item = self.slots.get(h) if h >= 1 else None
+        item = self.slots[h - 1] if h >= 1 else None
         if item is not None:
-            self.slots.put(h, None)
+            self.slots[h - 1] = None
             self.H -= 1
         return item, h
 
@@ -112,16 +75,25 @@ class Buffer:
         """Place a packet moved from another buffer on top of this one;
         returns the height it lands at."""
         h = self._put_height()
-        self.slots.put(h, item)
+        self.slots[h - 1] = item
         self.H += 1
         return h
 
     def mark_stale(self) -> None:
-        for h in self.slots.occupied():
-            self.slots.put(h, self.slots.get(h).as_stale())
+        self.slots = [None if s is None else s.as_stale() for s in self.slots]
+
+    def _collapse_above(self, h: int) -> int:
+        """Empty slot h and slide every slot above it down one, keeping
+        their order.  Returns the number of packets moved (each drops in
+        height by exactly one)."""
+        s = self.slots
+        moved = len(s) - h - s[h:].count(None)
+        del s[h - 1]
+        s.append(None)
+        return moved
 
     def _fail(self, check):
-        occ = self.slots.occupied()
+        occ = [h for h, s in enumerate(self.slots, 1) if s is not None]
         kind, peer, h, extra, _ = self.row()
         raise InvariantError(
             f"node {self.owner}, {kind} buffer of peer {peer}: {check} "
@@ -167,7 +139,7 @@ class OutgoingBuffer(Buffer):
 
     def _put_height(self) -> int:
         # just above the top, or into the gap below a flagged packet
-        if self.H >= 1 and self.slots.get(self.H) is None:
+        if self.H >= 1 and self.slots[self.H - 1] is None:
             return self.H
         return self.H + 1
 
@@ -202,9 +174,8 @@ class OutgoingBuffer(Buffer):
                 and self.H_FP is not None and self.H_FP < self.H):
             # peer did not get the copy; re-shuffling may have buried it,
             # so swap it back to the top
-            top = self.slots.get(self.H)
-            self.slots.put(self.H, self.slots.get(self.H_FP))
-            self.slots.put(self.H_FP, top)
+            s = self.slots
+            s[self.H - 1], s[self.H_FP - 1] = s[self.H_FP - 1], s[self.H - 1]
             self.H_FP = self.H
         return None, None, 0
 
@@ -212,7 +183,7 @@ class OutgoingBuffer(Buffer):
 
     def create_flag(self, round_index: int) -> bool:
         if self.sb == 0 and self.H_IN is not None and self.H > self.H_IN:
-            self.p_tilde = self.slots.get(self.H)
+            self.p_tilde = self.slots[self.H - 1]
             self.H_FP = self.H
             self.FR = round_index
             self.flag_accepted = False
@@ -234,11 +205,11 @@ class OutgoingBuffer(Buffer):
     def refill(self, supply) -> None:
         """Fill free slots bottom-up from the front of the list `supply`,
         consuming it."""
-        for h in range(1, self.capacity + 1):
+        for i, item in enumerate(self.slots):
             if not supply:
                 return
-            if self.slots.get(h) is None:
-                self.slots.put(h, supply.pop(0))
+            if item is None:
+                self.slots[i] = supply.pop(0)
                 self.H += 1
 
     # -- transmission boundary ------------------------------------------
@@ -249,7 +220,7 @@ class OutgoingBuffer(Buffer):
         of packets that slid."""
         slide = 0
         if self.H_FP is not None:
-            slide = self.slots.collapse_above(self.H_FP)
+            slide = self._collapse_above(self.H_FP)
             self.H -= 1
         self.sb = 0
         self.FR = None
@@ -261,7 +232,7 @@ class OutgoingBuffer(Buffer):
     def reset(self) -> None:
         """Empty the buffer and drop any flagged packet."""
         self._close_flag()
-        self.slots.clear()
+        self.slots = [None] * self.capacity
         self.H = 0
         self.d = 0
 
@@ -274,7 +245,7 @@ class OutgoingBuffer(Buffer):
         contiguous except for the single flagged-packet gap; the flagged
         slot lies within capacity and holds a packet.  Each test reads the
         slot list; once the first holds, 0 <= H <= capacity."""
-        s = self.slots._slots
+        s = self.slots
         h, fp = self.H, self.H_FP
         if s.count(None) != self.capacity - h:
             self._fail("height differs from occupancy")
@@ -290,8 +261,6 @@ class OutgoingBuffer(Buffer):
                 self._fail("problem status without a flagged packet")
         elif fp < 1:
             self._fail("flagged slot outside capacity")
-        elif s[fp - 1] is None:
-            self._fail("flagged slot empty")
 
 
 class IncomingBuffer(Buffer):
@@ -319,7 +288,7 @@ class IncomingBuffer(Buffer):
 
     def _take_height(self) -> int:
         # the top packet, which sits one higher above a ghost gap
-        if self.H + 1 <= self.capacity and self.slots.get(self.H + 1) is not None:
+        if self.H + 1 <= self.capacity and self.slots[self.H] is not None:
             return self.H + 1
         return self.H
 
@@ -372,7 +341,7 @@ class IncomingBuffer(Buffer):
         gap = self.H_GP
         self.H_GP = None
         if gap is not None and gap <= self.H:
-            return self.slots.collapse_above(gap)
+            return self._collapse_above(gap)
         return 0
 
     def receive(self, msg, round_index: int, blocked: bool = False):
@@ -400,7 +369,7 @@ class IncomingBuffer(Buffer):
             stored, fr = msg
             if self.RR < fr:
                 land = self.landing_height()
-                self.slots.put(land, stored)
+                self.slots[land - 1] = stored
                 self.H += 1
                 self.H_GP = None
                 self.RR = round_index
@@ -413,14 +382,14 @@ class IncomingBuffer(Buffer):
     def discard(self, h: int) -> None:
         """Delete the packet at height h, closing the gap it leaves (a
         corrupt node dropping what it has just accepted)."""
-        self.slots.collapse_above(h)
+        self._collapse_above(h)
         self.H -= 1
 
     # -- transmission boundary ------------------------------------------
 
     def reset(self) -> None:
         """Empty the buffer and drop any ghost slot."""
-        self.slots.clear()
+        self.slots = [None] * self.capacity
         self.H = 0
         self.H_GP = None
 
@@ -433,7 +402,7 @@ class IncomingBuffer(Buffer):
         contiguous except for the ghost gap, which sits just above the top
         or inside the stack.  As for outgoing buffers, each test reads the
         slot list."""
-        s = self.slots._slots
+        s = self.slots
         h, gp = self.H, self.H_GP
         if s.count(None) != self.capacity - h:
             self._fail("height differs from occupancy")

@@ -101,12 +101,6 @@ register_packer(Packet, lambda p: ("~packet", p.codeword_index, p.fragment_index
                                    p.payload, p.sender_signature))
 
 
-@dataclass(frozen=True)
-class Codeword:
-    message_index: int
-    fragments: tuple
-
-
 def _fraction(name, value) -> Fraction:
     """Parse '3/8', '0.375' or a number into an exact Fraction."""
     try:
@@ -199,8 +193,9 @@ def _lagrange_eval(xs: np.ndarray, values: np.ndarray,
 
 
 def encode(msg: Message, params: CodingParams,
-           sign: Optional[Callable[[tuple], object]] = None) -> Codeword:
-    """Expand a message into its D-fragment codeword.
+           sign: Optional[Callable[[tuple], object]] = None) -> tuple:
+    """Expand a message into its D-fragment codeword: the tuple of its
+    packets, in fragment order.
 
     Fragments 0..K-1 carry the message verbatim (systematic); the rest are
     parity evaluations.  `sign` maps a packet body to the sender's signature;
@@ -225,7 +220,7 @@ def encode(msg: Message, params: CodingParams,
             pkt = Packet(pkt.codeword_index, pkt.fragment_index, pkt.payload,
                          sign(pkt.signed_body()))
         fragments.append(pkt)
-    return Codeword(message_index=msg.index, fragments=tuple(fragments))
+    return tuple(fragments)
 
 
 def decode(fragments: Iterable[Packet],

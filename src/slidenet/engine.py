@@ -284,9 +284,8 @@ class Engine:
             if self.auth_mode:
                 skey = self.ring.keypair(self.S)
                 sign = lambda body: self.ring.sign(skey, body)
-            cw = codec.encode(codec.Message(msg_index, payload), self.params,
-                              sign=sign)
-            fragments = cw.fragments
+            fragments = codec.encode(codec.Message(msg_index, payload),
+                                     self.params, sign=sign)
             self._copy = (msg_index, fragments)
         for buf in node.out_buffers.values():
             buf.reset()
@@ -315,6 +314,7 @@ class Engine:
             "theta_arrival": None, "result": None,
         }
         self.tm = tm
+        self._blocked_unwasted = 0
         self._quiet_prev = None
         r = 1
         while r <= self.L:
@@ -395,16 +395,19 @@ class Engine:
         self.r_local, self.g_round = stop - 1, g0 + skipped
         self._end_stretch(skipped)
 
-    def _end_stretch(self, skipped):
-        """The tail both advances share, once the state is the last
-        skipped round's: the per-transmission counters grow by that
-        round's increments times the stretch, and the invariant checks
-        run once."""
+    def _end_stretch(self, rounds):
+        """The tail of every executed round and of both advances, once
+        the state is the stretch's last round's: the per-transmission
+        counters grow by that round's increments times the stretch, and
+        the invariant checks run once."""
         tm = self.tm
-        tm["blocked"] += skipped * self._round_blocked
-        tm["wasted"] += skipped * self._round_wasted
-        tm["beta"] += skipped * self._round_beta
-        self._check_round(rounds=skipped)
+        tm["insert_gain"] += rounds * self._round_gain
+        tm["blocked"] += rounds * self._round_blocked
+        tm["wasted"] += rounds * self._round_wasted
+        tm["beta"] += rounds * self._round_beta
+        if self._round_blocked and not self._round_wasted:
+            self._blocked_unwasted += rounds
+        self._check_round(rounds=rounds)
 
     # -- empty-network rounds ----------------------------------------------------
     #
@@ -434,14 +437,14 @@ class Engine:
         stage-1 folds, stage-2 `receive` of no packet and the receiver's
         drain, on round L's delivery.  A traced run first writes the state
         row of each round before L from that round's ghost slots, the only
-        registers a row reads.  An empty round inserts, blocks and wastes
-        nothing, so the counters do not grow."""
+        registers a row reads.  The counters grow by the increments of
+        the round that emptied the network, which are all zero: it
+        inserted nothing, and its sender held no packet at stage 2, since
+        the sender's packets leave only at a stage-1 confirmation."""
         r0, base = self.r_local, self.g_round - self.r_local
         skipped = self.L - r0
         if skipped <= 0:
             return
-        self._round_gain = 0
-        self._round_blocked = self._round_wasted = self._round_beta = False
         if self.trace is not None:
             # the receiver's drain clears its own ghost slots every round
             ghosts = [(ib, ab) for _, b, _, ib, _, _, ab, _ in self.channels
@@ -596,10 +599,7 @@ class Engine:
             elif res[0] == "dup" or res[0] == "idle":
                 if auth_mode and res[1]:
                     auth_b.add_local_drop(res[1])
-        self.tm["insert_gain"] += insert_gain
         self._round_blocked = not inserted and self._s_had_packets
-        if self._round_blocked:
-            self.tm["blocked"] += 1
         self._round_gain = insert_gain
 
     def _broadcast_parcels(self):
@@ -659,7 +659,6 @@ class Engine:
         for u, v in zip(path, path[1:]):
             if not self.auth[u].okay_to_send(v) \
                     or not self.auth[v].okay_to_receive(u):
-                self.tm["wasted"] += 1
                 self._round_wasted = True
                 return
 
@@ -692,7 +691,6 @@ class Engine:
                             if ob.H_IN is not None]
                     if all(v == 2 * self.n for v in vals):
                         self._round_beta = True
-                        self.tm["beta"] += 1
 
         if self.auth_mode and self.r_local == self.L - self.n + 1:
             rnode = self.nodes[self.R]
@@ -701,7 +699,7 @@ class Engine:
             self.tm["theta_created"] = self.r_local
             self._emit("theta", decoded=rnode.decoded)
 
-        self._check_round()
+        self._end_stretch(1)
 
     def _on_message(self, msg):
         expected = self._expected.get(msg.index)
@@ -799,9 +797,10 @@ class Engine:
             if node.role == SENDER:
                 continue
             for buf in node.all_buffers():
-                for h in buf.slots.occupied():
-                    if buf.kind == "in" or h != buf.H_FP:
-                        label = buf.slots.get(h).packet.label()
+                for h, item in enumerate(buf.slots, 1):
+                    if item is not None and (buf.kind == "in"
+                                             or h != buf.H_FP):
+                        label = item.packet.label()
                         counts[label] = counts.get(label, 0) + 1
         bad = [lab for lab, c in counts.items() if c > 1]
         if bad:
@@ -817,7 +816,7 @@ class Engine:
         tm["potential_drop"] = drop
         tm["kappa"] = self.nodes[self.S].kappa
         if not self.corrupt_nodes and self.sc.checks != "off":
-            need = self.n * max(0, tm["blocked"] - tm["wasted"])
+            need = self.n * self._blocked_unwasted
             if drop < need:
                 raise InvariantError(
                     f"transmission {self.T}: potential drop {drop} below "

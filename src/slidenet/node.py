@@ -112,8 +112,6 @@ class NodeState:
         fixed buffer order, in which `heights` lists every buffer and
         index < n_in marks the incoming ones."""
         bufs = self._buffers
-        if not bufs:
-            return 0
         heights = [b.H for b in bufs]
         if max(heights) == min(heights):
             # balanced: the loop below would stop before its first move,
@@ -191,9 +189,9 @@ class NodeState:
         storage, reset the incoming buffers, and decode once enough
         distinct fragments have arrived."""
         for buf in self.in_buffers.values():
-            if not buf.slots.empty():
-                for h in buf.slots.occupied():
-                    self._receiver_take(buf.slots.get(h))
+            for item in buf.slots:
+                if item is not None:
+                    self._receiver_take(item)
             buf.reset()
         if not self.decoded and len(self.storage) >= params.decode_threshold:
             frags = [s.packet for s in self.storage.values()]

@@ -91,11 +91,11 @@ def test_criterion_2_decode_threshold():
     cw = codec.encode(codec.Message(1, payload), params)
     ok = fail = 0
     for _ in range(100):
-        subset = rng.sample(cw.fragments, 640)
+        subset = rng.sample(cw, 640)
         msg = codec.decode(subset, params)
         ok += int(msg is not None and msg.payload == payload)
     for _ in range(100):
-        subset = rng.sample(cw.fragments, 639)
+        subset = rng.sample(cw, 639)
         fail += int(codec.decode(subset, params) is None)
     assert ok == 100 and fail == 100
     print(f"\nPASS criterion 2: {ok}/100 threshold subsets decode, "
@@ -135,8 +135,9 @@ def test_criterion_3_buffer_invariants(honest_runs, suite_runs):
 def test_criterion_4_potential_ledger(honest_runs):
     """In all-honest runs the non-duplicated potential only rises at
     insertions (engine-asserted per round), duplication potential stays in
-    its band, and per transmission the cumulative drop covers n per
-    blocked non-wasted round."""
+    its band, and per transmission the cumulative drop covers n times the
+    report's lower bound on the blocked non-wasted rounds, blocked -
+    wasted.  The engine asserts the drop against the rounds themselves."""
     worst_margin = None
     for (n, seed), (report, eng) in honest_runs.items():
         for t in report["transmissions"]:

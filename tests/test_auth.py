@@ -89,7 +89,7 @@ class TestPacketMsg:
         packet = Packet(1, 7, unsigned.payload,
                         ring.sign(ring.keypair(0), unsigned.signed_body()))
         ob = OutgoingBuffer(0, 1, 8)
-        ob.slots.put(1, Stored(packet))
+        ob.slots[0] = Stored(packet)
         ob.H, ob.H_IN = 1, 0
         assert ob.create_flag(1)
         ib = IncomingBuffer(1, 0, 8)
@@ -144,7 +144,7 @@ def exchange(ring, fresh, accepted=True):
     packet = Packet(*LABEL, unsigned.payload,
                     ring.sign(ring.keypair(0), unsigned.signed_body()))
     ob = OutgoingBuffer(0, 1, 8)
-    ob.slots.put(1, Stored(packet, fresh))
+    ob.slots[0] = Stored(packet, fresh)
     ob.H, ob.H_IN = 1, 0
     assert ob.create_flag(1)
     ib = IncomingBuffer(1, 0, 8)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slidenet.buffers import IncomingBuffer, OutgoingBuffer, SlotArray, Stored
+from slidenet.buffers import IncomingBuffer, OutgoingBuffer, Stored
 from slidenet.codec import Packet
 from slidenet.node import INTERNAL, SENDER, NodeState
 from slidenet.util import InvariantError
@@ -21,28 +21,30 @@ def pkt(i):
 
 def fill(buf, heights):
     for h in heights:
-        buf.slots.put(h, pkt(h))
+        buf.slots[h - 1] = pkt(h)
     buf.H = len(heights)
 
 
-class TestSlotArray:
+def occupied(buf):
+    return [h for h, s in enumerate(buf.slots, 1) if s is not None]
+
+
+class TestCollapseAbove:
     @settings(max_examples=200, deadline=None)
     @given(st.sets(st.integers(1, CAP), max_size=CAP), st.integers(1, CAP))
-    def test_collapse_matches_model(self, occupied, gap):
-        if gap in occupied:
-            occupied = occupied - {gap}
-        arr = SlotArray(CAP)
-        for h in occupied:
-            arr.put(h, h)
-        moved = arr.collapse_above(gap)
-        expect = sorted(h if h < gap else h - 1 for h in occupied)
-        assert arr.occupied() == [h for h in range(1, CAP + 1)
-                                  if arr.get(h) is not None]
-        assert sorted(arr.occupied()) == expect
-        assert moved == sum(1 for h in occupied if h > gap)
+    def test_collapse_matches_model(self, occ, gap):
+        if gap in occ:
+            occ = occ - {gap}
+        buf = IncomingBuffer(1, 2, CAP)
+        for h in occ:
+            buf.slots[h - 1] = h
+        moved = buf._collapse_above(gap)
+        expect = sorted(h if h < gap else h - 1 for h in occ)
+        assert len(buf.slots) == CAP
+        assert occupied(buf) == expect
+        assert moved == sum(1 for h in occ if h > gap)
         # contents preserved in order
-        assert [arr.get(h) for h in sorted(arr.occupied())] == \
-            [h for h in sorted(occupied)]
+        assert [s for s in buf.slots if s is not None] == sorted(occ)
 
 
 def test_check_raises_under_python_O():
@@ -79,10 +81,24 @@ def test_flagged_height_below_one_raises(fp):
         buf.check()
 
 
+@pytest.mark.parametrize("fp, occ, check", [
+    (2, [1, 3, 4], "slots not contiguous"),
+    (5, [1, 2, 3], "slots not contiguous below the flagged packet")])
+def test_empty_flagged_slot_breaks_contiguity(fp, occ, check):
+    """An empty flagged slot fails a contiguity test, at or below the top
+    and above it alike."""
+    buf = OutgoingBuffer(1, 2, CAP)
+    fill(buf, occ)
+    buf.H_FP, buf.FR = fp, 3
+    with pytest.raises(InvariantError) as exc:
+        buf.check()
+    assert f": {check} (occupied {occ}," in str(exc.value)
+
+
 def _reference_out_check(buf):
     """The set-based OutgoingBuffer.check that the list-based one
     replaced, kept as the reference it must match."""
-    occ = set(buf.slots.occupied())
+    occ = set(occupied(buf))
     if len(occ) != buf.H:
         buf._fail("height differs from occupancy")
     if not 0 <= buf.H <= buf.capacity:
@@ -97,13 +113,13 @@ def _reference_out_check(buf):
             buf._fail("problem status without a flagged packet")
     elif buf.H_FP < 1:
         buf._fail("flagged slot outside capacity")
-    elif buf.slots.get(buf.H_FP) is None:
+    elif buf.slots[buf.H_FP - 1] is None:
         buf._fail("flagged slot empty")
 
 
 def _reference_in_check(buf):
     """The set-based IncomingBuffer.check, as above."""
-    occ = set(buf.slots.occupied())
+    occ = set(occupied(buf))
     if len(occ) != buf.H:
         buf._fail("height differs from occupancy")
     if not 0 <= buf.H <= buf.capacity:
@@ -142,8 +158,8 @@ def test_check_matches_set_based_reference(kind, cap):
     extras = [None] + list(range(cap + 2))
     passed = failed = 0
     for mask in range(1 << cap):
-        buf.slots._slots = [pkt(h + 1) if mask >> h & 1 else None
-                            for h in range(cap)]
+        buf.slots = [pkt(h + 1) if mask >> h & 1 else None
+                     for h in range(cap)]
         for h in range(-1, cap + 2):
             buf.H = h
             for extra in extras:
@@ -170,7 +186,7 @@ class TestOutgoingStage1:
     def test_flagged_buffer_advertises_height_minus_one(self):
         buf = OutgoingBuffer(1, 2, CAP)
         fill(buf, range(1, 6))
-        buf.p_tilde = buf.slots.get(5)
+        buf.p_tilde = buf.slots[4]
         buf.H_FP = 5
         buf.FR = 12
         assert buf.stage1_msg() == (4, 5, 12)
@@ -198,13 +214,13 @@ class TestOutgoingStage1:
     def test_unconfirmed_flag_elevates_to_top(self):
         buf = OutgoingBuffer(1, 2, CAP)
         fill(buf, range(1, 6))
-        buf.p_tilde = buf.slots.get(3)
+        buf.p_tilde = buf.slots[2]
         buf.H_FP = 3
         buf.FR = 12
-        marker = buf.slots.get(3)
+        marker = buf.slots[2]
         confirmed, _, _ = buf.fold_reply((1, 9))
         assert confirmed is None
-        assert buf.H_FP == 5 and buf.slots.get(5) is marker
+        assert buf.H_FP == 5 and buf.slots[4] is marker
 
 
 class TestOutgoingStage2:
@@ -282,12 +298,12 @@ class TestIncoming:
     def test_unexpected_round_clears_ghost(self):
         buf = self.make()
         buf.H_GP = 3
-        buf.slots.put(3, None)
-        buf.slots.put(5, pkt(5))      # gap at 3, packets up to H+1
+        buf.slots[2] = None
+        buf.slots[4] = pkt(5)      # gap at 3, packets up to H+1
         buf.fold_stage1((3, None, None))
         res = buf.receive(None, round_index=3)
         assert res[0] == "idle"
-        assert buf.H_GP is None and sorted(buf.slots.occupied()) == [1, 2, 3, 4]
+        assert buf.H_GP is None and occupied(buf) == [1, 2, 3, 4]
 
 
 class TestEndOfTransmission:
@@ -312,7 +328,7 @@ class TestEndOfTransmission:
         buf.RR = 77
         buf.eot_adjust()
         assert buf.RR == -1 and buf.H_GP is None
-        assert sorted(buf.slots.occupied()) == [1, 2, 3]
+        assert occupied(buf) == [1, 2, 3]
 
 
 def make_node(in_heights, out_heights):
@@ -372,16 +388,16 @@ class TestReshuffle:
     def test_balanced_with_flag_and_ghost_unchanged(self):
         node = make_node([3, 3], [3, 3])
         flagged = node.out_buffers[2]
-        flagged.p_tilde = flagged.slots.get(3)
+        flagged.p_tilde = flagged.slots[2]
         flagged.H_FP, flagged.FR = 3, 5
         ghosted = node.in_buffers[0]
         ghosted.H_GP = 4
         node._rr_donor, node._rr_recipient = 1, 2
         check_invariants(node)
-        before = [(b.slots._slots[:], b.round_state())
+        before = [(b.slots[:], b.round_state())
                   for b in node.all_buffers()]
         assert node.reshuffle() == 0
-        assert [(b.slots._slots[:], b.round_state())
+        assert [(b.slots[:], b.round_state())
                 for b in node.all_buffers()] == before
         assert (node._rr_donor, node._rr_recipient) == (1, 2)
 
@@ -389,12 +405,12 @@ class TestReshuffle:
         node = make_node([5, 5], [1, 5])
         buf = node.out_buffers[2]     # height 1
         donor = node.out_buffers[3]   # height 5, flag its top
-        donor.p_tilde = donor.slots.get(5)
+        donor.p_tilde = donor.slots[4]
         donor.H_FP = 5
         donor.FR = 1
-        marker = donor.slots.get(5)
+        marker = donor.slots[4]
         node.reshuffle()
-        assert donor.slots.get(donor.H_FP) is marker
+        assert donor.slots[donor.H_FP - 1] is marker
         check_invariants(node)
 
     def test_ghost_slot_never_filled(self):
@@ -403,7 +419,7 @@ class TestReshuffle:
         short = min(node.in_buffers.values(), key=lambda b: b.H)
         short.H_GP = 2
         node.reshuffle()
-        assert short.slots.get(2) is None or short.H_GP != 2
+        assert short.slots[1] is None or short.H_GP != 2
         check_invariants(node)
 
     @settings(max_examples=150, deadline=None)
@@ -537,14 +553,14 @@ def _build_reshuffle_node(n, node_id, layouts, cursors, hollow):
                 occupied = [s for s in range(1, h + 2) if s != extra]
             buf.H_GP = extra
         for s in occupied:
-            buf.slots.put(s, pkt(next(label)))
+            buf.slots[s - 1] = pkt(next(label))
         buf.H = h
         if buf.kind == "out" and extra is not None:
             buf.H_FP, buf.FR = extra, 1
-            buf.p_tilde = buf.slots.get(extra)
+            buf.p_tilde = buf.slots[extra - 1]
         buf.check()
         if i == hollow:
-            buf.slots.clear()
+            buf.slots = [None] * buf.capacity
     node._rr_donor, node._rr_recipient = cursors
     return node
 
@@ -555,7 +571,7 @@ def _reshuffle_outcome(node, reshuffle):
     except (InvariantError, IndexError) as exc:
         result = (type(exc), str(exc))
     slots = [[None if s is None else s.packet.fragment_index
-              for s in b.slots._slots] for b in node.all_buffers()]
+              for s in b.slots] for b in node.all_buffers()]
     return (result, node._rr_donor, node._rr_recipient, slots,
             [b.round_state()[:2] for b in node.all_buffers()])
 

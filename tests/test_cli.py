@@ -243,6 +243,51 @@ def _hide_insertion_gain(rows):
     return False
 
 
+def _unbalance_internal_heights(rows):
+    """Raise an internal node's tallest buffer by 2 in one row."""
+    for rec in rows:
+        if rec["k"] == "state":
+            max(rec["nodes"]["1"], key=lambda buf: buf[2])[2] += 2
+            return True
+    return False
+
+
+def _accept_distant_flag(rows):
+    """Give an internal out-buffer row an accepted flagged packet at
+    height 100, a duplication potential of 100."""
+    for rec in rows:
+        if rec["k"] == "state":
+            for buf in rec["nodes"]["1"]:
+                if buf[0] == "out":
+                    buf[3:] = [100, True]
+                    return True
+    return False
+
+
+def _block_first_transmission(rows):
+    """Mark every round of transmission 1 blocked and not wasted."""
+    marked = False
+    for rec in rows:
+        if rec["k"] == "state" and rec["T"] == 1:
+            rec["blocked"], rec["wasted"] = 1, 0
+            marked = True
+    return marked
+
+
+# tamper -> (messages in the traced run, the audit finding it raises);
+# transmission 1 runs all its 3072 rounds only when a second message
+# follows it
+TAMPERS = {
+    _lower_internal_height: (1, "recorded potential"),
+    _bump_recorded_potential: (1, "recorded potential"),
+    _hide_insertion_gain: (1, "with insertions 0"),
+    _unbalance_internal_heights: (1, "node 1 unbalanced heights"),
+    _accept_distant_flag: (1, "duplication potential 100 outside [0, 32]"),
+    _block_first_transmission: (
+        2, "transmission 1: potential drop 3481 below n*blocked = 12288"),
+}
+
+
 def _traced_rows(tmp_path, scenario):
     out = tmp_path / "out"
     assert main(["run", scenario, "--out", str(out), "--trace"]) == 0
@@ -368,14 +413,18 @@ class TestAudit:
                      "--trace"]) == 0
         assert main(["audit", str(out / "trace.jsonl")]) == 0
 
-    @pytest.mark.parametrize("tamper", [_lower_internal_height,
-                                        _bump_recorded_potential,
-                                        _hide_insertion_gain])
-    def test_tampered_trace_exit4(self, tmp_path, honest_scenario, tamper):
-        trace, rows = _traced_rows(tmp_path, honest_scenario)
+    @pytest.mark.parametrize("tamper", list(TAMPERS))
+    def test_tampered_trace_exit4(self, tmp_path, honest_scenario, capsys,
+                                  tamper):
+        messages, finding = TAMPERS[tamper]
+        data = json.loads(open(honest_scenario).read())
+        trace, rows = _traced_rows(tmp_path, write(
+            tmp_path / "scenario.json", dict(data, messages=messages)))
         assert tamper(rows)
         trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
+        capsys.readouterr()
         assert main(["audit", str(trace)]) == 4
+        assert finding in capsys.readouterr().err
 
 
 def _run_and_audit_peak(tmp_path, messages):

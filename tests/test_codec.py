@@ -27,7 +27,7 @@ def max_erasure_subset(cw, params):
     """Every parity fragment plus the fewest data fragments that decode."""
     kdata = params.data_fragments
     need = params.decode_threshold - (params.packets_per_codeword - kdata)
-    return list(cw.fragments[kdata:]) + list(cw.fragments[:need])
+    return list(cw[kdata:]) + list(cw[:need])
 
 
 class TestDeriveParams:
@@ -68,8 +68,8 @@ class TestRoundTrip:
         p = make_params()
         msg = random_message(p, 1)
         cw = encode(msg, p)
-        assert len(cw.fragments) == p.packets_per_codeword
-        assert decode(cw.fragments, p) == msg
+        assert len(cw) == p.packets_per_codeword
+        assert decode(cw, p) == msg
 
     def test_threshold_subsets(self):
         p = make_params()
@@ -77,7 +77,7 @@ class TestRoundTrip:
         cw = encode(msg, p)
         rng = random.Random(7)
         for _ in range(20):
-            subset = rng.sample(cw.fragments, p.decode_threshold)
+            subset = rng.sample(cw, p.decode_threshold)
             assert decode(subset, p) == msg
 
     def test_below_threshold_insufficient(self):
@@ -86,7 +86,7 @@ class TestRoundTrip:
         cw = encode(msg, p)
         rng = random.Random(3)
         for _ in range(20):
-            subset = rng.sample(cw.fragments, p.decode_threshold - 1)
+            subset = rng.sample(cw, p.decode_threshold - 1)
             assert decode(subset, p) is None
 
     def test_mixed_codewords_rejected(self):
@@ -94,7 +94,7 @@ class TestRoundTrip:
         cw1 = encode(random_message(p, 1), p)
         m2 = Message(2, random_message(p, 2).payload)
         cw2 = encode(m2, p)
-        mixed = list(cw1.fragments[: p.decode_threshold]) + [cw2.fragments[-1]]
+        mixed = list(cw1[: p.decode_threshold]) + [cw2[-1]]
         with pytest.raises(CodecError):
             decode(mixed, p)
 
@@ -113,7 +113,7 @@ def test_roundtrip_property_small_code(seed, size_hint):
     payload = bytes(rng.getrandbits(8) for _ in range(p.message_bytes))
     msg = Message(1, payload)
     cw = encode(msg, p)
-    subset = rng.sample(cw.fragments, p.decode_threshold)
+    subset = rng.sample(cw, p.decode_threshold)
     assert decode(subset, p) == msg
 
 
@@ -122,7 +122,7 @@ def test_wide_fragments():
     msg = random_message(p, 5)
     cw = encode(msg, p)
     rng = random.Random(5)
-    subset = rng.sample(cw.fragments, p.decode_threshold)
+    subset = rng.sample(cw, p.decode_threshold)
     assert decode(subset, p) == msg
 
 
@@ -140,13 +140,13 @@ def test_signature_binds_each_fragment():
         return (ring.verify_as(frag.sender_signature, 0)
                 and frag.sender_signature.value == frag.signed_body())
 
-    assert all(valid(f) for f in cw.fragments)
-    victim = cw.fragments[7]
+    assert all(valid(f) for f in cw)
+    victim = cw[7]
     payload = bytes([victim.payload[0] ^ 1]) + victim.payload[1:]
     tampered = Packet(victim.codeword_index, victim.fragment_index, payload,
                       victim.sender_signature)
     assert not valid(tampered)
-    others = [f for f in cw.fragments if f.fragment_index != 7]
+    others = [f for f in cw if f.fragment_index != 7]
     assert all(valid(f) for f in others)
     # the engine drops such a fragment before it reaches a buffer:
     # tests/test_auth.py::TestPacketMsg::test_bad_sender_signature_dropped
@@ -175,7 +175,7 @@ ENCODE_PINS = {
 def test_encoder_bytes_pinned(n, fragment_bytes):
     p = make_params(n, fragment_bytes=fragment_bytes)
     cw = encode(random_message(p, n), p)
-    digest = hashlib.sha256(b"".join(f.payload for f in cw.fragments))
+    digest = hashlib.sha256(b"".join(f.payload for f in cw))
     assert digest.hexdigest() == ENCODE_PINS[(n, fragment_bytes)]
 
 

@@ -10,7 +10,7 @@ from slidenet.engine import (ConformingError, Engine, InvariantError,
 
 def fill_buffer(buf, h):
     for i in range(1, h + 1):
-        buf.slots.put(i, Stored(Packet(1, i, b"\x00\x00")))
+        buf.slots[i - 1] = Stored(Packet(1, i, b"\x00\x00"))
     buf.H = h
 
 
@@ -39,7 +39,7 @@ class TestPotentialSnapshot:
         eng = self.make_engine()
         ob = eng.nodes[1].out_buffers[2]
         fill_buffer(ob, 3)
-        ob.p_tilde = ob.slots.get(3)
+        ob.p_tilde = ob.slots[2]
         ob.H_FP = 3
         ob.FR = 1
         ob.flag_accepted = True
@@ -139,47 +139,3 @@ class TestConfig:
                       corruptions=[Corruption(0, 1, "deleter")])
         with pytest.raises(ConfigError):
             Engine(sc)
-
-
-def test_buffer_checks_build_no_occupancy_list(monkeypatch):
-    """Buffer checks test the slot list directly: on a run whose
-    invariants all hold they never call `SlotArray.occupied`, which only
-    the slow path that names a broken invariant uses."""
-    from slidenet.buffers import IncomingBuffer, OutgoingBuffer, SlotArray
-    depth = [0]
-    counts = {"check": 0, "occupied_in_check": 0}
-
-    def counting_check(check):
-        def wrapper(buf):
-            counts["check"] += 1
-            depth[0] += 1
-            try:
-                return check(buf)
-            finally:
-                depth[0] -= 1
-        return wrapper
-
-    occupied = SlotArray.occupied
-
-    def counting_occupied(slots):
-        if depth[0]:
-            counts["occupied_in_check"] += 1
-        return occupied(slots)
-
-    monkeypatch.setattr(SlotArray, "occupied", counting_occupied)
-    for cls in (IncomingBuffer, OutgoingBuffer):
-        monkeypatch.setattr(cls, "check", counting_check(cls.check))
-
-    sc = Scenario(n=4, mode="slide", messages=1, schedule_kind="churn",
-                  schedule_p=0.3, schedule_seed=2, seed=2, checks="full")
-    report, _ = run_scenario(sc)
-    assert len(report["delivered"]) == 1
-    assert counts["check"] > 1000
-    assert counts["occupied_in_check"] == 0
-
-    # a broken buffer takes the slow path, which the counter sees
-    buf = OutgoingBuffer(1, 2, 8)
-    buf.H = 1
-    with pytest.raises(InvariantError, match="height differs"):
-        buf.check()
-    assert counts["occupied_in_check"] > 0

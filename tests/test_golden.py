@@ -105,6 +105,23 @@ def test_golden_digests(name):
     assert (_sha256(report), _sha256(engine.trace)) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", ["deleter-n4", "slide-n4-churn"])
+def test_untraced_report_with_checks_off(name):
+    """Untraced, the checked run still gives the golden report, and with
+    its checks off the same report but for the scenario digest, which
+    covers `checks`."""
+    reports = {}
+    for checks in ("full", "off"):
+        sc = SCENARIOS[name]()
+        sc.trace, sc.checks = False, checks
+        reports[checks], engine = run_scenario(sc)
+        assert engine.trace is None
+    assert _sha256(reports["full"]) == GOLDEN[name][0]
+    digest = reports["full"]["scenario_digest"]
+    assert reports["off"]["scenario_digest"] != digest
+    assert dict(reports["off"], scenario_digest=digest) == reports["full"]
+
+
 # (report.json sha256, trace.jsonl sha256) of the files `slidenet run
 # --trace` writes, header line included: the bytes a user gets, beside the
 # in-memory digests above.
