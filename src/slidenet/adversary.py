@@ -306,7 +306,7 @@ class Behavior:
         """Called when the peer of outgoing buffer `buf` confirms receipt
         of the flagged packet `stored`."""
 
-    def forge_report(self, parcels, auth):
+    def forge_report(self, parcels):
         """Chance to replace the node's own status-report parcels."""
         return parcels
 
@@ -412,7 +412,7 @@ class ReportForger(Behavior):
             if peer not in self.snapshots and led.sig1.value > 0:
                 self.snapshots[peer] = led.records("in", ("sig1",))[0]
 
-    def forge_report(self, parcels, auth):
+    def forge_report(self, parcels):
         forged = []
         for parcel in parcels:
             snap = (self.snapshots.get(parcel.part[1])

@@ -350,15 +350,15 @@ class AuthNode:
         # transmission; None before any, or after a stale one
         self.last_fresh = {p: None for p in self.in_led}
 
-        self.bb = {}                  # parcel_key -> [Signed, passed:set, seq]
-        self._seq = 0
+        self.bb = {}                  # parcel_key -> [Signed, passed:set]
+        self._seq = 0                 # parcels added to bb
         self.bl = {}                  # node -> failed transmission
         self.en = {}                  # node -> transmission eliminated
         self.claims = set()           # (claimant, target, failed_T)
         self.last_sent = {p: None for p in self.peers}
         self.cbp_out = {p: 0 for p in self.peers}
         self.alpha_in = {p: None for p in self.peers}
-        self.sot = {}                 # T -> {"omega", "elims", "reasons", "bls"}
+        self.sot = {}                 # T -> [omega, elims, reasons, bls]
         self.current_T = 1
         self.reported_for = set()
         self.relaxed_verify = False   # corrupt nodes may skip delta checks
@@ -383,37 +383,43 @@ class AuthNode:
         for broadcast."""
         self._add_parcel(self.sign(Theta(decoded, dup_label, T)))
 
-    def _sot_state(self, T):
-        return self.sot.setdefault(T, {"omega": None, "elims": set(),
-                                       "reasons": set(), "bls": set()})
-
     def _sot_done(self, T) -> int:
         """How many start-of-transmission stages of transmission T are
         complete, counted in order: omega, eliminations, failure reasons,
         blacklist entries."""
         st = self.sot.get(T)
-        if st is None or st["omega"] is None:
+        if st is None:
             return 0
-        om = st["omega"]
-        if len(st["elims"]) < om.en_count:
+        om, elims, reasons, bls = st
+        if elims < om.en_count:
             return 1
-        if len(st["reasons"]) < om.f_count:
+        if reasons < om.f_count:
             return 2
-        if len(st["bls"]) < om.bl_count:
+        if bls < om.bl_count:
             return 3
         return 4
 
-    def sot_complete(self, T=None) -> bool:
-        return self._sot_done(self.current_T if T is None else T) == 4
+    def sot_complete(self) -> bool:
+        return self._sot_done(self.current_T) == 4
 
     def _add_parcel(self, signed_parcel, mark_peer=None) -> bool:
-        key = parcel_key(signed_parcel.value)
+        """Add a parcel to the broadcast buffer unless its key is there,
+        and mark it passed to `mark_peer`.  A new start-of-transmission
+        parcel is counted in `sot`: an omega opens its transmission's
+        record, any other adds one to its stage.  Returns whether the
+        parcel was new."""
+        parcel = signed_parcel.value
+        key = parcel_key(parcel)
         entry = self.bb.get(key)
-        added = False
-        if entry is None:
-            self.bb[key] = entry = [signed_parcel, set(), self._seq]
+        added = entry is None
+        if added:
+            self.bb[key] = entry = [signed_parcel, set()]
             self._seq += 1
-            added = True
+            stage = parcel.sot_stage
+            if stage == 0:
+                self.sot[parcel.T] = [parcel, 0, 0, 0]
+            elif stage is not None:
+                self.sot[parcel.T][stage] += 1
         if mark_peer is not None:
             entry[1].add(mark_peer)
         return added
@@ -554,11 +560,11 @@ class AuthNode:
         T = self.current_T
         if peer in self.en:
             return False
-        if not self.sot_complete(T):
+        if not self.sot_complete():
             return False
         if self.node_id in self.bl or peer in self.bl:
             return False
-        for key, (_, passed, _) in self.bb.items():
+        for key, (_, passed) in self.bb.items():
             if peer not in passed and (key[0] in GATE_TAGS_ANY_T or (
                     key[0] in GATE_TAGS_THIS_T and key[-1] == T)):
                 return False
@@ -592,7 +598,7 @@ class AuthNode:
         return None
 
     def _reason_for(self, failed_T) -> Optional[tuple]:
-        for key, (signed, _, _) in self.bb.items():
+        for key, (signed, _) in self.bb.items():
             if key[0] == "reason" and key[1] == failed_T:
                 return signed.value.reason
         return None
@@ -620,7 +626,8 @@ class AuthNode:
         alpha = self.alpha_in[peer]
         best = None
         best_rank = None
-        for key, (signed, passed, seq) in self.bb.items():
+        # the first parcel of the best rank: bb keeps the order of addition
+        for signed, passed in self.bb.values():
             if peer in passed:
                 continue
             parcel = signed.value
@@ -632,9 +639,8 @@ class AuthNode:
                     rank = (4, 0)
                 elif parcel.origin not in self.bl:
                     continue
-            tie = (rank, seq)
-            if best_rank is None or tie < best_rank:
-                best_rank = tie
+            if best_rank is None or rank < best_rank:
+                best_rank = rank
                 best = signed
         if best is not None:
             self.last_sent[peer] = parcel_key(best.value)
@@ -687,14 +693,10 @@ class AuthNode:
             if parcel.T == self.current_T:
                 self._add_parcel(inner, mark_peer=peer)
         elif isinstance(parcel, Omega):
-            st = self._sot_state(parcel.T)
-            st["omega"] = parcel
             added = self._add_parcel(inner, mark_peer=peer)
             if added and parcel.bl_count == 0 and parcel.T >= self.current_T:
                 self._clear_sig_buffers(parcel.T)
         elif isinstance(parcel, ElimParcel):
-            st = self._sot_state(parcel.T)
-            st["elims"].add(parcel.node)
             self._add_parcel(inner, mark_peer=peer)
             if parcel.node not in self.en:
                 self.en[parcel.node] = parcel.T
@@ -702,11 +704,8 @@ class AuthNode:
                 self._clear_sig_buffers(parcel.T)
                 self._wipe_for_elimination()
         elif isinstance(parcel, ReasonParcel):
-            self._sot_state(parcel.T)["reasons"].add(parcel.failed_T)
             self._add_parcel(inner, mark_peer=peer)
         elif isinstance(parcel, BlacklistParcel):
-            st = self._sot_state(parcel.T)
-            st["bls"].add(parcel.node)
             added = self._add_parcel(inner, mark_peer=peer)
             if added:
                 if ("rm", parcel.node, parcel.T) not in self.bb:
@@ -717,8 +716,8 @@ class AuthNode:
                     reason = self._reason_for(parcel.failed_T)
                     if reason is not None:
                         self._add_own_report(parcel.failed_T, reason)
-                om = st["omega"]
-                if om is not None and len(st["bls"]) >= om.bl_count:
+                # the stage gate has required every earlier stage
+                if self._sot_done(parcel.T) == 4:
                     self._clear_sig_buffers(parcel.T)
         elif isinstance(parcel, RemoveParcel):
             if parcel.T == self.current_T:
@@ -805,7 +804,7 @@ class AuthNode:
         self.reported_for.add(failed_T)
         parcels = self.make_own_report(failed_T, reason)
         if self.report_hook is not None:
-            parcels = self.report_hook(parcels, self)
+            parcels = self.report_hook(parcels)
         for parcel in parcels:
             self._add_parcel(self.sign(parcel))
         know = KnowledgeParcel(self.node_id, self.node_id, failed_T)
@@ -853,19 +852,15 @@ class SenderAuth(AuthNode):
     # -- SOT construction -------------------------------------------------
 
     def _install_sot(self, T, omega, elim_nodes, reason_items, bl_items):
-        """Sign and queue the start-of-transmission broadcast, recording
-        it in our own SOT state so the completeness predicates hold."""
-        st = self._sot_state(T)
-        st["omega"] = omega
+        """Sign and queue the start-of-transmission broadcast, which
+        `_add_parcel` also records in our own SOT state, so the
+        completeness predicates hold."""
         self._add_parcel(self.sign(omega))
         for node in sorted(elim_nodes):
-            st["elims"].add(node)
             self._add_parcel(self.sign(ElimParcel(node, T)))
         for failed_T, reason in sorted(reason_items):
-            st["reasons"].add(failed_T)
             self._add_parcel(self.sign(ReasonParcel(failed_T, reason, T)))
         for node, failed_T in sorted(bl_items):
-            st["bls"].add(node)
             self._add_parcel(self.sign(BlacklistParcel(node, failed_T, T)))
 
     def prepare_sot(self, kappa: int, packets_per_codeword: int) -> tuple:
@@ -878,7 +873,6 @@ class SenderAuth(AuthNode):
             raise InvariantError(f"transmission {T}: end-of-transmission "
                                  f"parcel never reached the sender")
         reason = classify_failure(kappa, packets_per_codeword, self.theta)
-        self.last_blacklist = sorted(self.bl)
         participants = [i for i in self.ids
                         if i not in self.en and i not in self.bl]
         if reason != REASON_OK:

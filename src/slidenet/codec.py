@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -192,14 +192,12 @@ def _lagrange_eval(xs: np.ndarray, values: np.ndarray,
     return out
 
 
-def encode(msg: Message, params: CodingParams,
-           sign: Optional[Callable[[tuple], object]] = None) -> tuple:
+def encode(msg: Message, params: CodingParams) -> tuple:
     """Expand a message into its D-fragment codeword: the tuple of its
-    packets, in fragment order.
+    unsigned packets, in fragment order.
 
     Fragments 0..K-1 carry the message verbatim (systematic); the rest are
-    parity evaluations.  `sign` maps a packet body to the sender's signature;
-    omit it for the unauthenticated protocol.
+    parity evaluations.
     """
     d = params.packets_per_codeword
     kdata = params.data_fragments
@@ -212,15 +210,8 @@ def encode(msg: Message, params: CodingParams,
                             np.arange(kdata, d, dtype=np.int32))
     blob = msg.payload + _to_bytes(parity)
 
-    fragments = []
-    for i in range(d):
-        pkt = Packet(codeword_index=msg.index, fragment_index=i,
-                     payload=blob[i * fb:(i + 1) * fb])
-        if sign is not None:
-            pkt = Packet(pkt.codeword_index, pkt.fragment_index, pkt.payload,
-                         sign(pkt.signed_body()))
-        fragments.append(pkt)
-    return tuple(fragments)
+    return tuple(Packet(codeword_index=msg.index, fragment_index=i,
+                        payload=blob[i * fb:(i + 1) * fb]) for i in range(d))
 
 
 def decode(fragments: Iterable[Packet],

@@ -11,7 +11,7 @@ neighbor's mid-stage updates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from . import codec
 from .adversary import (ConfigError, Corruption, edge_key, find_honest_path,
@@ -162,6 +162,7 @@ class Engine:
                 raise ConfigError(f"corruption round {c.round_index!r} is "
                                   f"not a positive int")
             self.corrupt_nodes[c.node] = (c.round_index, c.make())
+        self._corrupt_ids = frozenset(self.corrupt_nodes)
 
         budget = sc.max_transmissions
         if budget is None:
@@ -172,10 +173,9 @@ class Engine:
         self.schedule = generate_schedule(
             sc.schedule_kind, sc.n, total_rounds, seed=sc.schedule_seed,
             p=sc.schedule_p, backbone=sc.backbone,
-            corrupt_nodes=set(self.corrupt_nodes),
+            corrupt_nodes=self._corrupt_ids,
             script=sc.schedule_script, repair=sc.schedule_repair)
-        violation = validate_conforming(self.schedule,
-                                        set(self.corrupt_nodes),
+        violation = validate_conforming(self.schedule, self._corrupt_ids,
                                         self.S, self.R)
         if violation is not None:
             raise ConformingError(violation)
@@ -226,8 +226,7 @@ class Engine:
         self.eliminations = []        # (T, node, kind, inequality)
         self.trace = [] if trace is None and sc.trace else trace
         self.max_packets = {i: 0 for i in self.ids}
-        self._copy = None
-        self._expected = {}           # message index -> payload
+        self._copy = None             # (message index, payload, packets)
         self._behavior = [None] * sc.n    # node -> its active behavior
 
     # -- helpers -----------------------------------------------------------
@@ -272,24 +271,20 @@ class Engine:
     def _load_transmission(self):
         node = self.nodes[self.S]
         msg_index = len(self.delivered) + 1
-        retry = self.auth_mode and self._copy is not None \
-            and self._copy[0] == msg_index
-        if retry:
-            fragments = self._copy[1]
-        else:
+        # a retry of an undelivered message sends the same packets again
+        if self._copy is None or self._copy[0] != msg_index:
             payload = message_payload(self.sc.seed, msg_index,
                                       self.params.message_bytes)
-            self._expected[msg_index] = payload
-            sign = None
+            packets = codec.encode(codec.Message(msg_index, payload),
+                                   self.params)
             if self.auth_mode:
-                skey = self.ring.keypair(self.S)
-                sign = lambda body: self.ring.sign(skey, body)
-            fragments = codec.encode(codec.Message(msg_index, payload),
-                                     self.params, sign=sign)
-            self._copy = (msg_index, fragments)
+                sender = self.auth[self.S]
+                packets = tuple(replace(p, sender_signature=sender.sign(
+                    p.signed_body())) for p in packets)
+            self._copy = (msg_index, payload, packets)
         for buf in node.out_buffers.values():
             buf.reset()
-        node.load_reservoir(Stored(p, True) for p in fragments)
+        node.load_reservoir(Stored(p, True) for p in self._copy[2])
         node.sender_refill()
 
     # -- main loop ------------------------------------------------------------
@@ -655,7 +650,7 @@ class Engine:
 
     def _count_wasted(self):
         path = find_honest_path(self.schedule, self.g_round,
-                                set(self.corrupt_nodes), self.S, self.R)
+                                self._corrupt_ids, self.S, self.R)
         for u, v in zip(path, path[1:]):
             if not self.auth[u].okay_to_send(v) \
                     or not self.auth[v].okay_to_receive(u):
@@ -677,8 +672,7 @@ class Engine:
             elif node.role == RECEIVER:
                 if self.auth_mode and not self.auth[i].sot_complete():
                     continue
-                node.receiver_drain(self.params, self._on_message,
-                                    plain_mode=not self.auth_mode)
+                node.receiver_drain(self.params, self._on_message)
             else:
                 node.sender_refill()
                 # keep every outgoing buffer supplied once the reservoir
@@ -702,8 +696,7 @@ class Engine:
         self._end_stretch(1)
 
     def _on_message(self, msg):
-        expected = self._expected.get(msg.index)
-        if msg.index != len(self.delivered) + 1 or msg.payload != expected:
+        if (msg.index, msg.payload) != self._copy[:2]:
             raise InvariantError(
                 f"receiver output out of order or corrupted at message "
                 f"{msg.index}")
@@ -825,24 +818,20 @@ class Engine:
         if self.auth_mode:
             sender = self.auth[self.S]
             if not sender.halted:
+                tm["blacklist_before"] = sorted(sender.bl)
                 reason, participants = sender.prepare_sot(
                     self.nodes[self.S].kappa, self.D)
                 tm["result"] = "ok" if reason == REASON_OK else reason[0]
-                tm["blacklist_before"] = sender.last_blacklist
                 tm["participants"] = participants
                 if reason != REASON_OK:
                     self._emit("failed", reason=reason[0])
             else:
                 tm["result"] = "eliminated"
-            for i in self.ids:
-                self.nodes[i].end_of_transmission_adjust()
-                self.nodes[i].mark_all_stale()
-                self.auth[i].end_of_transmission()
-            rnode = self.nodes[self.R]
-            if rnode.decoded:
-                rnode.advance_codeword()
-            else:
-                rnode.reset_codeword_state()
+            for auth in self.auth.values():
+                auth.end_of_transmission()
+            # a retry counts only the packets it sends itself
+            if not self.nodes[self.R].decoded:
+                self.nodes[self.R].reset_codeword_state()
         else:
             tm["result"] = "ok"
             if self.sc.checks != "off" \
@@ -850,8 +839,8 @@ class Engine:
                 raise InvariantError(
                     f"message {self.T} not delivered within its "
                     f"transmission")
-            for i in self.ids:
-                self.nodes[i].end_of_transmission_adjust()
+        for node in self.nodes.values():
+            node.end_of_transmission_adjust()
         self.transmissions.append(tm)
         if self.trace is not None:
             self.trace.append({"k": "endT", "T": self.T,

@@ -184,10 +184,11 @@ class NodeState:
 
     # -- receiver ---------------------------------------------------------
 
-    def receiver_drain(self, params, on_message, plain_mode: bool) -> None:
+    def receiver_drain(self, params, on_message) -> None:
         """Move each incoming slot-1 packet of the current codeword into
         storage, reset the incoming buffers, and decode once enough
-        distinct fragments have arrived."""
+        distinct fragments have arrived.  The codeword advances at the
+        transmission's end."""
         for buf in self.in_buffers.values():
             for item in buf.slots:
                 if item is not None:
@@ -202,8 +203,6 @@ class NodeState:
                     f"{len(frags)} distinct fragments")
             self.decoded = True
             on_message(msg)
-            if plain_mode:
-                self.advance_codeword()
 
     def _receiver_take(self, item: Stored) -> None:
         pkt = item.packet
@@ -216,10 +215,6 @@ class NodeState:
             return
         self.storage[idx] = item
 
-    def advance_codeword(self) -> None:
-        self.current_codeword += 1
-        self.reset_codeword_state()
-
     def reset_codeword_state(self) -> None:
         self.storage = {}
         self.duplicate_label = None
@@ -228,9 +223,12 @@ class NodeState:
     # -- transmission boundary --------------------------------------------
 
     def end_of_transmission_adjust(self) -> None:
+        """Close every buffer's flag or ghost slot and mark its leftover
+        packets stale; a receiver that decoded moves on to the next
+        codeword."""
         for buf in self._buffers:
             buf.eot_adjust()
-
-    def mark_all_stale(self) -> None:
-        for buf in self._buffers:
             buf.mark_stale()
+        if self.decoded:
+            self.current_codeword += 1
+            self.reset_codeword_state()

@@ -44,7 +44,7 @@ class TestGates:
         assert not node.okay_to_send(2)          # no omega yet
         omega = sender.bb[("omega", 1)][0]
         deliver(sender, node, omega)
-        assert node.sot_complete(1)              # empty broadcast follows
+        assert node.sot_complete()               # empty broadcast follows
         # the omega has passed the sender link but not the link to node 2
         assert node.okay_to_send(0)
         assert not node.okay_to_send(2)
@@ -269,7 +269,7 @@ class TestSotOrdering:
         deliver(sender, node, ps[("elim", 2, 2)], T=2)
         deliver(sender, node, ps[("reason", 1, 2)], T=2)
         deliver(sender, node, ps[("bl", 1, 1, 2)], T=2)
-        assert node.sot_complete(2)
+        assert node.sot_complete()
         assert node.bl == {1: 1}
 
     def test_elimination_wipes_state(self, ring):
@@ -329,7 +329,7 @@ def test_malformed_status_payload_eliminates_its_author(tmp_path,
     """A status report whose records are not ledger records is a
     mismatched parcel: its author is eliminated, and the run ends
     normally."""
-    def forge(self, parcels, auth):
+    def forge(self, parcels):
         return [replace(p, payload=(("out", "sig1"),)) for p in parcels]
     monkeypatch.setattr(ReportForger, "forge_report", forge)
     path = tmp_path / "scenario.json"
@@ -440,6 +440,39 @@ def test_delivery_list_matches_predicate(monkeypatch, name, cause):
     monkeypatch.setattr(Engine, "_stage1", checking_stage1)
     run_scenario(GOLDEN[name]())
     assert seen["off"] and seen[cause]
+
+
+def test_sot_counts_match_broadcast_buffer(monkeypatch):
+    """At the end of every executed round of every golden auth run, each
+    non-sender node's start-of-transmission record agrees with its
+    broadcast buffer: its omega is the buffered omega, and each stage's
+    count is the number of that stage's parcels buffered for the
+    transmission.  The sender is left out: a restart clears its buffer,
+    while the record of its current transmission must stay complete."""
+    stages = ("elim", "reason", "bl")
+    counted = dict.fromkeys(stages, 0)
+    post_round = Engine._post_round
+
+    def checking_post_round(eng):
+        post_round(eng)
+        for node, auth in eng.auth.items():
+            if node == eng.S:
+                continue
+            for T, (omega, *counts) in auth.sot.items():
+                assert auth.bb[("omega", T)][0].value == omega
+                assert counts == [sum(key[0] == tag and key[-1] == T
+                                      for key in auth.bb) for tag in stages]
+                for tag, count in zip(stages, counts):
+                    counted[tag] = max(counted[tag], count)
+
+    monkeypatch.setattr(Engine, "_post_round", checking_post_round)
+    for make in GOLDEN.values():
+        scenario = make()
+        if scenario.mode == "auth":
+            scenario.trace = False
+            run_scenario(scenario)
+    # every stage's count was exercised above zero
+    assert all(counted.values()), counted
 
 
 class TestLedgerPairing:

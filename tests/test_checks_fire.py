@@ -7,14 +7,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from slidenet import codec
+from slidenet import codec, engine
+from slidenet.auth import AuthNode
 from slidenet.cli import main
 from slidenet.engine import Engine, Scenario, run_scenario
+from slidenet.localize import Verdict
 from slidenet.node import NodeState
+from slidenet.scenarios import attack_scenario
 from slidenet.util import InvariantError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -26,10 +30,32 @@ TWO_MESSAGES = dict(n=4, mode="slide", messages=2, schedule_kind="static",
                     seed=0)
 
 
-def _scenario_file(tmp_path):
+def _scenario_file(tmp_path, scenario=None):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(Scenario(**TWO_MESSAGES).to_dict()))
+    scenario = scenario or Scenario(**TWO_MESSAGES)
+    path.write_text(json.dumps(scenario.to_dict()))
     return str(path)
+
+
+def _run_exit4(tmp_path, capsys, scenario, message):
+    """`slidenet run` of `scenario` exits 4 with exactly `message`."""
+    assert main(["run", _scenario_file(tmp_path, scenario), "--out",
+                 str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == f"invariant failure: {message}\n"
+
+
+def _run_under_python_O(tmp_path, patch, scenario=None):
+    """`slidenet run` under `python -O` after the statements `patch`:
+    (exit code, stderr)."""
+    code = (f"import sys\n{patch}\n"
+            "from slidenet.cli import main\n"
+            f"sys.exit(main(['run', {_scenario_file(tmp_path, scenario)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    return out.returncode, out.stderr
 
 
 def _store_nothing(node, item):
@@ -53,25 +79,16 @@ def test_undelivered_message_raises(monkeypatch, advance):
 
 def test_undelivered_message_exit4(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(NodeState, "_receiver_take", _store_nothing)
-    assert main(["run", _scenario_file(tmp_path), "--out",
-                 str(tmp_path / "out")]) == 4
-    assert capsys.readouterr().err == f"invariant failure: {NOT_DELIVERED}\n"
+    _run_exit4(tmp_path, capsys, None, NOT_DELIVERED)
 
 
 def test_undelivered_message_exit4_under_python_O(tmp_path):
     """The check is a raise, not an assert, so it holds under -O too."""
-    code = ("import sys\n"
-            "from slidenet.cli import main\n"
-            "from slidenet.node import NodeState\n"
-            "NodeState._receiver_take = lambda node, item: None\n"
-            f"sys.exit(main(['run', {_scenario_file(tmp_path)!r}, "
-            f"'--out', {str(tmp_path / 'out')!r}]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        SRC, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 4, out.stderr
-    assert out.stderr == f"invariant failure: {NOT_DELIVERED}\n"
+    code, err = _run_under_python_O(
+        tmp_path, "from slidenet.node import NodeState\n"
+                  "NodeState._receiver_take = lambda node, item: None")
+    assert code == 4, err
+    assert err == f"invariant failure: {NOT_DELIVERED}\n"
 
 
 def test_decoding_failure_raises(monkeypatch, tmp_path, capsys):
@@ -84,3 +101,75 @@ def test_decoding_failure_raises(monkeypatch, tmp_path, capsys):
     assert main(["run", _scenario_file(tmp_path), "--out",
                  str(tmp_path / "out")]) == 4
     assert "receiver 3: decoding failed" in capsys.readouterr().err
+
+
+_DECODE = codec.decode
+
+
+def _flip_payload(fragments, params):
+    """`codec.decode` whose message has its first payload byte flipped."""
+    msg = _DECODE(fragments, params)
+    return replace(msg, payload=bytes([msg.payload[0] ^ 1]) + msg.payload[1:])
+
+
+def _next_index(fragments, params):
+    """`codec.decode` whose message claims the next index."""
+    msg = _DECODE(fragments, params)
+    return replace(msg, index=msg.index + 1)
+
+
+@pytest.mark.parametrize("decode,index", [(_flip_payload, 1),
+                                          (_next_index, 2)],
+                         ids=["payload", "index"])
+def test_corrupted_output_raises(monkeypatch, tmp_path, capsys, decode,
+                                 index):
+    message = (f"transmission 1, global round 217: receiver output out of "
+               f"order or corrupted at message {index}")
+    monkeypatch.setattr(codec, "decode", decode)
+    with pytest.raises(InvariantError) as exc:
+        run_scenario(Scenario(**TWO_MESSAGES))
+    assert str(exc.value) == message
+    _run_exit4(tmp_path, capsys, None, message)
+
+
+AUTH_STATIC = dict(n=4, mode="auth", messages=1, schedule_kind="static",
+                   seed=0)
+NO_THETA = ("transmission 1, global round 4096: transmission 1: "
+            "end-of-transmission parcel never reached the sender")
+
+
+def test_missing_end_of_transmission_parcel_raises(monkeypatch, tmp_path,
+                                                   capsys):
+    """The receiver never queues its end-of-transmission parcel."""
+    monkeypatch.setattr(AuthNode, "queue_theta", lambda self, *args: None)
+    with pytest.raises(InvariantError) as exc:
+        run_scenario(Scenario(**AUTH_STATIC))
+    assert str(exc.value) == NO_THETA
+    _run_exit4(tmp_path, capsys, Scenario(**AUTH_STATIC), NO_THETA)
+
+
+HONEST_ELIMINATED = ("transmission 2, global round 4108: honest node 1 "
+                     "eliminated: planted")
+PLANTED = Verdict(1, "F3-flow", "planted", 1)
+
+
+def test_honest_node_eliminated_raises(monkeypatch, tmp_path, capsys):
+    """Localization convicts honest node 1 instead of the deleter."""
+    monkeypatch.setattr(engine, "run_localization",
+                        lambda rs, ring: PLANTED)
+    scenario = attack_scenario(4, {2: "deleter"})
+    with pytest.raises(InvariantError) as exc:
+        run_scenario(scenario)
+    assert str(exc.value) == HONEST_ELIMINATED
+    _run_exit4(tmp_path, capsys, scenario, HONEST_ELIMINATED)
+
+
+def test_honest_node_eliminated_exit4_under_python_O(tmp_path):
+    code, err = _run_under_python_O(
+        tmp_path, "import slidenet.engine\n"
+                  "from slidenet.localize import Verdict\n"
+                  "slidenet.engine.run_localization = "
+                  f"lambda rs, ring: {PLANTED!r}",
+        attack_scenario(4, {2: "deleter"}))
+    assert code == 4, err
+    assert err == f"invariant failure: {HONEST_ELIMINATED}\n"

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -134,7 +135,8 @@ def test_signature_binds_each_fragment():
     key = ring.keypair(0)
     p = make_params()
     msg = random_message(p, 6)
-    cw = encode(msg, p, sign=lambda body: ring.sign(key, body))
+    cw = [replace(f, sender_signature=ring.sign(key, f.signed_body()))
+          for f in encode(msg, p)]
 
     def valid(frag):
         return (ring.verify_as(frag.sender_signature, 0)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -130,6 +131,58 @@ class TestConsistency:
         rs.reports[3].in_edges[2]["sig1"] = ReportValue(5, (T_FAIL, 12), big)
         verdict = audit_consistency(rs, ring)
         assert verdict is not None and verdict.node == 2
+
+
+    def test_traffic_with_eliminated_node(self, ring):
+        rs = build_reports(ring, ("f3",), honest_chain_edges())
+        rs.eliminated = frozenset({2})
+        verdict = audit_consistency(rs, ring)
+        assert (verdict.node, verdict.kind) == (1, "malformed-report")
+        assert "traffic with eliminated node 2" in verdict.inequality
+
+    def test_outgoing_increase_exceeding_own_decrease(self, ring):
+        rs = build_reports(ring, ("f3",), honest_chain_edges())
+        rs.reports[1].out_edges[2]["sig3"] = ReportValue(0, (T_FAIL, 10),
+                                                         None)
+        verdict = audit_consistency(rs, ring)
+        assert (verdict.node, verdict.kind) == (1, "malformed-report")
+        assert "outgoing edge to 2 claims increase 10" in verdict.inequality
+
+    def test_incoming_increase_exceeding_signed_decrease(self, ring):
+        rs = build_reports(ring, ("f3",), honest_chain_edges())
+        rs.reports[2].in_edges[1]["sig3"] = ReportValue(99, (T_FAIL, 10),
+                                                        None)
+        verdict = audit_consistency(rs, ring)
+        assert (verdict.node, verdict.kind) == (2, "malformed-report")
+        assert "incoming edge from 1 claims increase 99" in verdict.inequality
+
+    def test_gain_from_sender_beyond_its_record(self, ring):
+        # the claimed gain 30 stays within the sender-signed drop 40, but
+        # exceeds the sender's own record of the rise, 15, by more than 2n
+        rs = build_reports(ring, ("f3",), honest_chain_edges(drop=8))
+        rs.reports[1].in_edges[0]["sig3"] = ReportValue(30, (T_FAIL, 10),
+                                                        None)
+        verdict = audit_consistency(rs, ring)
+        assert (verdict.node, verdict.kind) == (1, "pairwise-inconsistency")
+        assert "potential gain 30 from the sender" in verdict.inequality
+
+    def test_evidence_signed_by_another_node(self, ring):
+        # node 1's statement, word for word, but signed by node 3
+        rs = build_reports(ring, ("f3",), honest_chain_edges())
+        forged = s2_evidence(ring, 3, 5, 15, 10)
+        rs.reports[2].in_edges[1]["sig1"] = ReportValue(5, (T_FAIL, 10),
+                                                        forged)
+        verdict = audit_consistency(rs, ring)
+        assert (verdict.node, verdict.kind) == (2, "malformed-report")
+        assert "without a matching signed statement" in verdict.inequality
+
+    def test_evidence_with_another_stamp(self, ring):
+        rs = build_reports(ring, ("f3",), honest_chain_edges())
+        rv = rs.reports[2].in_edges[1]["sig1"]
+        rs.reports[2].in_edges[1]["sig1"] = replace(rv, stamp=(T_FAIL, 11))
+        verdict = audit_consistency(rs, ring)
+        assert (verdict.node, verdict.kind) == (2, "malformed-report")
+        assert "without a matching signed statement" in verdict.inequality
 
 
 class TestF2:

@@ -296,9 +296,9 @@ FIELDS = {
     "node.reservoir": lambda e: _set(e.nodes[0], "reservoir",
                                      e.nodes[0].reservoir + [None]),
     "node.storage": lambda e: _put(e.nodes[e.R].storage, -1, None),
-    "auth.bb": lambda e: _put(e.auth[1].bb, ("new",), [None, set(), -1]),
+    "auth.bb": lambda e: _put(e.auth[1].bb, ("new",), [None, set()]),
     "auth.passed": lambda e: _set(e.auth[1], "bb", {
-        key: [entry[0], entry[1] | {-1}, entry[2]]
+        key: [entry[0], entry[1] | {-1}]
         for key, entry in e.auth[1].bb.items()}),
     "auth.cbp_out": lambda e: _put(e.auth[1].cbp_out, 0, NEW),
     "auth.alpha_in": lambda e: _put(e.auth[1].alpha_in, 0, NEW),
@@ -308,8 +308,7 @@ FIELDS = {
                                   NEW),
     "auth.sigp": lambda e: _put(_first(e.auth[1].in_led).sigp, NEW, None),
     "auth.sig_nn": lambda e: _set(e.auth[1], "sig_nn", NEW),
-    "auth.sot": lambda e: _put(e.auth[1].sot[e.auth[1].current_T],
-                               "omega", None),
+    "auth.sot": lambda e: _put(e.auth[1].sot, e.auth[1].current_T, None),
     "auth.bl": lambda e: _put(e.auth[1].bl, -1, 1),
     "auth.en": lambda e: _put(e.auth[1].en, -1, 1),
     "auth.claims": lambda e: _set(e.auth[1], "claims",
