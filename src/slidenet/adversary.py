@@ -20,14 +20,6 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ConformingViolation:
-    round_index: int
-
-    def __str__(self):
-        return f"no active honest sender-receiver path in round {self.round_index}"
-
-
 def edge_key(a, b):
     return (a, b) if a < b else (b, a)
 
@@ -239,9 +231,10 @@ def find_honest_path(schedule: EdgeSchedule, r: int, corrupt_nodes,
 
 
 def validate_conforming(schedule: EdgeSchedule, corrupt_nodes, sender,
-                        receiver) -> Optional[ConformingViolation]:
+                        receiver) -> Optional[int]:
     """Check every round has an active sender-receiver path through nodes
-    that are never corrupted; report the first round lacking one.
+    that are never corrupted; return the first round lacking one, or
+    None.
 
     A backbone from sender to receiver whose bits are forced into every
     mask and whose nodes are honest is such a path in every round: one
@@ -256,7 +249,7 @@ def validate_conforming(schedule: EdgeSchedule, corrupt_nodes, sender,
     for r in rounds:
         if find_honest_path(schedule, r, corrupt_nodes, sender,
                             receiver) is None:
-            return ConformingViolation(r)
+            return r
     return None
 
 

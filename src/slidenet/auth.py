@@ -216,62 +216,64 @@ class LedgerEntry:
 
 class LedgerPairing:
     """The per-packet half of the check that an edge's two ledgers agree,
-    kept on write: both ends' counts (label -> count) and how many labels
-    the sending end holds at a count other than the receiving end's
-    (absent reads as 0).  The two ledgers share this record, so neither
-    points at the other."""
+    kept on write: both ends' `sigp` entries (label -> LedgerEntry) and
+    how many labels the sending end holds at a count other than the
+    receiving end's (absent reads as 0).  The two ledgers share this
+    record, so neither points at the other."""
 
-    __slots__ = ("out_counts", "in_counts", "mismatched")
+    __slots__ = ("out_sigp", "in_sigp", "mismatched")
 
-    def __init__(self, out_counts, in_counts):
-        self.out_counts = out_counts
-        self.in_counts = in_counts
+    def __init__(self, out_sigp, in_sigp):
+        self.out_sigp = out_sigp
+        self.in_sigp = in_sigp
         self.recount()
 
     def _differs(self, label) -> bool:
-        out = self.out_counts
-        return label in out and out[label] != self.in_counts.get(label, 0)
+        out = self.out_sigp.get(label)
+        if out is None:
+            return False
+        other = self.in_sigp.get(label)
+        return out.value != (0 if other is None else other.value)
 
-    def set(self, counts, label, value) -> None:
-        """Write `value` at `label` into `counts`, one end's counts."""
+    def set(self, sigp, label, entry) -> None:
+        """Write `entry` at `label` into `sigp`, one end's entries."""
         before = self._differs(label)
-        counts[label] = value
+        sigp[label] = entry
         self.mismatched += self._differs(label) - before
 
     def recount(self) -> None:
-        self.mismatched = sum(map(self._differs, self.out_counts))
+        self.mismatched = sum(map(self._differs, self.out_sigp))
 
 
 class EdgeLedger:
     """Running signed totals for one directed edge, from one endpoint's
     point of view.  sig1: net current-codeword packets across the edge;
     sig2: the counterpart's signed potential change; sig3: own potential
-    change; sigp: per-fragment net crossings, with `counts` holding just
-    their values (label -> count).  `pair` compares `counts` with the
-    counterpart's; the engine pairs the two ends of each edge, and until
-    then a ledger is paired with no counts."""
+    change; sigp: per-fragment net crossings (label -> entry).  `pair`
+    compares `sigp` with the counterpart's; the engine pairs the two ends
+    of each edge, and until then a ledger is paired with no entries."""
 
-    __slots__ = ("sig1", "sig2", "sig3", "sigp", "counts", "pair")
+    __slots__ = ("sig1", "sig2", "sig3", "sigp", "pair")
 
     def __init__(self):
-        self.counts = {}
-        self.pair = LedgerPairing(self.counts, {})
+        self.sigp = {}
+        self.pair = LedgerPairing(self.sigp, {})
         self.clear(0)
 
     def clear(self, T):
         self.sig1 = LedgerEntry(0, (T, 0), None)
         self.sig2 = LedgerEntry(0, (T, 0), None)
         self.sig3 = LedgerEntry(0, (T, 0), None)
-        self.sigp = {}
-        self.counts.clear()
+        # in place: the pairing holds this dict
+        self.sigp.clear()
         self.pair.recount()
 
     def set_sigp(self, label, value, stamp, evidence) -> None:
-        self.sigp[label] = LedgerEntry(value, stamp, evidence)
-        self.pair.set(self.counts, label, value)
+        self.pair.set(self.sigp, label, LedgerEntry(value, stamp, evidence))
 
     def sigp_value(self, label) -> int:
-        return self.counts.get(label, 0)
+        entry = self.sigp.get(label)
+        return 0 if entry is None else entry.value
 
     def entries(self) -> int:
         return 3 + len(self.sigp)
@@ -330,7 +332,6 @@ class AuthNode:
         self.ring = ring
         self.key = ring.keypair(node_id)
         self.ids = sorted(ids)
-        self.n = len(ids)
         self.sender_id = sender_id
         self.receiver_id = receiver_id
         self.peers = [p for p in self.ids if p != node_id]
@@ -842,7 +843,6 @@ class SenderAuth(AuthNode):
 
     def __init__(self, node_id, ring, ids, sender_id, receiver_id):
         super().__init__(node_id, ring, ids, sender_id, receiver_id)
-        self.F = 0
         self.halted = False
         self.theta = None
         self.failure_records = {}     # failed_T -> record dict
@@ -876,13 +876,11 @@ class SenderAuth(AuthNode):
         participants = [i for i in self.ids
                         if i not in self.en and i not in self.bl]
         if reason != REASON_OK:
-            self.F += 1
             names = ("sig1", "sig2", "sig3") + (
                 ("sigp",) if reason[0] == "f4" else ())
             self.failure_records[T] = {
                 "reason": reason,
                 "participants": participants,
-                "eliminated": frozenset(self.en),
                 "own": {("edge", peer): led.records("out", names, reason)
                         for peer, led in sorted(self.out_led.items())},
             }
@@ -900,7 +898,6 @@ class SenderAuth(AuthNode):
         self.claims = set()
         self.reports = {}
         self.failure_records = {}
-        self.F = 0
         self.halted = True
         self._restart_broadcast(T, REASON_OK)
 
@@ -912,7 +909,8 @@ class SenderAuth(AuthNode):
         self.bb = {}
         self._seq = 0
         self.theta = None
-        omega = Omega(len(self.en), len(self.bl), self.F, reason, T + 1)
+        omega = Omega(len(self.en), len(self.bl), len(self.failure_records),
+                      reason, T + 1)
         reason_items = [(fT, rec["reason"])
                         for fT, rec in sorted(self.failure_records.items())]
         self._install_sot(T + 1, omega, sorted(self.en), reason_items,
@@ -934,7 +932,7 @@ class SenderAuth(AuthNode):
         if isinstance(parcel, Theta):
             if parcel.T == self.current_T and self.theta is None:
                 self.theta = parcel
-                events.append(("theta", r))
+                events.append(("theta",))
         elif isinstance(parcel, KnowledgeParcel):
             self._note_claim(parcel)
         elif isinstance(parcel, StatusParcel):
@@ -948,8 +946,7 @@ class SenderAuth(AuthNode):
         record = self.failure_records.get(failed_T)
         if record is None:
             return []
-        expected = expected_parts(self.ids, origin, record["reason"],
-                                  record["eliminated"])
+        expected = expected_parts(self.ids, origin, record["reason"], self.en)
         if parcel.reason != record["reason"] or parcel.part not in expected \
                 or not parcel.records_ok():
             return [("eliminate", origin,
@@ -960,31 +957,22 @@ class SenderAuth(AuthNode):
             return []
         slot[parcel.part] = inner
         events = []
-        if self._report_complete(origin, failed_T, record):
+        if all(part in slot for part in expected):
             self._add_parcel(self.sign(RemoveParcel(origin, self.current_T)))
             self._unblacklist(origin)
-            done = [fT for fT in self.failure_records
-                    if self._all_reports_complete(fT)]
+            done = [fT for fT, rec in self.failure_records.items()
+                    if all(self._report_complete(node, fT)
+                           for node in rec["participants"]
+                           if node != self.node_id)]
             if done:
                 events.append(("localize", min(done)))
         return events
 
-    def _report_complete(self, origin, failed_T, record) -> bool:
+    def _report_complete(self, origin, failed_T) -> bool:
         have = self.reports.get((origin, failed_T), {})
-        expected = expected_parts(self.ids, origin, record["reason"],
-                                  record["eliminated"])
-        return all(part in have for part in expected)
-
-    def _all_reports_complete(self, failed_T) -> bool:
-        record = self.failure_records.get(failed_T)
-        if record is None:
-            return False
-        for node in record["participants"]:
-            if node == self.node_id:
-                continue
-            if not self._report_complete(node, failed_T, record):
-                return False
-        return True
+        reason = self.failure_records[failed_T]["reason"]
+        return all(part in have for part
+                   in expected_parts(self.ids, origin, reason, self.en))
 
     def note_watermarks(self):
         """The sender's data buffer counts status-report parcels, failure
@@ -995,7 +983,7 @@ class SenderAuth(AuthNode):
         db = (len(self.bl) + len(self.en) + len(self.claims)
               + (1 if self.theta is not None else 0)
               + sum(len(parts) for parts in self.reports.values())
-              + len(self.failure_records) * (2 * self.n + 1))
+              + len(self.failure_records) * (2 * len(self.ids) + 1))
         self.max_db = max(self.max_db, db)
         for led in self.out_led.values():
             self.max_sig_entries = max(self.max_sig_entries, led.entries())
@@ -1020,7 +1008,7 @@ class SenderAuth(AuthNode):
             failed_T=failed_T, reason=record["reason"], n=n,
             sender=self.node_id, receiver=self.receiver_id,
             participants=list(record["participants"]),
-            eliminated=record["eliminated"])
+            eliminated=frozenset(self.en))
         for node in record["participants"]:
             if node == self.node_id:
                 parts = record["own"]

@@ -48,6 +48,17 @@ def stack_potential(kind, h, extra, accepted):
     return total, 0
 
 
+def network_potential(rows):
+    """(non-duplicated, duplication) potential of the buffers whose
+    `row()`s are `rows`: the sums of their `stack_potential`s."""
+    phi_nd = phi_dup = 0
+    for kind, _, h, extra, accepted in rows:
+        nd, dup = stack_potential(kind, h, extra, accepted)
+        phi_nd += nd
+        phi_dup += dup
+    return phi_nd, phi_dup
+
+
 class Buffer:
     """What both buffer kinds share: the slots, the height, and the moves
     re-shuffling and sender redistribution make between buffers."""

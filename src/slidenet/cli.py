@@ -20,7 +20,7 @@ import os
 import sys
 
 from .adversary import ConfigError, Corruption
-from .buffers import stack_potential
+from .buffers import network_potential
 from .codec import CodecError
 from .engine import (FAILED_RESULTS, ConformingError, Engine, InvariantError,
                      Scenario)
@@ -106,8 +106,7 @@ def cmd_run(args) -> int:
 def _audit_state_row(rec, n, honest_nodes, errors) -> tuple:
     """Recompute buffer potentials from one per-round state row and check
     the height-derived invariants for honest nodes."""
-    phi_nd = 0
-    phi_dup = 0
+    internal_rows = []
     cap = 2 * n
     for node_str, bufs in sorted(rec["nodes"].items()):
         node = int(node_str)
@@ -122,21 +121,18 @@ def _audit_state_row(rec, n, honest_nodes, errors) -> tuple:
                 raise ValueError(f"round {rec['g']}: node {node} buffer row "
                                  f"{row!r} is not [kind, peer, height, "
                                  f"extra, accepted]")
-            kind, peer, h, extra, acc = row
+            h = row[2]
             heights.append(h)
             if h < 0 or h > cap:
                 errors.append(f"round {rec['g']}: node {node} buffer "
                               f"height {h} outside [0, {cap}]")
-            if node in (0, n - 1):
-                continue
-            nd, dup = stack_potential(kind, h, extra, acc)
-            phi_nd += nd
-            phi_dup += dup
+            if node not in (0, n - 1):
+                internal_rows.append(row)
         if node in honest_nodes and node not in (0, n - 1) and heights:
             if max(heights) - min(heights) > 1:
                 errors.append(f"round {rec['g']}: node {node} unbalanced "
                               f"heights {heights}")
-    return phi_nd, phi_dup
+    return network_potential(internal_rows)
 
 
 class _Findings(list):

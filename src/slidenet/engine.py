@@ -17,7 +17,7 @@ from . import codec
 from .adversary import (ConfigError, Corruption, edge_key, find_honest_path,
                         generate_schedule, validate_conforming)
 from .auth import REASON_OK, AuthNode, LedgerPairing, SenderAuth
-from .buffers import Stored, stack_potential
+from .buffers import Stored, network_potential
 from .crypto import BACKENDS, keygen
 from .localize import run_localization
 from .node import INTERNAL, RECEIVER, SENDER, NodeState
@@ -31,9 +31,10 @@ FAILED_RESULTS = ("f2", "f3", "f4")
 
 
 class ConformingError(RuntimeError):
-    def __init__(self, violation):
-        super().__init__(str(violation))
-        self.round_index = violation.round_index
+    def __init__(self, round_index):
+        super().__init__(f"no active honest sender-receiver path in round "
+                         f"{round_index}")
+        self.round_index = round_index
 
 
 @dataclass
@@ -175,16 +176,18 @@ class Engine:
             p=sc.schedule_p, backbone=sc.backbone,
             corrupt_nodes=self._corrupt_ids,
             script=sc.schedule_script, repair=sc.schedule_repair)
-        violation = validate_conforming(self.schedule, self._corrupt_ids,
+        bad_round = validate_conforming(self.schedule, self._corrupt_ids,
                                         self.S, self.R)
-        if violation is not None:
-            raise ConformingError(violation)
+        if bad_round is not None:
+            raise ConformingError(bad_round)
 
         self.nodes = {}
         for i in self.ids:
             role = SENDER if i == self.S else (
                 RECEIVER if i == self.R else INTERNAL)
             self.nodes[i] = NodeState(i, role, self.ids, self.S, self.R)
+        self._internal = [i for i in self.ids
+                          if self.nodes[i].role == INTERNAL]
 
         self.auth = None
         self.ring = None
@@ -218,7 +221,7 @@ class Engine:
         if self.auth_mode:
             for a, b, _, _, auth_a, auth_b, _, _ in self.channels:
                 la, lb = auth_a.out_led[b], auth_b.in_led[a]
-                la.pair = lb.pair = LedgerPairing(la.counts, lb.counts)
+                la.pair = lb.pair = LedgerPairing(la.sigp, lb.sigp)
 
         self.T = 1
         self.delivered = []           # (message_index, global_round, T)
@@ -228,12 +231,13 @@ class Engine:
         self.max_packets = {i: 0 for i in self.ids}
         self._copy = None             # (message index, payload, packets)
         self._behavior = [None] * sc.n    # node -> its active behavior
+        self._phi_prev = None         # last checked round's phi_nd
 
     # -- helpers -----------------------------------------------------------
 
     def _activate_behaviors(self):
         for node, (act, beh) in self.corrupt_nodes.items():
-            if self.g_round >= act and beh.auth is None:
+            if self.g_round >= act and self._behavior[node] is None:
                 beh.attach(self.auth[node])
                 self.auth[node].attach_behavior(beh)
                 self._behavior[node] = beh
@@ -402,7 +406,7 @@ class Engine:
         tm["beta"] += rounds * self._round_beta
         if self._round_blocked and not self._round_wasted:
             self._blocked_unwasted += rounds
-        self._check_round(rounds=rounds)
+        self._check_round(rounds)
 
     # -- empty-network rounds ----------------------------------------------------
     #
@@ -541,9 +545,8 @@ class Engine:
             self._count_wasted()
         behavior = self._behavior
         sends = [None] * len(self.channels)
-        s_node = self.nodes[self.S]
-        self._s_had_packets = any(ob.H > 0
-                                  for ob in s_node.out_buffers.values())
+        s_had_packets = any(ob.H > 0
+                            for ob in self.nodes[self.S].out_buffers.values())
         for i, (a, b, ob, _, auth_a, _, _, _) in enumerate(self.channels):
             if ob.H_IN is None:
                 continue
@@ -594,7 +597,7 @@ class Engine:
             elif res[0] == "dup" or res[0] == "idle":
                 if auth_mode and res[1]:
                     auth_b.add_local_drop(res[1])
-        self._round_blocked = not inserted and self._s_had_packets
+        self._round_blocked = not inserted and s_had_packets
         self._round_gain = insert_gain
 
     def _broadcast_parcels(self):
@@ -706,23 +709,16 @@ class Engine:
     # -- metrics / invariant checking ------------------------------------------------
 
     def _potential(self, rows=None):
-        """Current (non-duplicated, duplication) network potential: the
-        sum of `stack_potential` over every internal node's buffers.
-        `rows`, when given, maps each node id to its buffers' `row()`s."""
-        phi_nd = 0
-        phi_dup = 0
-        for i, node in self.nodes.items():
-            if node.role != INTERNAL:
-                continue
-            node_rows = rows[i] if rows is not None else \
-                [buf.row() for buf in node.all_buffers()]
-            for kind, _, h, extra, accepted in node_rows:
-                nd, dup = stack_potential(kind, h, extra, accepted)
-                phi_nd += nd
-                phi_dup += dup
-        return phi_nd, phi_dup
+        """Current (non-duplicated, duplication) network potential, over
+        every internal node's buffers.  `rows`, when given, maps each node
+        id to its buffers' `row()`s."""
+        if rows is None:
+            return network_potential([buf.row() for i in self._internal
+                                      for buf in self.nodes[i].all_buffers()])
+        return network_potential([row for i in self._internal
+                                  for row in rows[i]])
 
-    def _check_round(self, rounds=1):
+    def _check_round(self, rounds):
         """The invariant checks of the last `rounds` rounds, which all
         ended in the current state."""
         level = self.sc.checks
@@ -749,7 +745,7 @@ class Engine:
                             and not self.auth[i].sot_complete()):
                         self.nodes[i].check_invariants(heights[i])
             if honest_run:
-                prev = getattr(self, "_phi_prev", None)
+                prev = self._phi_prev
                 if prev is not None and phi_nd - prev > self._round_gain:
                     raise InvariantError(
                         f"non-duplicated potential rose by {phi_nd - prev} "
@@ -829,9 +825,6 @@ class Engine:
                 tm["result"] = "eliminated"
             for auth in self.auth.values():
                 auth.end_of_transmission()
-            # a retry counts only the packets it sends itself
-            if not self.nodes[self.R].decoded:
-                self.nodes[self.R].reset_codeword_state()
         else:
             tm["result"] = "ok"
             if self.sc.checks != "off" \

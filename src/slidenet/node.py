@@ -215,20 +215,18 @@ class NodeState:
             return
         self.storage[idx] = item
 
-    def reset_codeword_state(self) -> None:
-        self.storage = {}
-        self.duplicate_label = None
-        self.decoded = False
-
     # -- transmission boundary --------------------------------------------
 
     def end_of_transmission_adjust(self) -> None:
         """Close every buffer's flag or ghost slot and mark its leftover
-        packets stale; a receiver that decoded moves on to the next
-        codeword."""
+        packets stale, and empty the receiver's storage: a receiver that
+        decoded moves on to the next codeword, and a retry counts only
+        the packets it sends itself."""
         for buf in self._buffers:
             buf.eot_adjust()
             buf.mark_stale()
         if self.decoded:
             self.current_codeword += 1
-            self.reset_codeword_state()
+        self.storage = {}
+        self.duplicate_label = None
+        self.decoded = False

@@ -32,9 +32,10 @@ def load_bounds():
 
 
 # attributes that point at shared or fixed objects (the key ring, keys,
-# back-references, hooks), not at state a round changes
+# back-references, hooks), not at state a round changes; a ledger pairing's
+# `out_sigp`/`in_sigp` are the two ledgers' own `sigp`, compared there
 _SNAPSHOT_SKIP = frozenset({"ring", "key", "auth", "report_hook", "params",
-                            "owner"})
+                            "owner", "out_sigp", "in_sigp"})
 
 
 def _keep(obj):
@@ -66,7 +67,8 @@ def _converter(cls):
         return frozenset
     name = cls.__name__
     if "__slots__" in cls.__dict__:
-        slots = cls.__slots__
+        slots = [attr for attr in cls.__slots__
+                 if attr not in _SNAPSHOT_SKIP]
         return lambda obj: (name, tuple(_plain(getattr(obj, attr))
                                         for attr in slots))
     return lambda obj: (name, {attr: _plain(value)
