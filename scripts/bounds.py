@@ -2,12 +2,15 @@
 """Run every scenario of one family from `slidenet.scenarios` and print,
 for each of the paper's bounds that the family measures, the worst value
 against its limit.  Exit codes: 0 every bound holds, 2 configuration
-error, 4 a value past its limit.
+error, 4 a value past its limit or a run that raises an invariant or
+localization failure.  Such a run prints its error to stderr and its
+scenario to stdout, as one line of JSON that `slidenet run` takes.
 
     python3 scripts/bounds.py --family attack --n 4
 """
 
 import argparse
+import json
 import sys
 import time
 
@@ -15,7 +18,9 @@ from slidenet import run_scenario
 from slidenet.adversary import ConfigError
 from slidenet.codec import CodecError
 from slidenet.engine import FAILED_RESULTS
+from slidenet.localize import LocalizationError
 from slidenet.scenarios import FAMILIES
+from slidenet.util import InvariantError
 
 
 def measure(report, eng):
@@ -66,7 +71,13 @@ def main(argv=None) -> int:
     try:
         scenarios = FAMILIES[args.family](args.n)
         for sc in scenarios:
-            for name, (limit, values) in measure(*run_scenario(sc)).items():
+            try:
+                table = measure(*run_scenario(sc))
+            except (InvariantError, LocalizationError) as exc:
+                print(f"invariant failure: {exc}", file=sys.stderr)
+                print(json.dumps(sc.to_dict(), sort_keys=True))
+                return 4
+            for name, (limit, values) in table.items():
                 if values and (name not in worst
                                or max(values) > worst[name][0]):
                     worst[name] = (max(values), limit)

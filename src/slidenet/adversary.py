@@ -156,6 +156,9 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
         raise ConfigError("need at least 4 nodes")
     if kind == "churn" and not 0 <= p <= 1:
         raise ConfigError(f"churn probability must lie in [0, 1], got {p}")
+    if type(repair) is not bool:
+        raise ConfigError(f"schedule repair must be true or false, got "
+                          f"{repair!r}")
     probe = EdgeSchedule(n, [])
     if backbone is None:
         backbone = default_backbone(n, set(corrupt_nodes))
@@ -178,8 +181,13 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
         masks = []
         for edge_list in script:
             m = 0
-            for a, b in edge_list:
-                m |= 1 << probe.bit[edge_key(a, b)]
+            for edge in edge_list:
+                if not (isinstance(edge, (list, tuple)) and len(edge) == 2
+                        and all(type(v) is int for v in edge)
+                        and edge_key(*edge) in probe.bit):
+                    raise ConfigError(f"scripted edge {edge!r} is not a "
+                                      f"pair of two distinct nodes")
+                m |= 1 << probe.bit[edge_key(*edge)]
             masks.append(m | forced)
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}")

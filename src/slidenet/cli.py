@@ -69,8 +69,8 @@ def cmd_run(args) -> int:
             scenario = Scenario.from_dict(data)
             os.makedirs(out_dir, exist_ok=True)
             sink = None
+            scenario.trace = args.trace
             if args.trace:
-                scenario.trace = True
                 sink = _TraceFile(os.path.join(out_dir, "trace.jsonl"))
                 outputs.callback(sink.discard)
                 sink.append({"k": "run", "scenario": scenario.to_dict(),

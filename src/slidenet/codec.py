@@ -138,7 +138,8 @@ def derive_params(n, lam, sigma=None, fragment_bytes: int = 2) -> CodingParams:
                          "no MDS code reaches that rate at this threshold")
     if (sigma * d).denominator != 1:
         raise CodecError(f"sigma*D = {sigma * d} is not an integer")
-    if fragment_bytes < 2 or fragment_bytes % 2:
+    if type(fragment_bytes) is not int or fragment_bytes < 2 \
+            or fragment_bytes % 2:
         raise CodecError("fragment_bytes must be a positive multiple of 2")
     return CodingParams(n, lam, sigma, fragment_bytes, d, d - 6 * n**3,
                         int(sigma * d))

@@ -155,8 +155,10 @@ class Engine:
         for c in sc.corruptions:
             if c.node in (self.S, self.R):
                 raise ConfigError("sender and receiver cannot be corrupted")
-            if c.node not in self.ids:
-                raise ConfigError(f"unknown node {c.node}")
+            if type(c.node) is not int or c.node not in self.ids:
+                raise ConfigError(f"unknown node {c.node!r}")
+            if c.node in self.corrupt_nodes:
+                raise ConfigError(f"node {c.node} is corrupted twice")
             if not self.auth_mode:
                 raise ConfigError("corruptions require authenticated mode")
             if type(c.round_index) is not int or c.round_index < 1:
@@ -165,10 +167,15 @@ class Engine:
             self.corrupt_nodes[c.node] = (c.round_index, c.make())
         self._corrupt_ids = frozenset(self.corrupt_nodes)
 
+        if type(sc.messages) is not int or sc.messages < 0:
+            raise ConfigError(f"messages {sc.messages!r} is not an int >= 0")
         budget = sc.max_transmissions
         if budget is None:
             budget = sc.messages + (0 if not self.corrupt_nodes
                                     else sc.n * sc.n)
+        elif type(budget) is not int or budget < 0:
+            raise ConfigError(f"max_transmissions {budget!r} is not an int "
+                              f">= 0")
         self.max_transmissions = budget
         total_rounds = budget * self.L
         self.schedule = generate_schedule(
@@ -328,22 +335,29 @@ class Engine:
             if not self.auth_mode \
                     and len(self.delivered) >= self.sc.messages:
                 break
-            if self._network_empty():
-                self._skip_empty()
-            elif self._fixed_point():
-                self._skip_quiet()
+            self._advance()
             r = self.r_local + 1
         self._end_transmission()
 
-    # -- quiet rounds ----------------------------------------------------------
+    # -- stretches of rounds that run no stage ---------------------------------
     #
-    # A round that leaves every field the next round reads as it found it,
-    # followed by a round with the same schedule mask, repeats itself until
-    # the mask changes or a scheduled event comes due, so the engine
-    # advances over that stretch in one step (next-event time advance).
-    # Comparing `_round_state()` with the previous round's proves a round
-    # quiet.  The one event flag, a confirmation, only spares taking the
-    # state in rounds that almost never repeat.
+    # After each executed round, `_advance` moves in one step over the
+    # rounds that would change nothing a later round reads (next-event
+    # time advance).  A stretch is one of two kinds:
+    # - quiet: a round that leaves every field the next round reads as it
+    #   found it, on the same mask as the next round, repeats itself until
+    #   the mask changes or a scheduled event comes due.  Comparing
+    #   `_round_state()` with the previous round's proves a round quiet.
+    #   The one event flag, a confirmation, only spares taking the state
+    #   in rounds that almost never repeat.
+    # - empty: a slide transmission runs its full L rounds, also after the
+    #   receiver has decoded its message.  Once that message is delivered
+    #   and the reservoir and every buffer are empty, a round moves no
+    #   packet and sets only the per-edge stage-1 registers (`H_IN`, `RR`,
+    #   `H_OUT`, `sb_OUT`, `H_GP`), each from whether its edge delivers on
+    #   that round's mask, so the stretch runs to round L.  Auth mode has
+    #   no empty stretch: its empty rounds still move the control channel
+    #   and the broadcast state.
 
     def _round_state(self):
         """Every field the next round reads, by value: equal states at
@@ -369,56 +383,6 @@ class Engine:
         prev, self._quiet_prev = self._quiet_prev, (g, state)
         return prev == (g - 1, state)
 
-    def _skip_quiet(self):
-        """Advance over the rounds that repeat round r_local, to just before
-        the earliest of: the next mask change, the receiver's
-        end-of-transmission parcel (round L-n+1), round L and the next
-        behaviour activation.  The per-round counters grow by the quiet
-        round's increments, a trace gets the quiet round's state row once
-        per skipped round, and the invariant checks run once on the
-        unchanged state."""
-        r0, g0 = self.r_local, self.g_round
-        base = g0 - r0
-        stop = min([self.L, self.schedule.next_change(g0) - base]
-                   + [act - base for act, _ in self.corrupt_nodes.values()
-                      if act > g0])
-        if self.auth_mode and r0 < self.L - self.n + 1:
-            stop = min(stop, self.L - self.n + 1)
-        skipped = stop - 1 - r0
-        if skipped <= 0:
-            return
-        if self.trace is not None:
-            row = self._state_row
-            for i in range(1, skipped):
-                self.trace.append(dict(row, g=g0 + i, r=r0 + i))
-        self.r_local, self.g_round = stop - 1, g0 + skipped
-        self._end_stretch(skipped)
-
-    def _end_stretch(self, rounds):
-        """The tail of every executed round and of both advances, once
-        the state is the stretch's last round's: the per-transmission
-        counters grow by that round's increments times the stretch, and
-        the invariant checks run once."""
-        tm = self.tm
-        tm["insert_gain"] += rounds * self._round_gain
-        tm["blocked"] += rounds * self._round_blocked
-        tm["wasted"] += rounds * self._round_wasted
-        tm["beta"] += rounds * self._round_beta
-        if self._round_blocked and not self._round_wasted:
-            self._blocked_unwasted += rounds
-        self._check_round(rounds)
-
-    # -- empty-network rounds ----------------------------------------------------
-    #
-    # A slide transmission runs its full L rounds, also after the receiver
-    # has decoded its message.  Once that message is delivered and the
-    # reservoir and every buffer are empty, a round moves no packet and
-    # sets only the per-edge stage-1 registers (`H_IN`, `RR`, `H_OUT`,
-    # `sb_OUT`, `H_GP`), each from whether its edge delivers on that
-    # round's mask, so the engine advances to round L in one step.  Auth
-    # mode is left out: its empty rounds still move the control channel
-    # and the broadcast state.
-
     def _network_empty(self) -> bool:
         """Whether slide round r_local left the transmission's message
         delivered and the reservoir and every buffer empty.  The cheap
@@ -430,41 +394,74 @@ class Engine:
             buf.is_empty() for node in self.nodes.values()
             for buf in node.all_buffers())
 
-    def _skip_empty(self):
-        """Advance over rounds r_local+1 .. L of an empty network, leaving
-        the registers as round L leaves them: through the buffers' own
-        stage-1 folds, stage-2 `receive` of no packet and the receiver's
-        drain, on round L's delivery.  A traced run first writes the state
-        row of each round before L from that round's ghost slots, the only
-        registers a row reads.  The counters grow by the increments of
-        the round that emptied the network, which are all zero: it
-        inserted nothing, and its sender held no packet at stage 2, since
-        the sender's packets leave only at a stage-1 confirmation."""
+    def _advance(self):
+        """Advance over the stretch after round r_local, if one follows:
+        to round L if the network is empty, or else, if the round was
+        quiet, to just before the earliest of the next mask change, the
+        receiver's end-of-transmission parcel (round L-n+1), round L and
+        the next behaviour activation.  A traced quiet round's row is the
+        last row renumbered; an empty round's is taken from its ghost
+        slots, the only registers it sets that a row reads.  Round L of an
+        empty stretch sets its registers through the buffers' own stage-1
+        folds, stage-2 `receive` of no packet and the receiver's drain.
+        The counters grow by round r_local's increments, all zero after
+        an emptying round: it inserted nothing, and its sender held no
+        packet at stage 2, since the sender's packets leave only at a
+        stage-1 confirmation."""
         r0, base = self.r_local, self.g_round - self.r_local
-        skipped = self.L - r0
-        if skipped <= 0:
+        empty = self._network_empty()
+        if empty:
+            last = self.L
+        elif self._fixed_point():
+            last = min([self.L, self.schedule.next_change(self.g_round) - base]
+                       + [act - base for act, _ in self.corrupt_nodes.values()
+                          if act > self.g_round]) - 1
+            if self.auth_mode and r0 < self.L - self.n + 1:
+                last = min(last, self.L - self.n)
+        else:
             return
-        if self.trace is not None:
+        if last <= r0:
+            return
+        if self.trace is not None and not empty:
+            row = self._state_row
+            for r in range(r0 + 1, last):
+                self.trace.append(dict(row, g=base + r, r=r))
+        elif self.trace is not None:
             # the receiver's drain clears its own ghost slots every round
             ghosts = [(ib, ab) for _, b, _, ib, _, _, ab, _ in self.channels
                       if b != self.R]
-            for r in range(r0 + 1, self.L):
+            for r in range(r0 + 1, last):
                 self.r_local, self.g_round = r, base + r
                 self._refresh_delivery()
                 for ib, ab in ghosts:
                     ib.idle_ghost(self._delivery[ab])
                 rows = self._buffer_rows()
                 self._emit_state_row(self._potential(rows)[0], rows)
-        self.r_local, self.g_round = self.L, base + self.L
-        self._refresh_delivery()
-        delivery = self._delivery
-        for _, _, ob, ib, _, _, ab, ba in self.channels:
-            ib.fold_stage1(ob.stage1_msg() if delivery[ab] else None)
-            ob.fold_reply((ib.H, ib.RR) if delivery[ba] else None)
-            ib.receive(None, self.L)
-        for ib in self.nodes[self.R].in_buffers.values():
-            ib.reset()
-        self._end_stretch(skipped)
+        self.r_local, self.g_round = last, base + last
+        if empty:
+            self._refresh_delivery()
+            delivery = self._delivery
+            for _, _, ob, ib, _, _, ab, ba in self.channels:
+                ib.fold_stage1(ob.stage1_msg() if delivery[ab] else None)
+                ob.fold_reply((ib.H, ib.RR) if delivery[ba] else None)
+                ib.receive(None, last)
+            for ib in self.nodes[self.R].in_buffers.values():
+                ib.reset()
+        self._end_stretch(last - r0)
+
+    def _end_stretch(self, rounds):
+        """The tail of every executed round and of every advance, once
+        the state is the stretch's last round's: the per-transmission
+        counters grow by that round's increments times the stretch, and
+        the invariant checks run once."""
+        tm = self.tm
+        tm["insert_gain"] += rounds * self._round_gain
+        tm["blocked"] += rounds * self._round_blocked
+        tm["wasted"] += rounds * self._round_wasted
+        tm["beta"] += rounds * self._round_beta
+        if self._round_blocked and not self._round_wasted:
+            self._blocked_unwasted += rounds
+        self._check_round(rounds)
 
     # -- stage 1 ---------------------------------------------------------------
 

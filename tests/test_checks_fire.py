@@ -71,7 +71,7 @@ NOT_DELIVERED = ("transmission 1, global round 3072: message 1 not "
 def test_undelivered_message_raises(monkeypatch, advance):
     monkeypatch.setattr(NodeState, "_receiver_take", _store_nothing)
     if advance == "off":
-        monkeypatch.setattr(Engine, "_network_empty", lambda self: False)
+        monkeypatch.setattr(Engine, "_advance", lambda self: None)
     with pytest.raises(InvariantError) as exc:
         run_scenario(Scenario(**TWO_MESSAGES))
     assert str(exc.value) == NOT_DELIVERED

@@ -4,9 +4,10 @@ from dataclasses import fields
 
 import pytest
 
+from slidenet import cli
 from slidenet.adversary import Corruption
 from slidenet.cli import main
-from slidenet.engine import Scenario
+from slidenet.engine import Engine, Scenario
 from slidenet.node import NodeState
 from test_golden import SCENARIOS
 
@@ -83,6 +84,17 @@ class TestRun:
           for bad_round in ("x", None, 1000.5, 0)),
         *({"mode": mode, "crypto_backend": backend}
           for mode in ("slide", "auth") for backend in ("rsa", 5)),
+        {"fragment_bytes": 2.0},
+        *({"messages": count} for count in (1.5, True, -1)),
+        {"max_transmissions": 1.5},
+        *({"mode": "auth", "corruptions": [
+            {"node": node, "round": 1, "behavior": "deleter"}]}
+          for node in (2.0, True)),
+        {"mode": "auth", "corruptions": [
+            {"node": 2, "round": 1, "behavior": "deleter"},
+            {"node": 2, "round": 5, "behavior": "ghost"}]},
+        {"schedule": {"kind": "scripted", "script": [[[0, 1, 2]]]}},
+        {"schedule": {"kind": "churn", "p": 0.2, "seed": 3, "repair": "no"}},
     ])
     def test_malformed_scenario_exit2(self, tmp_path, bad, capsys):
         data = {"n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
@@ -130,12 +142,34 @@ class TestRun:
         assert out == ""
         assert err.startswith("configuration error:")
 
+    def test_file_trace_needs_trace_option(self, tmp_path, monkeypatch):
+        """A file's "trace": true, run without --trace, keeps no trace in
+        memory and writes none: its report is that of "trace": false."""
+        engines = []
+
+        class Recording(Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(cli, "Engine", Recording)
+        reports = []
+        for trace in (True, False):
+            data = {"n": 4, "mode": "slide", "messages": 1, "trace": trace,
+                    "schedule": {"kind": "churn", "p": 0.2, "seed": 3}}
+            out = tmp_path / f"out-{trace}"
+            assert main(["run", write(tmp_path / f"{trace}.json", data),
+                         "--out", str(out)]) == 0
+            assert [p.name for p in out.iterdir()] == ["report.json"]
+            reports.append((out / "report.json").read_bytes())
+        assert [e.trace for e in engines] == [None, None]
+        assert reports[0] == reports[1]
+
     def test_summary_counts_classified_failures(self, tmp_path, capsys):
         """The golden deleter run ends f3, eliminated, ok: one failure
         against the paper's budgets, though `report.json` lists both
         transmissions that are not ok."""
         scenario = SCENARIOS["deleter-n4"]()
-        scenario.trace = False
         path = write(tmp_path / "deleter.json", scenario.to_dict())
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 0

@@ -1,12 +1,18 @@
 """scripts/bounds.py: each scenario family runs to the end within every
-bound, a limit planted below its measured value exits 4, and a
-configuration error exits 2.  Runs go through the session's run cache, so
-the scenarios the acceptance suite already ran are not run again."""
+bound, a limit planted below its measured value exits 4, a run that
+raises exits 4 with its scenario, and a configuration error exits 2.
+Runs go through the session's run cache, so the scenarios the acceptance
+suite already ran are not run again."""
+
+import json
 
 import pytest
 
 from conftest import SCRIPTS, cached_run, load_bounds
+from slidenet.engine import Scenario
+from slidenet.node import NodeState
 from slidenet.scenarios import FAMILIES
+from test_checks_fire import _store_nothing
 
 
 def test_every_script_has_a_case():
@@ -48,3 +54,16 @@ def test_bounds_config_error_exits_2(bounds, capsys):
     assert bounds.main(["--family", "attack", "--n", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_bounds_run_that_raises_exits_4(monkeypatch, capsys):
+    """A receiver that stores nothing fails the first honest run; the
+    runner prints that run's scenario as a file `slidenet run` takes.  The
+    module is loaded without the run cache, which would return a clean
+    run."""
+    monkeypatch.setattr(NodeState, "_receiver_take", _store_nothing)
+    assert load_bounds().main(["--family", "honest", "--n", "4"]) == 4
+    out, err = capsys.readouterr()
+    assert err.startswith("invariant failure: ") and "not delivered" in err
+    assert Scenario.from_dict(json.loads(out)).digest() \
+        == FAMILIES["honest"](4)[0].digest()

@@ -1,12 +1,13 @@
-"""The quiet-round skip and the empty-network advance against the
-round-by-round engine.
+"""The engine's next-event advance against the round-by-round engine.
 
-Every golden scenario and every attack scenario below runs twice:
-as shipped, and with `Engine._fixed_point` and `Engine._network_empty`
-patched to answer False, so that every round runs.  At the end of every
-skipped stretch the skipping run's whole state (`engine_snapshot`) must
-equal the other run's after the same round, and the two runs' reports and
-traces must be equal.
+`Engine._advance` moves over two kinds of stretch: quiet rounds, which
+repeat the round before, and the rounds of a slide network left empty
+after its message is delivered.  Every golden scenario and every attack
+scenario below runs twice: as shipped, and with `Engine._advance` patched
+to do nothing, so that every round runs.  At the end of every stretch the
+advancing run's whole state (`engine_snapshot`) must equal the other
+run's after the same round, and the two runs' reports and traces must be
+equal.
 """
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from conftest import engine_snapshot
 from slidenet.adversary import Corruption
 from slidenet.engine import Engine, Scenario, run_scenario
-from slidenet.scenarios import ATTACKERS, attack_scenario
+from slidenet.scenarios import ATTACKERS, attack_scenario, line_script
 from test_acceptance import GHOST
 from test_attacks import recovery_scenario
 from test_golden import SCENARIOS as GOLDEN
@@ -55,26 +56,21 @@ EXTRA = {
 }
 
 
-SKIPS = ("_skip_quiet", "_skip_empty")
-
-
 def _check_equivalent(monkeypatch, make):
-    """Run `make()` with and without the skips and compare them; returns
-    how many rounds each skip (by method name) advanced over."""
+    """Run `make()` with and without the advance and compare them;
+    returns how many rounds it advanced over, by kind of stretch."""
     at_end = {}
+    advance = Engine._advance
 
-    def recording(name):
-        skip = getattr(Engine, name)
-
-        def recording_skip(self):
-            before = self.g_round
-            skip(self)
-            at_end[self.g_round] = (name, self.g_round - before,
+    def recording_advance(self):
+        kind = "empty" if self._network_empty() else "quiet"
+        before = self.g_round
+        advance(self)
+        if self.g_round > before:
+            at_end[self.g_round] = (kind, self.g_round - before,
                                     engine_snapshot(self))
-        return recording_skip
 
-    for name in SKIPS:
-        monkeypatch.setattr(Engine, name, recording(name))
+    monkeypatch.setattr(Engine, "_advance", recording_advance)
     report, engine = run_scenario(make())
     monkeypatch.undo()
 
@@ -86,8 +82,7 @@ def _check_equivalent(monkeypatch, make):
         if self.g_round in at_end:
             seen[self.g_round] = engine_snapshot(self)
 
-    monkeypatch.setattr(Engine, "_fixed_point", lambda self: False)
-    monkeypatch.setattr(Engine, "_network_empty", lambda self: False)
+    monkeypatch.setattr(Engine, "_advance", lambda self: None)
     monkeypatch.setattr(Engine, "_post_round", recording_post_round)
     ref_report, ref = run_scenario(make())
     monkeypatch.undo()
@@ -97,9 +92,9 @@ def _check_equivalent(monkeypatch, make):
         assert snapshot == seen[g], f"state differs after round {g}"
     assert report == ref_report
     assert engine.trace == ref.trace
-    skipped = dict.fromkeys(SKIPS, 0)
-    for name, rounds, _ in at_end.values():
-        skipped[name] += rounds
+    skipped = {"quiet": 0, "empty": 0}
+    for kind, rounds, _ in at_end.values():
+        skipped[kind] += rounds
     return skipped
 
 
@@ -107,26 +102,26 @@ def _check_equivalent(monkeypatch, make):
 def test_skip_matches_every_round_golden(monkeypatch, name):
     skipped = _check_equivalent(monkeypatch, GOLDEN[name])
     if name == "auth-n4-static":
-        assert skipped["_skip_quiet"] > 3000
+        assert skipped["quiet"] > 3000
     # each traced slide run's first transmission ends in an empty network;
     # auth mode never advances over one
-    assert (skipped["_skip_empty"] > 0) == name.startswith("slide")
+    assert (skipped["empty"] > 0) == name.startswith("slide")
 
 
 @pytest.mark.parametrize("name", sorted(EXTRA))
 def test_skip_matches_every_round_stops(monkeypatch, name):
-    assert _check_equivalent(monkeypatch, EXTRA[name])["_skip_quiet"] > 0
+    assert _check_equivalent(monkeypatch, EXTRA[name])["quiet"] > 0
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(ATTACKS))
 def test_skip_matches_every_round_attacks(monkeypatch, name):
     skipped = _check_equivalent(monkeypatch, ATTACKS[name])
-    assert skipped["_skip_empty"] == 0
+    assert skipped["empty"] == 0
     if name == "attack-ghost-n5":
         # the parcel hop towards the silent ghost repeats every round, and
         # leaves the state as it found it
-        assert skipped["_skip_quiet"] >= 27000
+        assert skipped["quiet"] >= 27000
 
 
 # -- empty-network stretches -------------------------------------------------
@@ -142,12 +137,12 @@ def test_empty_stretch_untraced_matches_every_round(monkeypatch):
     """The golden slide runs are traced, so their advance sets the
     registers for every skipped round; an untraced one sets them once per
     stretch, for round L only."""
-    assert _check_equivalent(monkeypatch, benchmark_slide)["_skip_empty"] > 0
+    assert _check_equivalent(monkeypatch, benchmark_slide)["empty"] > 0
 
 
-def test_benchmark_slide_runs_few_rounds(monkeypatch):
-    """Only the rounds before each network empties run: at most 2,500 of
-    the scenario's 12,526."""
+def _executed_rounds(monkeypatch, scenario):
+    """Run `scenario`, counting the rounds whose stages ran:
+    (report, engine, count)."""
     stage2 = Engine._stage2
     executed = []
 
@@ -156,10 +151,35 @@ def test_benchmark_slide_runs_few_rounds(monkeypatch):
         stage2(self)
 
     monkeypatch.setattr(Engine, "_stage2", counting_stage2)
-    report, engine = run_scenario(benchmark_slide())
+    report, engine = run_scenario(scenario)
+    return report, engine, len(executed)
+
+
+def test_benchmark_slide_runs_few_rounds(monkeypatch):
+    """Only the rounds before each network empties run: at most 2,500 of
+    the scenario's 12,526."""
+    report, engine, executed = _executed_rounds(monkeypatch,
+                                                benchmark_slide())
     assert [d["message"] for d in report["delivered"]] == [1, 2, 3]
     assert engine.g_round == 12526
-    assert len(executed) <= 2500
+    assert executed <= 2500
+
+
+def test_benchmark_auth_runs_few_rounds(monkeypatch):
+    """The benchmark's auth workload at seed 0 (thin line at n=4, node 2
+    deleting from round 1) runs 1,585 of its 12,288 rounds: the rest are
+    quiet.  At most 2,000 may run."""
+    scenario = Scenario(
+        n=4, mode="auth", messages=1, max_transmissions=10,
+        schedule_kind="scripted", schedule_script=line_script(4),
+        schedule_seed=0, backbone=[0, 1, 3],
+        corruptions=[Corruption(node=2, round_index=1, behavior="deleter")],
+        seed=0)
+    report, engine, executed = _executed_rounds(monkeypatch, scenario)
+    assert [t["result"] for t in report["transmissions"]] == [
+        "f3", "eliminated", "ok"]
+    assert engine.g_round == 12288
+    assert executed <= 2000
 
 
 class _Empty(Exception):
@@ -170,12 +190,15 @@ class _Empty(Exception):
 def empty_engine():
     """The benchmark slide engine, stopped at its first empty network."""
     engine = Engine(benchmark_slide())
+    advance = Engine._advance
 
     def stop(self):
-        raise _Empty
+        if self._network_empty():
+            raise _Empty
+        advance(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Engine, "_skip_empty", stop)
+        mp.setattr(Engine, "_advance", stop)
         with pytest.raises(_Empty):
             engine.run()
     return engine
@@ -222,15 +245,15 @@ def test_quiet_stretch_stops_before_scheduled_events(monkeypatch):
     runs that round, and skips again short of round L."""
     engine = Engine(Scenario(n=4, mode="auth", messages=1))
     stretches = []
-    skip_quiet = Engine._skip_quiet
+    advance = Engine._advance
 
-    def recording_skip(self):
+    def recording_advance(self):
         before = self.r_local
-        skip_quiet(self)
+        advance(self)
         if self.r_local > before:
             stretches.append((before, self.r_local))
 
-    monkeypatch.setattr(Engine, "_skip_quiet", recording_skip)
+    monkeypatch.setattr(Engine, "_advance", recording_advance)
     engine.run()
     theta_round = engine.L - engine.n + 1
     assert any(end == theta_round - 1 for _, end in stretches)
@@ -248,12 +271,15 @@ class _Quiet(Exception):
 def quiet_engine():
     """The deleter-n4 golden engine, stopped at its first fixed point."""
     engine = Engine(GOLDEN["deleter-n4"]())
+    fixed_point = Engine._fixed_point
 
     def stop(self):
-        raise _Quiet
+        if fixed_point(self):
+            raise _Quiet
+        return False
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Engine, "_skip_quiet", stop)
+        mp.setattr(Engine, "_fixed_point", stop)
         with pytest.raises(_Quiet):
             engine.run()
     return engine
