@@ -154,14 +154,22 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
     """
     if n < 4:
         raise ConfigError("need at least 4 nodes")
-    if kind == "churn" and not 0 <= p <= 1:
-        raise ConfigError(f"churn probability must lie in [0, 1], got {p}")
+    if type(seed) is not int:
+        raise ConfigError(f"schedule seed {seed!r} is not an int")
+    if kind == "churn" and (type(p) not in (int, float) or not 0 <= p <= 1):
+        raise ConfigError(f"churn p must be a number in [0, 1], got {p!r}")
     if type(repair) is not bool:
         raise ConfigError(f"schedule repair must be true or false, got "
                           f"{repair!r}")
     probe = EdgeSchedule(n, [])
     if backbone is None:
         backbone = default_backbone(n, set(corrupt_nodes))
+    if not (isinstance(backbone, (list, tuple)) and backbone
+            and all(type(node) is int for node in backbone)
+            and all(edge_key(a, b) in probe.bit
+                    for a, b in zip(backbone, backbone[1:]))):
+        raise ConfigError(f"backbone {backbone!r} is not a path of nodes "
+                          f"0..{n - 1}")
     for node in backbone[1:-1]:
         if node in corrupt_nodes:
             raise ConfigError(f"backbone node {node} is corrupted")
@@ -274,8 +282,7 @@ class Behavior:
     name = "honest"
     relaxed_verify = False     # skip own delta checks on neighbors' claims
 
-    def __init__(self, params=None):
-        self.params = dict(params or {})
+    def __init__(self):
         self.auth = None     # set once the node turns
 
     def attach(self, auth):
@@ -284,7 +291,7 @@ class Behavior:
     def round_state(self):
         """This behaviour's own state, by value."""
         return [(name, copy.copy(value)) for name, value in vars(self).items()
-                if name not in ("auth", "params")]
+                if name != "auth"]
 
     def suppress_output(self) -> bool:
         """Ghost nodes answer nothing on any edge."""
@@ -343,8 +350,8 @@ class Duplicator(Behavior):
     name = "duplicator"
     relaxed_verify = True
 
-    def __init__(self, params=None):
-        super().__init__(params)
+    def __init__(self):
+        super().__init__()
         self.retained = None
 
     def after_accept(self, buf, stored, land) -> bool:
@@ -364,8 +371,8 @@ class Replacer(Behavior):
     name = "replacer"
     relaxed_verify = True
 
-    def __init__(self, params=None):
-        super().__init__(params)
+    def __init__(self):
+        super().__init__()
         self.pool = []
         self._cursor = 0
         self._replaced = set()       # peers whose last send was swapped
@@ -400,8 +407,8 @@ class ReportForger(Behavior):
 
     name = "report-forger"
 
-    def __init__(self, params=None):
-        super().__init__(params)
+    def __init__(self):
+        super().__init__()
         self.snapshots = {}
 
     def after_accept(self, buf, stored, land) -> bool:
@@ -442,4 +449,8 @@ class Corruption:
     def make(self) -> Behavior:
         if self.behavior not in BEHAVIORS:
             raise ConfigError(f"unknown behavior {self.behavior!r}")
-        return BEHAVIORS[self.behavior](self.params)
+        if self.params != {}:
+            # no behaviour reads a parameter
+            raise ConfigError(f"behavior {self.behavior!r} reads no params, "
+                              f"got {self.params!r}")
+        return BEHAVIORS[self.behavior]()

@@ -38,17 +38,45 @@ def _write_json(path, data) -> None:
         fh.write("\n")
 
 
+# the most `nodes` texts a trace sink keeps
+NODES_KEPT = 64
+_NODES_MARK = '"nodes": 0'
+
+
 class _TraceFile:
     """Trace sink: writes each record the engine appends as one JSON line
     to `path`.partial, which `commit` renames to `path`.  A run that stops
     before then leaves no trace, since an unfinished one can pass
-    `audit`."""
+    `audit`.
+
+    State rows often share one `nodes` object (every row of a quiet
+    stretch, and each distinct row of an empty one), so its text is kept
+    by the object's id, beside the object itself, which keeps that id from
+    being reused while the entry lives."""
 
     def __init__(self, path):
         self.path = path
-        self.fh = fh = open(path + ".partial", "w", buffering=1 << 20)
-        encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-        self.append = lambda rec: fh.write(encode(rec) + "\n")
+        self.fh = open(path + ".partial", "w", buffering=1 << 20)
+        self._encode = json.JSONEncoder(sort_keys=True,
+                                        check_circular=False).encode
+        self._nodes = {}              # id(nodes) -> (nodes, its text)
+
+    def append(self, rec):
+        encode = self._encode
+        nodes = rec.get("nodes")
+        if nodes is not None:
+            # encode the record with `nodes` as 0 and put the kept text in
+            # its place, unless another value holds that key and value too
+            head, _, tail = encode(dict(rec, nodes=0)).partition(_NODES_MARK)
+            if _NODES_MARK not in tail:
+                kept = self._nodes.get(id(nodes))
+                if kept is None:
+                    if len(self._nodes) >= NODES_KEPT:
+                        self._nodes.clear()
+                    kept = self._nodes[id(nodes)] = (nodes, encode(nodes))
+                self.fh.write(f'{head}"nodes": {kept[1]}{tail}\n')
+                return
+        self.fh.write(encode(rec) + "\n")
 
     def commit(self):
         self.fh.close()

@@ -29,6 +29,9 @@ from .util import InvariantError, digest
 # elimination is not one of them
 FAILED_RESULTS = ("f2", "f3", "f4")
 
+# the most distinct state rows an empty stretch keeps for reuse
+ROWS_KEPT = 64
+
 
 class ConformingError(RuntimeError):
     def __init__(self, round_index):
@@ -146,6 +149,8 @@ class Engine:
             raise ConfigError(f"unknown check level {sc.checks!r}")
         if sc.crypto_backend not in BACKENDS:
             raise ConfigError(f"unknown crypto backend {sc.crypto_backend!r}")
+        if type(sc.seed) is not int:
+            raise ConfigError(f"seed {sc.seed!r} is not an int")
         self.L = 4 * self.D if self.auth_mode else 3 * self.D
         self.ids = list(range(sc.n))
         self.S = 0
@@ -400,11 +405,12 @@ class Engine:
         quiet, to just before the earliest of the next mask change, the
         receiver's end-of-transmission parcel (round L-n+1), round L and
         the next behaviour activation.  A traced quiet round's row is the
-        last row renumbered; an empty round's is taken from its ghost
-        slots, the only registers it sets that a row reads.  Round L of an
-        empty stretch sets its registers through the buffers' own stage-1
-        folds, stage-2 `receive` of no packet and the receiver's drain.
-        The counters grow by round r_local's increments, all zero after
+        last row renumbered; an empty round's is built from its ghost
+        slots, the only registers it sets that a row reads, once for each
+        distinct pattern of them in the stretch.  Round L of an empty
+        stretch sets its registers through the buffers' own stage-1 folds,
+        stage-2 `receive` of no packet and the receiver's drain.  The
+        counters grow by round r_local's increments, all zero after
         an emptying round: it inserted nothing, and its sender held no
         packet at stage 2, since the sender's packets leave only at a
         stage-1 confirmation."""
@@ -427,16 +433,30 @@ class Engine:
             for r in range(r0 + 1, last):
                 self.trace.append(dict(row, g=base + r, r=r))
         elif self.trace is not None:
-            # the receiver's drain clears its own ghost slots every round
-            ghosts = [(ib, ab) for _, b, _, ib, _, _, ab, _ in self.channels
+            # the receiver's drain clears its own ghost slots every round;
+            # each other one is set by whether its edge is up, as a slide
+            # pair delivers exactly then.  So a row depends only on the
+            # mask's ghost bits, and each distinct pattern's (phi_nd,
+            # nodes) is built once, its rows sharing one `nodes`.  The
+            # slots a reused row leaves stale are set again by the next
+            # build and by round L's own stage-2 receive.
+            ghosts = [(ib, 1 << self.schedule.bit[edge_key(a, b)])
+                      for a, b, _, ib, _, _, _, _ in self.channels
                       if b != self.R]
+            ghost_bits = sum({bit for _, bit in ghosts})
+            built = {}                # ghost bits up -> (phi_nd, nodes)
             for r in range(r0 + 1, last):
                 self.r_local, self.g_round = r, base + r
-                self._refresh_delivery()
-                for ib, ab in ghosts:
-                    ib.idle_ghost(self._delivery[ab])
-                rows = self._buffer_rows()
-                self._emit_state_row(self._potential(rows)[0], rows)
+                up = self.schedule.mask(base + r) & ghost_bits
+                entry = built.get(up)
+                if entry is None:
+                    if len(built) >= ROWS_KEPT:
+                        built.clear()
+                    for ib, bit in ghosts:
+                        ib.idle_ghost(bool(up & bit))
+                    nodes = self._buffer_rows()
+                    entry = built[up] = (self._potential(nodes)[0], nodes)
+                self._emit_state_row(*entry)
         self.r_local, self.g_round = last, base + last
         if empty:
             self._refresh_delivery()
@@ -705,15 +725,15 @@ class Engine:
 
     # -- metrics / invariant checking ------------------------------------------------
 
-    def _potential(self, rows=None):
+    def _potential(self, nodes=None):
         """Current (non-duplicated, duplication) network potential, over
-        every internal node's buffers.  `rows`, when given, maps each node
-        id to its buffers' `row()`s."""
-        if rows is None:
+        every internal node's buffers.  `nodes`, when given, is
+        `_buffer_rows()`."""
+        if nodes is None:
             return network_potential([buf.row() for i in self._internal
                                       for buf in self.nodes[i].all_buffers()])
         return network_potential([row for i in self._internal
-                                  for row in rows[i]])
+                                  for row in nodes[str(i)]])
 
     def _check_round(self, rounds):
         """The invariant checks of the last `rounds` rounds, which all
@@ -733,8 +753,8 @@ class Engine:
             return
         honest_run = not self.corrupt_nodes
         # one row pass serves both the potential and the state row
-        rows = self._buffer_rows() if self.trace is not None else None
-        phi_nd, phi_dup = self._potential(rows)
+        nodes = self._buffer_rows() if self.trace is not None else None
+        phi_nd, phi_dup = self._potential(nodes)
         if level != "off":
             for i in self.ids:
                 if self._is_honest(i):
@@ -758,16 +778,16 @@ class Engine:
                     and self.r_local // 8 != (self.r_local - rounds) // 8:
                 self._check_conservation()
         self._phi_prev = phi_nd
-        if rows is not None:
-            self._emit_state_row(phi_nd, rows)
+        if nodes is not None:
+            self._emit_state_row(phi_nd, nodes)
 
     def _buffer_rows(self):
-        """Each node id -> its buffers' `row()`s."""
-        return {i: [buf.row() for buf in self.nodes[i].all_buffers()]
+        """A state row's `nodes`: each node id, as a string, -> its
+        buffers' `row()`s."""
+        return {str(i): [buf.row() for buf in self.nodes[i].all_buffers()]
                 for i in self.ids}
 
-    def _emit_state_row(self, phi_nd, rows):
-        nodes = {str(i): rows[i] for i in self.ids}
+    def _emit_state_row(self, phi_nd, nodes):
         self._state_row = {
             "k": "state", "g": self.g_round, "T": self.T, "r": self.r_local,
             "gain": self._round_gain, "blocked": int(self._round_blocked),

@@ -41,6 +41,33 @@ def corrupt_heights(monkeypatch):
     monkeypatch.setattr(NodeState, "reshuffle", reshuffle_then_corrupt)
 
 
+def _malformed(tmp_path, bad):
+    """A scenario file: the honest churn scenario updated with `bad`."""
+    data = {"n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
+            "schedule": {"kind": "churn", "p": 0.2, "seed": 3},
+            "seed": 1, "checks": "full"}
+    data.update(bad)
+    return write(tmp_path / "bad.json", data)
+
+
+def _churn(**fields):
+    return {"schedule": {"kind": "churn", "p": 0.2, "seed": 3, **fields}}
+
+
+# malformed fields, each with the text its message names it by
+NAMED_FIELD = {
+    "seed": ({"seed": 1.5}, "seed 1.5"),
+    "schedule-seed": (_churn(seed=True), "schedule seed True"),
+    "churn-p": (_churn(p=True), "churn p"),
+    "backbone-float": (_churn(backbone=[0, 1.0, 3]), "backbone [0, 1.0, 3]"),
+    "backbone-node": (_churn(backbone=[0, 9, 3]), "backbone [0, 9, 3]"),
+    "backbone-empty": (_churn(backbone=[]), "backbone []"),
+    "corruption-params": ({"mode": "auth", "corruptions": [
+        {"node": 2, "round": 1, "behavior": "deleter",
+         "params": {"junk": 1}}]}, "params"),
+}
+
+
 class TestRun:
     def test_honest_run_exit0(self, tmp_path, honest_scenario):
         out = tmp_path / "out"
@@ -95,14 +122,17 @@ class TestRun:
             {"node": 2, "round": 5, "behavior": "ghost"}]},
         {"schedule": {"kind": "scripted", "script": [[[0, 1, 2]]]}},
         {"schedule": {"kind": "churn", "p": 0.2, "seed": 3, "repair": "no"}},
+        *(bad for bad, _ in NAMED_FIELD.values()),
     ])
     def test_malformed_scenario_exit2(self, tmp_path, bad, capsys):
-        data = {"n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
-                "schedule": {"kind": "churn", "p": 0.2, "seed": 3},
-                "seed": 1, "checks": "full"}
-        data.update(bad)
-        assert main(["run", write(tmp_path / "bad.json", data)]) == 2
+        assert main(["run", _malformed(tmp_path, bad)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("name", list(NAMED_FIELD))
+    def test_malformed_scenario_names_field(self, tmp_path, name, capsys):
+        bad, text = NAMED_FIELD[name]
+        assert main(["run", _malformed(tmp_path, bad)]) == 2
+        assert text in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--mode", "auth"]])
     def test_run_takes_seed_and_mode_from_the_file(self, honest_scenario,
@@ -486,3 +516,64 @@ def test_traced_run_and_audit_memory_constant(tmp_path):
     long = _run_and_audit_peak(tmp_path, 3)
     assert short < 12 * 2**20 and long < 12 * 2**20
     assert abs(long - short) < 2 * 2**20
+
+
+# -- the trace file's `nodes` texts --------------------------------------------
+
+def _state_row(g, nodes, **extra):
+    return {"k": "state", "g": g, "T": 1, "r": g, "gain": 0, "blocked": 0,
+            "wasted": 0, "nd": 0, "nodes": nodes, **extra}
+
+
+def _fresh_nodes(i):
+    return {"1": [["out", 2, i % 7, None, False], ["in", 0, 0, i, False]]}
+
+
+def _sink_lines(tmp_path, records):
+    """Append each record `records` yields to a trace file, and return
+    its lines, each record's `json.dumps` taken as it was appended, and
+    the most `nodes` texts the sink held at once."""
+    sink = cli._TraceFile(str(tmp_path / "trace.jsonl"))
+    expected, most = [], 0
+    for rec in records:
+        expected.append(json.dumps(rec, sort_keys=True))
+        sink.append(rec)
+        most = max(most, len(sink._nodes))
+    sink.commit()
+    return (tmp_path / "trace.jsonl").read_text().splitlines(), expected, most
+
+
+def test_trace_file_encodes_shared_nodes_once(tmp_path):
+    nodes = _fresh_nodes(3)
+
+    def records():
+        for g in range(1, 201):
+            yield _state_row(g, nodes)
+            yield {"k": "confirm", "T": 1, "r": g, "e": [0, 1], "h": 2}
+        # another field that holds the text `"nodes": 0` as well
+        yield _state_row(201, nodes, note={"nodes": 0})
+        yield _state_row(202, nodes, ab={"nodes": 0.5})
+
+    lines, expected, most = _sink_lines(tmp_path, records())
+    assert lines == expected
+    assert most == 1
+
+
+def test_trace_file_nodes_ids_reused(tmp_path):
+    """Each row's `nodes` is built and freed in turn, so a later one can
+    take a freed one's id: the sink must never write a freed one's text."""
+    def records():
+        for i in range(1000):
+            yield _state_row(i, _fresh_nodes(i))
+
+    lines, expected, most = _sink_lines(tmp_path, records())
+    assert lines == expected
+    assert most <= cli.NODES_KEPT
+
+
+def test_trace_file_nodes_texts_bounded(tmp_path):
+    kept = [_fresh_nodes(i) for i in range(10_000)]
+    lines, expected, most = _sink_lines(
+        tmp_path, (_state_row(i, nodes) for i, nodes in enumerate(kept)))
+    assert lines == expected
+    assert most == cli.NODES_KEPT

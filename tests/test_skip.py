@@ -10,6 +10,8 @@ run's after the same round, and the two runs' reports and traces must be
 equal.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import engine_snapshot
@@ -138,6 +140,69 @@ def test_empty_stretch_untraced_matches_every_round(monkeypatch):
     registers for every skipped round; an untraced one sets them once per
     stretch, for round L only."""
     assert _check_equivalent(monkeypatch, benchmark_slide)["empty"] > 0
+
+
+def _rows_built_per_stretch(monkeypatch, scenario):
+    """Run `scenario`, recording each empty stretch's skipped rounds, the
+    number of distinct ghost patterns among them (which in-buffers of
+    non-receiver nodes have their edge up), and the `_buffer_rows` calls
+    its advance made outside the closing invariant checks."""
+    stretches = []
+    counting = []
+    advance, check_round = Engine._advance, Engine._check_round
+    buffer_rows = Engine._buffer_rows
+
+    def recording_advance(self):
+        r0, base = self.r_local, self.g_round - self.r_local
+        empty = self._network_empty()
+        counting[:] = [0]
+        advance(self)
+        built, counting[:] = counting[0], []
+        if not empty:
+            assert built == 0
+            return
+        ghosts = [buf for i, node in self.nodes.items() if i != self.R
+                  for buf in node.in_buffers.values()]
+        patterns = {tuple(self.schedule.active(base + r, buf.peer, buf.owner)
+                          for buf in ghosts)
+                    for r in range(r0 + 1, self.r_local)}
+        stretches.append((self.r_local - r0 - 1, len(patterns), built))
+
+    def quiet_check_round(self, rounds):
+        was, counting[:] = list(counting), []
+        check_round(self, rounds)
+        counting[:] = was
+
+    def counting_buffer_rows(self):
+        if counting:
+            counting[0] += 1
+        return buffer_rows(self)
+
+    monkeypatch.setattr(Engine, "_advance", recording_advance)
+    monkeypatch.setattr(Engine, "_check_round", quiet_check_round)
+    monkeypatch.setattr(Engine, "_buffer_rows", counting_buffer_rows)
+    run_scenario(scenario)
+    monkeypatch.undo()
+    return stretches
+
+
+def test_empty_stretch_builds_each_distinct_row_once(monkeypatch):
+    """A traced empty stretch builds one row for each distinct pattern of
+    ghost slots, not one for each round."""
+    stretches = _rows_built_per_stretch(monkeypatch,
+                                        GOLDEN["slide-n5-churn"]())
+    assert stretches
+    for rounds, patterns, built in stretches:
+        assert built <= patterns < rounds
+    assert sum(built for _, _, built in stretches) * 50 \
+        < sum(rounds for rounds, _, _ in stretches)
+
+
+def test_untraced_empty_stretch_builds_no_row(monkeypatch):
+    scenario = replace(GOLDEN["slide-n5-churn"](), trace=False)
+    stretches = _rows_built_per_stretch(monkeypatch, scenario)
+    assert stretches
+    assert all(built == 0 for _, _, built in stretches)
 
 
 def _executed_rounds(monkeypatch, scenario):
