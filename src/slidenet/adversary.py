@@ -184,8 +184,10 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
     elif kind == "churn":
         masks = _churn(n, seed, p, forced)
     elif kind == "scripted":
-        if not script:
-            raise ConfigError("scripted schedule needs per-round edge lists")
+        if not (script and isinstance(script, (list, tuple)) and all(
+                isinstance(r, (list, tuple)) for r in script)):
+            raise ConfigError(f"schedule.script {script!r:.80} is not a "
+                              f"list of per-round edge lists")
         masks = []
         for edge_list in script:
             m = 0

@@ -134,6 +134,8 @@ def cmd_run(args) -> int:
 def _audit_state_row(rec, n, honest_nodes, errors) -> tuple:
     """Recompute buffer potentials from one per-round state row and check
     the height-derived invariants for honest nodes."""
+    if not isinstance(rec.get("nodes"), dict):
+        raise ValueError(f"round {rec['g']}: nodes is not an object")
     internal_rows = []
     cap = 2 * n
     for node_str, bufs in sorted(rec["nodes"].items()):
@@ -175,15 +177,33 @@ class _Findings(list):
 
 # the fields the audit reads from each kind of trace record, and their types
 _RECORD_FIELDS = {"run": {"n": int, "scenario": dict}, "endT": {"T": int},
-                  "state": {"g": int, "r": int, "gain": int, "nodes": dict}}
+                  "state": {"g": int, "r": int, "gain": int}}
 
 
-def _trace_records(fh):
-    """The records of a trace file: one JSON object with a string "k" on
-    each non-blank line, holding the fields the audit reads."""
+def _split_nodes(line, kept):
+    """`line`'s record and `nodes` text, or None.  The text runs to the last
+    } before `, "r": `; the line with 0 for it must decode with `nodes` an
+    int (one literal "nodes" and no escape make that the one key), and the
+    text alone to an object, unless `kept` holds it: then `nodes` stays 0."""
+    head, key, rest = line.partition('"nodes": ')
+    end = rest.rfind("}", 0, max(rest.rfind(', "r": '), 0)) + 1
+    if key and end and line.count('"nodes"') == 1 and "\\" not in line:
+        text = rest[:end]
+        with contextlib.suppress(ValueError):
+            rec = json.loads(head + key + "0" + rest[end:])
+            if isinstance(rec, dict) and type(rec.get("nodes")) is int:
+                if text not in kept:
+                    rec["nodes"] = json.loads(text)
+                return rec, text
+    return None
+
+
+def _trace_records(fh, kept):
+    """(record, its `nodes` text or None) for each non-blank line of a
+    trace file: an object with a string "k" and the fields the audit reads."""
     for line in fh:
         if line.strip():
-            rec = json.loads(line)
+            rec, text = _split_nodes(line, kept) or (json.loads(line), None)
             if not isinstance(rec, dict) or not isinstance(rec.get("k"), str):
                 raise ValueError(f"not a trace record: {line.strip()[:80]}")
             bad = [f for f, t in _RECORD_FIELDS.get(rec["k"], {}).items()
@@ -191,33 +211,34 @@ def _trace_records(fh):
             if bad:
                 raise ValueError(f"{rec['k']} record without a valid "
                                  f"{', '.join(bad)}: {line.strip()[:80]}")
-            yield rec
+            yield rec, text
 
 
 def cmd_audit(args) -> int:
+    kept = {}       # nodes text -> (phi_nd, phi_dup) of a row that passed
     try:
         with open(args.trace) as fh:
-            return _audit(_trace_records(fh))
+            return _audit(_trace_records(fh, kept), kept)
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 
-def _audit(records) -> int:
+def _audit(records, kept) -> int:
     """Replay the invariants over trace records parsed one at a time; a
     malformed line stops it before it prints any finding."""
-    header = next(records, {})
+    header, _ = next(records, ({}, None))
     if header.get("k") != "run":
         print("configuration error: not a trace file", file=sys.stderr)
         return EXIT_CONFIG
-    n = header["n"]
-    honest = header.get("honest", True)
+    n, honest = header["n"], header.get("honest")
     corruptions = header["scenario"].get("corruptions", [])
     if not (isinstance(corruptions, list) and all(
             isinstance(c, dict) and isinstance(c.get("node"), int)
-            for c in corruptions)):
+            for c in corruptions) and honest is (not corruptions)):
         raise ValueError(f"run record whose scenario.corruptions is not a "
-                         f"list of objects with an integer node: "
+                         f"list of objects with an integer node, empty "
+                         f"just when its honest {honest!r:.20} is true: "
                          f"{corruptions!r:.80}")
     corrupt = {c["node"] for c in corruptions}
     honest_nodes = {i for i in range(n) if i not in corrupt}
@@ -225,14 +246,20 @@ def _audit(records) -> int:
 
     errors = _Findings()
     prev_nd = None
-    tx_gain = 0
-    tx_blocked_unwasted = 0
-    tx_start_nd = 0
-    rounds_seen = 0
-    for rec in records:
+    tx_gain = tx_blocked_unwasted = tx_start_nd = rounds_seen = 0
+    for rec, text in records:
         if rec["k"] == "state":
             rounds_seen += 1
-            phi_nd, phi_dup = _audit_state_row(rec, n, honest_nodes, errors)
+            if text in kept:
+                phi_nd, phi_dup = kept[text]
+            else:
+                found = errors.total
+                phi_nd, phi_dup = _audit_state_row(rec, n, honest_nodes,
+                                                   errors)
+                if text is not None and errors.total == found:
+                    if len(kept) >= NODES_KEPT:
+                        kept.clear()
+                    kept[text] = phi_nd, phi_dup
             if rec.get("nd") is not None and rec["nd"] != phi_nd:
                 errors.append(f"round {rec['g']}: recorded potential "
                               f"{rec['nd']} != recomputed {phi_nd}")

@@ -79,10 +79,8 @@ class Scenario:
         other missing keys take the field defaults.  An unknown key raises
         ConfigError, so a misspelt key cannot silently run with the
         default."""
-        sched = data.get("schedule", {}) if isinstance(data, dict) else None
-        if not isinstance(sched, dict):
-            raise ConfigError("a scenario and its schedule must be objects")
         _reject_unknown("scenario", data, cls().to_dict())
+        sched = data.get("schedule", {})
         _reject_unknown("schedule", sched, _SCHEDULE_KEYS)
         if "n" not in data:
             raise ConfigError("scenario has no node count n")
@@ -90,12 +88,14 @@ class Scenario:
                   if key not in ("schedule", "corruptions")}
         kwargs.update((_SCHEDULE_KEYS[key], value)
                       for key, value in sched.items())
-        for c in data.get("corruptions", []):
-            _reject_unknown("corruption", c, _CORRUPTION_KEYS)
+        corruptions = data.get("corruptions", [])
+        if not isinstance(corruptions, list):
+            raise ConfigError(f"corruptions {corruptions!r:.80} is not a list")
+        for c in corruptions:
+            _reject_unknown("corruptions entry", c, _CORRUPTION_KEYS)
         kwargs["corruptions"] = [
             Corruption(c["node"], c.get("round", 1), c["behavior"],
-                       c.get("params", {}))
-            for c in data.get("corruptions", [])]
+                       c.get("params", {})) for c in corruptions]
         return cls(**kwargs)
 
     def digest(self) -> str:
@@ -112,6 +112,8 @@ _CORRUPTION_KEYS = ("node", "round", "behavior", "params")
 
 
 def _reject_unknown(where, data, known) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} {data!r:.80} is not an object")
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")

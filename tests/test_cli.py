@@ -9,7 +9,7 @@ from slidenet.adversary import Corruption
 from slidenet.cli import main
 from slidenet.engine import Engine, Scenario
 from slidenet.node import NodeState
-from test_golden import SCENARIOS
+from test_golden import CLI_GOLDEN, SCENARIOS
 
 
 def write(path, data):
@@ -65,6 +65,13 @@ NAMED_FIELD = {
     "corruption-params": ({"mode": "auth", "corruptions": [
         {"node": 2, "round": 1, "behavior": "deleter",
          "params": {"junk": 1}}]}, "params"),
+    "script-round-int": ({"schedule": {"kind": "scripted",
+                                       "script": [[[0, 1]], 5]}},
+                         "schedule.script [[[0, 1]], 5]"),
+    "script-int": ({"schedule": {"kind": "scripted", "script": 5}},
+                   "schedule.script 5"),
+    "corruptions-int": ({"corruptions": 5}, "corruptions 5"),
+    "corruptions-entry-int": ({"corruptions": [5]}, "corruptions entry 5"),
 }
 
 
@@ -438,6 +445,8 @@ class TestAudit:
         pytest.param({}, ["out", 0, 2, "y", True], id="extra-not-int"),
         pytest.param({"corruptions": [5]}, ["in", 0, 0, None, False],
                      id="corruption-not-object"),
+        pytest.param({"corruptions": [{"node": 2}]},
+                     ["in", 0, 0, None, False], id="honest-with-corruption"),
     ])
     def test_malformed_field_contents_exit2(self, tmp_path, capsys,
                                             scenario, row):
@@ -477,18 +486,149 @@ class TestAudit:
                      "--trace"]) == 0
         assert main(["audit", str(out / "trace.jsonl")]) == 0
 
+    @pytest.mark.parametrize("honest", [False, 1, None])
+    def test_header_honest_not_its_scenarios_exit2(
+            self, tmp_path, honest_scenario, monkeypatch, capsys, honest):
+        """A header whose `honest` is not true for a scenario without
+        corruptions cannot switch the honest-only checks off: the audit
+        refuses it before it prints the finding they make (`honest` None
+        drops the flag)."""
+        trace, rows = _traced_rows(tmp_path, honest_scenario)
+        assert _hide_insertion_gain(rows)
+        rows[0]["honest"] = honest
+        if honest is None:
+            del rows[0]["honest"]
+        trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
+        code, _, err = _audit_both(monkeypatch, capsys, trace)
+        assert code == 2
+        assert err.startswith("configuration error: run record whose")
+        assert "audit:" not in err
+
     @pytest.mark.parametrize("tamper", list(TAMPERS))
-    def test_tampered_trace_exit4(self, tmp_path, honest_scenario, capsys,
-                                  tamper):
+    def test_tampered_trace_exit4(self, tmp_path, honest_scenario,
+                                  monkeypatch, capsys, tamper):
         messages, finding = TAMPERS[tamper]
         data = json.loads(open(honest_scenario).read())
         trace, rows = _traced_rows(tmp_path, write(
             tmp_path / "scenario.json", dict(data, messages=messages)))
         assert tamper(rows)
         trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
+        code, _, err = _audit_both(monkeypatch, capsys, trace)
+        assert code == 4
+        assert finding in err
+
+
+# -- the audit's `nodes` memo --------------------------------------------------
+
+def _audit_both(monkeypatch, capsys, path):
+    """(exit code, stdout, stderr) of `slidenet audit` on `path`, which
+    must be the same as shipped and with every line decoded whole, the
+    reference: no `nodes` text split off, so none kept."""
+    results = []
+    for split in (cli._split_nodes, lambda line, kept: None):
+        monkeypatch.setattr(cli, "_split_nodes", split)
         capsys.readouterr()
-        assert main(["audit", str(trace)]) == 4
-        assert finding in capsys.readouterr().err
+        results.append((main(["audit", str(path)]), *capsys.readouterr()))
+    monkeypatch.undo()
+    assert results[0] == results[1]
+    return results[0]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_audit_matches_whole_decode_golden(tmp_path, monkeypatch, capsys,
+                                           name):
+    path = write(tmp_path / "scenario.json", SCENARIOS[name]().to_dict())
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--trace"]) == 0
+    code, stdout, _ = _audit_both(monkeypatch, capsys, out / "trace.jsonl")
+    assert code == 0 and stdout.startswith("audit passed over")
+
+
+def _passing_row(g, peer=1):
+    """The line of a state row that passes the audit, with potential 0; its
+    `nodes` text differs by `peer`, which the audit does not check."""
+    nodes = {"0": [["out", peer, 0, None, False]],
+             "1": [["in", 0, 0, None, False]]}
+    return json.dumps(_state_row(g, nodes), sort_keys=True)
+
+
+_HEADER = json.dumps({"k": "run", "n": 4, "honest": True, "scenario": {}},
+                     sort_keys=True)
+_KEPT_NODES = json.dumps({"0": [["out", 1, 0, None, False]],
+                          "1": [["in", 0, 0, None, False]]})
+
+# lines a split of `nodes` apart from the rest would misread, each after a
+# row whose `nodes` text the audit keeps; every one is malformed as a whole
+MISREAD = {
+    # a second key "nodes", which the decoder takes over the first
+    "second-nodes-key": '{"T": 1, "g": 2, "gain": 0, "k": "state", '
+                        f'"nd": 0, "nodes": {_KEPT_NODES}, "r": 2, '
+                        '"nodes": 0}',
+    "second-nodes-key-no-space": '{"T": 1, "g": 2, "gain": 0, "k": '
+                                 f'"state", "nd": 0, "nodes": {_KEPT_NODES}'
+                                 ', "r": 2, "nodes":0}',
+    # "nodes" inside another key, and the key itself spelled with an escape
+    "nodes-in-a-key": '{"T": 1, "g": 2, "gain": 0, "k": "state", "nd": 0, '
+                      r'"\u006eodes": 0, "a\"nodes": '
+                      f'{_KEPT_NODES}, "r": 2}}',
+    # "nodes" only as a key of another field's object
+    "nodes-in-an-object": '{"T": 1, "g": 2, "gain": 0, "k": "state", '
+                          f'"nd": 0, "r": 2, "p": {{"nodes": {_KEPT_NODES}'
+                          ', "r": 2}}',
+    # the kept text, and then one } too many
+    "extra-brace": '{"T": 1, "g": 2, "gain": 0, "k": "state", "nd": 0, '
+                   f'"nodes": {_KEPT_NODES}}}, "r": 2}}',
+}
+
+
+@pytest.mark.parametrize("name", list(MISREAD))
+def test_audit_matches_whole_decode_misread(tmp_path, monkeypatch, capsys,
+                                            name):
+    assert f'"nodes": {_KEPT_NODES}, "r": 1,' in _passing_row(1)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join([_HEADER, _passing_row(1), MISREAD[name],
+                               _passing_row(3)]) + "\n")
+    code, stdout, err = _audit_both(monkeypatch, capsys, path)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("configuration error:")
+
+
+def test_audit_repeated_finding_counted_per_round(tmp_path, monkeypatch,
+                                                  capsys):
+    """A row with a finding is never kept, so each repeat of it is checked
+    again and named by its own round."""
+    tall = {"1": [["in", 0, 99, None, False]]}
+    rows = [json.dumps(_state_row(g, tall, nd=None), sort_keys=True)
+            for g in range(1, 6)] + [_passing_row(6)]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join([_HEADER] + rows) + "\n")
+    code, _, err = _audit_both(monkeypatch, capsys, path)
+    assert code == 4
+    assert err.splitlines() == [
+        f"audit: round {g}: node 1 buffer height 99 outside [0, 8]"
+        for g in range(1, 6)] + ["audit failed with 5 finding(s)"]
+
+
+def test_audit_nodes_texts_bounded(tmp_path, monkeypatch):
+    """10,000 distinct rows that each pass: the audit keeps at most
+    NODES_KEPT of their `nodes` texts, and does keep that many."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(
+        [_HEADER] + [_passing_row(g, peer=g) for g in range(1, 10_001)])
+        + "\n")
+    sizes = []
+    trace_records = cli._trace_records
+
+    def recording_trace_records(fh, kept):
+        for item in trace_records(fh, kept):
+            sizes.append(len(kept))
+            yield item
+        sizes.append(len(kept))
+
+    monkeypatch.setattr(cli, "_trace_records", recording_trace_records)
+    assert main(["audit", str(path)]) == 0
+    assert len(sizes) == 10_002
+    assert max(sizes) == cli.NODES_KEPT
 
 
 def _run_and_audit_peak(tmp_path, messages):
