@@ -150,18 +150,26 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
       with the backbone forced active.
 
     With repair=False the backbone is not forced, so the result may
-    violate the conforming constraint (callers must validate).
+    violate the conforming constraint (callers must validate).  p and
+    script are checked whatever the kind, since both enter the scenario
+    digest.
     """
     if n < 4:
         raise ConfigError("need at least 4 nodes")
     if type(seed) is not int:
         raise ConfigError(f"schedule seed {seed!r} is not an int")
-    if kind == "churn" and (type(p) not in (int, float) or not 0 <= p <= 1):
-        raise ConfigError(f"churn p must be a number in [0, 1], got {p!r}")
+    if kind not in ("static", "churn", "scripted"):
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    if type(p) not in (int, float) or not 0 <= p <= 1:
+        raise ConfigError(f"{kind} p must be a number in [0, 1], got {p!r}")
     if type(repair) is not bool:
         raise ConfigError(f"schedule repair must be true or false, got "
                           f"{repair!r}")
     probe = EdgeSchedule(n, [])
+    edge_masks = [] if script is None else _script_masks(probe.bit, script)
+    if kind == "scripted" and not edge_masks:
+        raise ConfigError(f"a scripted schedule needs a non-empty "
+                          f"schedule.script, got {script!r:.80}")
     if backbone is None:
         backbone = default_backbone(n, set(corrupt_nodes))
     if not (isinstance(backbone, (list, tuple)) and backbone
@@ -183,28 +191,32 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
         masks = [full_mask(n)]
     elif kind == "churn":
         masks = _churn(n, seed, p, forced)
-    elif kind == "scripted":
-        if not (script and isinstance(script, (list, tuple)) and all(
-                isinstance(r, (list, tuple)) for r in script)):
-            raise ConfigError(f"schedule.script {script!r:.80} is not a "
-                              f"list of per-round edge lists")
-        masks = []
-        for edge_list in script:
-            m = 0
-            for edge in edge_list:
-                if not (isinstance(edge, (list, tuple)) and len(edge) == 2
-                        and all(type(v) is int for v in edge)
-                        and edge_key(*edge) in probe.bit):
-                    raise ConfigError(f"scripted edge {edge!r} is not a "
-                                      f"pair of two distinct nodes")
-                m |= 1 << probe.bit[edge_key(*edge)]
-            masks.append(m | forced)
     else:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
+        masks = [m | forced for m in edge_masks]
     sched = EdgeSchedule(n, masks, rounds)
     sched.backbone = list(backbone)
     sched.forced = forced
     return sched
+
+
+def _script_masks(bit: dict, script) -> list:
+    """The edge masks of a script of per-round edge lists, checked."""
+    if not (isinstance(script, (list, tuple)) and all(
+            isinstance(r, (list, tuple)) for r in script)):
+        raise ConfigError(f"schedule.script {script!r:.80} is not a "
+                          f"list of per-round edge lists")
+    masks = []
+    for edge_list in script:
+        m = 0
+        for edge in edge_list:
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 2
+                    and all(type(v) is int for v in edge)
+                    and edge_key(*edge) in bit):
+                raise ConfigError(f"scripted edge {edge!r} is not a "
+                                  f"pair of two distinct nodes")
+            m |= 1 << bit[edge_key(*edge)]
+        masks.append(m)
+    return masks
 
 
 def _churn(n: int, seed, p: float, forced: int):

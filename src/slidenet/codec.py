@@ -8,7 +8,10 @@ bad signatures are discarded before decoding, never fed to the decoder.
 Encoding and decoding evaluate the interpolating polynomial at the missing
 points in row blocks of about _BLOCK table entries, so the codec's working
 set is bounded by the block size (a few MB of int32 temporaries), not by
-D^2.
+D^2.  The barycentric denominators and numerators are sums of logs over
+the K interpolation points, taken over their maximal aligned XOR blocks:
+they cost K x (blocks) table reads, not K^2 (encode's K points are two
+blocks at n=8).
 """
 
 from __future__ import annotations
@@ -153,15 +156,49 @@ def _to_bytes(words: np.ndarray) -> bytes:
     return words.astype(">u2").tobytes()
 
 
-def _log_sums(xs: np.ndarray) -> np.ndarray:
-    """The barycentric denominators: for each x in xs, the sum over the
-    other points y of log(x ^ y), mod GF_MOD.  x skips itself, since
-    log[0] is 0."""
-    out = np.empty(len(xs), dtype=np.int64)
-    step = max(1, _BLOCK // len(xs))
-    for s in range(0, len(xs), step):
-        block = _GF_LOG[xs[s:s + step, None] ^ xs[None, :]]
-        out[s:s + step] = block.sum(axis=1, dtype=np.int64)
+def _aligned_blocks(member: np.ndarray) -> list:
+    """The maximal aligned blocks of the set whose indicator over [0, 2^m)
+    is member, by level: entry j holds the ids k of the blocks
+    [k*2^j, (k+1)*2^j) that the set holds whole and whose parent it does
+    not."""
+    levels = []
+    while len(member) > 1:
+        whole = member[0::2] & member[1::2]
+        levels.append(np.flatnonzero(member & ~np.repeat(whole, 2))
+                      .astype(np.int32))
+        member = whole
+    levels.append(np.flatnonzero(member).astype(np.int32))
+    return levels
+
+
+def _block_sums(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """For each p in points, the sum over y in xs of log(p ^ y), mod GF_MOD.
+
+    The points lie in V = [0, 2^m), which is closed under XOR, and p ^ B
+    is an aligned block for every aligned block B of V.  So a block
+    [k*2^j, (k+1)*2^j) of xs adds level_j[(p >> j) ^ k], where level_j
+    holds the log sums of V's aligned blocks of size 2^j.  Every p sums
+    to the same total over all of V, so xs or V minus xs, whichever
+    splits into fewer blocks, gives the sum: each point costs one table
+    read per block, never more than min(|xs|, |V| - |xs|).
+    """
+    size = 1 << int(max(points.max(), xs.max())).bit_length()
+    member = np.zeros(size, dtype=bool)
+    member[xs] = True
+    inside, outside = _aligned_blocks(member), _aligned_blocks(~member)
+    complement = sum(map(len, outside)) < sum(map(len, inside))
+    out = np.zeros(len(points), dtype=np.int64)
+    level = _GF_LOG[:size]
+    for j, ids in enumerate(outside if complement else inside):
+        if len(ids):
+            shifted = points >> j
+            step = max(1, _BLOCK // len(ids))
+            for s in range(0, len(points), step):
+                block = level[shifted[s:s + step, None] ^ ids[None, :]]
+                out[s:s + step] += block.sum(axis=1, dtype=np.int64)
+        level = (level[0::2] + level[1::2]) % GF_MOD
+    if complement:
+        out = _GF_LOG[:size].sum(dtype=np.int64) - out
     return out % GF_MOD
 
 
@@ -173,16 +210,20 @@ def _lagrange_eval(xs: np.ndarray, values: np.ndarray,
     (len(xs), words); returns (len(targets), words).
     """
     words = values.shape[1]
+    # a point's own term is log 0 = 0, so the sums at xs are the
+    # barycentric denominators; the sums at the targets are the numerators
+    sums = _block_sums(np.concatenate([xs, targets]), xs)
+    denom, numers = sums[:len(xs)], sums[len(xs):]
     # log(v_j / denom_j), offset by GF_MOD so that subtracting a log stays
     # a valid index into the doubled exp table
-    log_u = (_GF_LOG[values.T] - _log_sums(xs)) % GF_MOD
+    log_u = (_GF_LOG[values.T] - denom) % GF_MOD
     log_u = (log_u + GF_MOD).astype(np.int32)
     zero = values.T == 0
     out = np.zeros((len(targets), words), dtype=np.int32)
     step = max(1, _BLOCK // len(xs))
     for s in range(0, len(targets), step):
         log_tdiff = _GF_LOG[targets[s:s + step, None] ^ xs[None, :]]
-        numer = log_tdiff.sum(axis=1, dtype=np.int64) % GF_MOD
+        numer = numers[s:s + step]
         for w in range(words):
             # weight_ij = v_j / ((t_i ^ x_j) * denom_j); a zero v_j adds nothing
             terms = _GF_EXP[log_u[w] - log_tdiff]

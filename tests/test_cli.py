@@ -72,6 +72,9 @@ NAMED_FIELD = {
                    "schedule.script 5"),
     "corruptions-int": ({"corruptions": 5}, "corruptions 5"),
     "corruptions-entry-int": ({"corruptions": [5]}, "corruptions entry 5"),
+    "churn-script": (_churn(script=5), "schedule.script 5"),
+    "static-p": ({"schedule": {"kind": "static", "p": "x"}},
+                 "static p must be a number in [0, 1], got 'x'"),
 }
 
 

@@ -203,3 +203,53 @@ def test_n8_codec_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def _direct_sums(points, xs):
+    return np.array([codec._GF_LOG[p ^ xs].sum(dtype=np.int64) % codec.GF_MOD
+                     for p in points], dtype=np.int64)
+
+
+@pytest.mark.parametrize("m", range(17))
+def test_block_sums_match_direct_sum(m):
+    # random subsets of V = [0, 2^m), summed at points in and out of xs
+    size = 1 << m
+    rng = np.random.default_rng(m)
+    for _ in range(4):
+        xs = np.sort(rng.choice(size, rng.integers(1, size + 1),
+                                replace=False)).astype(np.int32)
+        points = np.unique(np.concatenate([
+            rng.choice(size, min(size, 40), replace=False),
+            [0, size - 1]])).astype(np.int32)
+        assert (codec._block_sums(points, xs) == _direct_sums(points, xs)).all()
+
+
+@pytest.mark.parametrize("xs", [
+    np.arange(1 << 16),                              # the whole field
+    np.arange(1 << 10),                              # all of V: no complement
+    np.array([0]),                                   # one point, and it is 0
+    np.array([1023]),                                # one point, 0 outside
+    np.array([0, 1, 2, 3, 7, 8, 100, 511, 512, 1000]),
+    np.arange(3, 1024, 5),                           # 0 outside, many blocks
+], ids=["field", "all-of-V", "zero", "single", "mixed", "strided"])
+def test_block_sums_edge_cases(xs):
+    xs = xs.astype(np.int32)
+    size = 1 << int(xs.max()).bit_length()
+    outside = np.setdiff1d(np.arange(size), xs)
+    rng = np.random.default_rng(len(xs))
+    points = np.concatenate([xs[:50], rng.permutation(outside)[:50],
+                             [0, size - 1]]).astype(np.int32)
+    assert (codec._block_sums(points, xs) == _direct_sums(points, xs)).all()
+
+
+@pytest.mark.parametrize(("n", "lam", "d"), [(5, "3/8", 2000),
+                                             (7, "7/16", 4704)])
+def test_threshold_round_trip_non_power_of_two(n, lam, d):
+    p = make_params(n, lam)
+    assert p.packets_per_codeword == d
+    msg = random_message(p, n)
+    cw = list(encode(msg, p))
+    rng = random.Random(n)
+    rng.shuffle(cw)
+    subset = cw[:p.decode_threshold]
+    assert decode(subset, p) == msg
