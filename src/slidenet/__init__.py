@@ -4,12 +4,12 @@ localization."""
 
 from .adversary import (Corruption, EdgeSchedule, generate_schedule,
                         validate_conforming)
+from .auth import classify_failure
 from .codec import CodingParams, Message, Packet, decode, derive_params, encode
 from .crypto import KeyRing, Signed, keygen
 from .engine import Engine, InvariantError, Scenario, run_scenario
 from .localize import (StatusReportSet, Verdict, audit_consistency,
-                       classify_failure, localize_f2, localize_f3,
-                       localize_f4, run_localization)
+                       localize_f2, localize_f3, localize_f4, run_localization)
 
 __all__ = [
     "CodingParams", "Message", "Packet", "derive_params", "encode", "decode",

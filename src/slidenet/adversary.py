@@ -461,7 +461,7 @@ class Corruption:
     params: dict = field(default_factory=dict)
 
     def make(self) -> Behavior:
-        if self.behavior not in BEHAVIORS:
+        if type(self.behavior) is not str or self.behavior not in BEHAVIORS:
             raise ConfigError(f"unknown behavior {self.behavior!r}")
         if self.params != {}:
             # no behaviour reads a parameter

@@ -28,6 +28,19 @@ def reason_f4(label):
     return ("f4", label)
 
 
+def classify_failure(kappa: int, packets_per_codeword: int, theta) -> tuple:
+    """Failure trichotomy from the end-of-transmission parcel and the
+    sender's insertion count: success; duplicate seen at the receiver;
+    too few insertions; otherwise flow-deficit."""
+    if theta.decoded:
+        return REASON_OK
+    if theta.dup_label is not None:
+        return reason_f4(theta.dup_label)
+    if kappa < packets_per_codeword:
+        return REASON_F2
+    return REASON_F3
+
+
 # the ledger fields a status report holds for each kind of failure; "sigp"
 # is the per-packet entry at the duplicated packet's label
 REPORT_FIELDS = {"f2": ("sig2", "sig3"), "f3": ("sig1",), "f4": ("sigp",)}
@@ -203,6 +216,9 @@ GATE_TAGS_ANY_T = frozenset(("rm", "know"))
 # ---------------------------------------------------------------------------
 
 class LedgerEntry:
+    """A signed ledger value, its (transmission, round) stamp and its
+    counterpart-signed evidence or None: in a ledger and in a report set."""
+
     __slots__ = ("value", "stamp", "evidence")
 
     def __init__(self, value=0, stamp=(0, 0), evidence=None):
@@ -867,7 +883,6 @@ class SenderAuth(AuthNode):
         """End-of-transmission processing: classify the outcome, blacklist
         participants of a failure, archive own evidence, and queue the next
         start-of-transmission broadcast.  Returns (reason, participants)."""
-        from .localize import classify_failure
         T = self.current_T
         if self.theta is None or self.theta.T != T:
             raise InvariantError(f"transmission {T}: end-of-transmission "
@@ -998,30 +1013,3 @@ class SenderAuth(AuthNode):
         boundary; only the per-transmission channel state resets."""
         self._next_transmission()
         self.halted = False
-
-    # -- assembling the localization input -----------------------------------
-
-    def build_report_set(self, failed_T, n):
-        from .localize import NodeReport, ReportValue, StatusReportSet
-        record = self.failure_records[failed_T]
-        rs = StatusReportSet(
-            failed_T=failed_T, reason=record["reason"], n=n,
-            sender=self.node_id, receiver=self.receiver_id,
-            participants=list(record["participants"]),
-            eliminated=frozenset(self.en))
-        for node in record["participants"]:
-            if node == self.node_id:
-                parts = record["own"]
-            else:
-                parts = {part: signed.value.payload for part, signed
-                         in self.reports[(node, failed_T)].items()}
-            rep = rs.reports[node] = NodeReport(node)
-            for part, payload in sorted(parts.items()):
-                for side, name, _, value, sT, sr, evidence in payload:
-                    rv = ReportValue(value, (sT, sr), evidence)
-                    if side == "self":
-                        rep.sig_nn = rv
-                    else:
-                        target = rep.out_edges if side == "out" else rep.in_edges
-                        target.setdefault(part[1], {})[name] = rv
-        return rs

@@ -335,12 +335,6 @@ class IncomingBuffer(Buffer):
             self.sb_OUT = 0
             self.H_OUT = h
 
-    def idle_ghost(self, heard: bool) -> None:
-        """The ghost slot `receive` leaves in a round in which this buffer
-        and the peer's outgoing one are empty: slot 1 is reserved exactly
-        when the peer's advertisement did not arrive."""
-        self.H_GP = None if heard else 1
-
     # -- stage 2 --------------------------------------------------------
 
     def _reserve_ghost(self) -> None:

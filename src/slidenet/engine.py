@@ -19,7 +19,7 @@ from .adversary import (ConfigError, Corruption, edge_key, find_honest_path,
 from .auth import REASON_OK, AuthNode, LedgerPairing, SenderAuth
 from .buffers import Stored, network_potential
 from .crypto import BACKENDS, keygen
-from .localize import run_localization
+from .localize import build_report_set, run_localization
 from .node import INTERNAL, RECEIVER, SENDER, NodeState
 from .util import InvariantError, digest
 
@@ -84,6 +84,8 @@ class Scenario:
         _reject_unknown("schedule", sched, _SCHEDULE_KEYS)
         if "n" not in data:
             raise ConfigError("scenario has no node count n")
+        if type(data.get("trace", False)) is not bool:
+            raise ConfigError(f"trace {data['trace']!r:.80} is not a bool")
         kwargs = {key: value for key, value in data.items()
                   if key not in ("schedule", "corruptions")}
         kwargs.update((_SCHEDULE_KEYS[key], value)
@@ -93,6 +95,10 @@ class Scenario:
             raise ConfigError(f"corruptions {corruptions!r:.80} is not a list")
         for c in corruptions:
             _reject_unknown("corruptions entry", c, _CORRUPTION_KEYS)
+            for key in ("node", "behavior"):
+                if key not in c:
+                    raise ConfigError(f"corruptions entry {c!r:.80} has no "
+                                      f"{key}")
         kwargs["corruptions"] = [
             Corruption(c["node"], c.get("round", 1), c["behavior"],
                        c.get("params", {})) for c in corruptions]
@@ -149,7 +155,8 @@ class Engine:
             raise ConfigError(f"unknown mode {sc.mode!r}")
         if sc.checks not in ("full", "off"):
             raise ConfigError(f"unknown check level {sc.checks!r}")
-        if sc.crypto_backend not in BACKENDS:
+        if type(sc.crypto_backend) is not str \
+                or sc.crypto_backend not in BACKENDS:
             raise ConfigError(f"unknown crypto backend {sc.crypto_backend!r}")
         if type(sc.seed) is not int:
             raise ConfigError(f"seed {sc.seed!r} is not an int")
@@ -240,7 +247,8 @@ class Engine:
         self.T = 1
         self.delivered = []           # (message_index, global_round, T)
         self.transmissions = []       # per-transmission records
-        self.eliminations = []        # (T, node, kind, inequality)
+        self.eliminations = []        # {T, round, node, kind, inequality,
+                                      # margin}
         self.trace = [] if trace is None and sc.trace else trace
         self.max_packets = {i: 0 for i in self.ids}
         self._copy = None             # (message index, payload, packets)
@@ -410,12 +418,10 @@ class Engine:
         last row renumbered; an empty round's is built from its ghost
         slots, the only registers it sets that a row reads, once for each
         distinct pattern of them in the stretch.  Round L of an empty
-        stretch sets its registers through the buffers' own stage-1 folds,
-        stage-2 `receive` of no packet and the receiver's drain.  The
-        counters grow by round r_local's increments, all zero after
-        an emptying round: it inserted nothing, and its sender held no
-        packet at stage 2, since the sender's packets leave only at a
-        stage-1 confirmation."""
+        stretch runs its own two stages and the receiver's drain.  The
+        counters grow by the increments of the last round that ran, all
+        zero in an empty network: no round inserts, and the sender holds
+        no packet at stage 2."""
         r0, base = self.r_local, self.g_round - self.r_local
         empty = self._network_empty()
         if empty:
@@ -438,14 +444,15 @@ class Engine:
             # the receiver's drain clears its own ghost slots every round;
             # each other one is set by whether its edge is up, as a slide
             # pair delivers exactly then.  So a row depends only on the
-            # mask's ghost bits, and each distinct pattern's (phi_nd,
-            # nodes) is built once, its rows sharing one `nodes`.  The
+            # mask's ghost bits: each distinct pattern sets its slots with
+            # a round's own stage-1 fold and stage-2 receive, and builds
+            # its (phi_nd, nodes) once, its rows sharing one `nodes`.  The
             # slots a reused row leaves stale are set again by the next
-            # build and by round L's own stage-2 receive.
-            ghosts = [(ib, 1 << self.schedule.bit[edge_key(a, b)])
-                      for a, b, _, ib, _, _, _, _ in self.channels
+            # build and by round L.
+            ghosts = [(ob, ib, 1 << self.schedule.bit[edge_key(a, b)])
+                      for a, b, ob, ib, _, _, _, _ in self.channels
                       if b != self.R]
-            ghost_bits = sum({bit for _, bit in ghosts})
+            ghost_bits = sum({bit for _, _, bit in ghosts})
             built = {}                # ghost bits up -> (phi_nd, nodes)
             for r in range(r0 + 1, last):
                 self.r_local, self.g_round = r, base + r
@@ -454,21 +461,18 @@ class Engine:
                 if entry is None:
                     if len(built) >= ROWS_KEPT:
                         built.clear()
-                    for ib, bit in ghosts:
-                        ib.idle_ghost(bool(up & bit))
+                    for ob, ib, bit in ghosts:
+                        ib.fold_stage1(ob.stage1_msg() if up & bit else None)
+                        ib.receive(None, r)
                     nodes = self._buffer_rows()
                     entry = built[up] = (self._potential(nodes)[0], nodes)
                 self._emit_state_row(*entry)
         self.r_local, self.g_round = last, base + last
         if empty:
             self._refresh_delivery()
-            delivery = self._delivery
-            for _, _, ob, ib, _, _, ab, ba in self.channels:
-                ib.fold_stage1(ob.stage1_msg() if delivery[ab] else None)
-                ob.fold_reply((ib.H, ib.RR) if delivery[ba] else None)
-                ib.receive(None, last)
-            for ib in self.nodes[self.R].in_buffers.values():
-                ib.reset()
+            self._stage1()
+            self._stage2()
+            self.nodes[self.R].receiver_drain(self.params, self._on_message)
         self._end_stretch(last - r0)
 
     def _end_stretch(self, rounds):
@@ -665,8 +669,8 @@ class Engine:
         sender = self.auth[self.S]
         if sender.halted:
             return
-        rs = sender.build_report_set(failed_T, self.n)
-        verdict = run_localization(rs, self.ring)
+        verdict = run_localization(build_report_set(sender, failed_T, self.n),
+                                   self.ring)
         self._eliminate(verdict.node, verdict.inequality, verdict.kind,
                         verdict.margin)
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .auth import (REASON_F2, REASON_F3, REASON_OK, STATEMENTS, is_statement,
-                   reason_f4)
+from .auth import STATEMENTS, LedgerEntry, is_statement
 
 
 class LocalizationError(RuntimeError):
@@ -28,18 +27,11 @@ class LocalizationError(RuntimeError):
     a hand-built inconsistent report set."""
 
 
-@dataclass(frozen=True)
-class ReportValue:
-    value: int
-    stamp: tuple          # (transmission, round) of the last update
-    evidence: object      # counterpart-signed statement, or None
-
-
 @dataclass
 class NodeReport:
     node: object
-    sig_nn: Optional[ReportValue] = None
-    out_edges: dict = field(default_factory=dict)   # peer -> {field: ReportValue}
+    sig_nn: Optional[LedgerEntry] = None
+    out_edges: dict = field(default_factory=dict)   # peer -> {field: LedgerEntry}
     in_edges: dict = field(default_factory=dict)
 
     def out_val(self, peer, name) -> int:
@@ -72,24 +64,39 @@ class Verdict:
     margin: int = 0
 
 
-def classify_failure(kappa: int, packets_per_codeword: int, theta) -> tuple:
-    """Failure trichotomy from the end-of-transmission parcel and the
-    sender's insertion count: success; duplicate seen at the receiver;
-    too few insertions; otherwise flow-deficit."""
-    if theta.decoded:
-        return REASON_OK
-    if theta.dup_label is not None:
-        return reason_f4(theta.dup_label)
-    if kappa < packets_per_codeword:
-        return REASON_F2
-    return REASON_F3
+def build_report_set(sender, failed_T, n) -> StatusReportSet:
+    """The localization input for `sender`'s failed transmission
+    `failed_T`: every participant's report, from the status parcels the
+    sender collected, and the sender's own archived out-ledgers."""
+    record = sender.failure_records[failed_T]
+    rs = StatusReportSet(
+        failed_T=failed_T, reason=record["reason"], n=n,
+        sender=sender.node_id, receiver=sender.receiver_id,
+        participants=list(record["participants"]),
+        eliminated=frozenset(sender.en))
+    for node in record["participants"]:
+        if node == sender.node_id:
+            parts = record["own"]
+        else:
+            parts = {part: signed.value.payload for part, signed
+                     in sender.reports[(node, failed_T)].items()}
+        rep = rs.reports[node] = NodeReport(node)
+        for part, payload in sorted(parts.items()):
+            for side, name, _, value, sT, sr, evidence in payload:
+                entry = LedgerEntry(value, (sT, sr), evidence)
+                if side == "self":
+                    rep.sig_nn = entry
+                else:
+                    target = rep.out_edges if side == "out" else rep.in_edges
+                    target.setdefault(part[1], {})[name] = entry
+    return rs
 
 
 # ---------------------------------------------------------------------------
 # evidence checking
 # ---------------------------------------------------------------------------
 
-def _evidence_ok(rv: ReportValue, side: str, name: str, counterpart, ring,
+def _evidence_ok(rv: LedgerEntry, side: str, name: str, counterpart, ring,
                  failed_T, label=None) -> bool:
     """A nonzero counterpart-attributed value must carry the counterpart's
     genuine signed statement containing exactly that value and stamp."""
@@ -215,31 +222,33 @@ def audit_consistency(rs: StatusReportSet, ring) -> Optional[Verdict]:
     return None
 
 
+def _select(verdicts) -> Optional[Verdict]:
+    """The verdict of the largest positive margin, the lowest node's
+    among equal margins; None if no margin is positive."""
+    return min((v for v in verdicts if v.margin > 0),
+               key=lambda v: (-v.margin, v.node), default=None)
+
+
 def localize_f2(rs: StatusReportSet) -> Optional[Verdict]:
     """Find a node whose documented potential decrease exceeds the largest
     amount honest behavior could produce: starting potential (< 4n^3-4n^2)
     plus its own claimed increases."""
     n = rs.n
     bound = 4 * n**3 - 4 * n**2
-    best = None
-    for a in sorted(rs.reports):
-        if a == rs.sender:
-            continue
+    verdicts = []
+    for a in sorted(set(rs.reports) - {rs.sender}):
         ra = rs.reports[a]
         increase = sum(ra.in_val(b, "sig3") for b in ra.in_edges)
         sig_nn = ra.sig_nn.value if ra.sig_nn else 0
-        decrease = sig_nn
-        for b, rb in rs.reports.items():
-            if b != a:
-                decrease += rb.in_val(a, "sig2")
-        margin = decrease - (bound + increase)
-        if margin > 0 and (best is None or (-margin, a) < (-best.margin, best.node)):
-            best = Verdict(a, "F2-potential",
-                           f"4n^3-4n^2 + sum_B SIG^{a}[3][B->{a}] < "
-                           f"SIG_{a},{a} + sum_B SIG^B[2][{a}->B]: "
-                           f"{bound} + {increase} < {sig_nn} + "
-                           f"{decrease - sig_nn}", margin)
-    return best
+        decrease = sig_nn + sum(rb.in_val(a, "sig2")
+                                for b, rb in rs.reports.items() if b != a)
+        verdicts.append(Verdict(
+            a, "F2-potential",
+            f"4n^3-4n^2 + sum_B SIG^{a}[3][B->{a}] < "
+            f"SIG_{a},{a} + sum_B SIG^B[2][{a}->B]: "
+            f"{bound} + {increase} < {sig_nn} + {decrease - sig_nn}",
+            decrease - (bound + increase)))
+    return _select(verdicts)
 
 
 def localize_f3(rs: StatusReportSet) -> Optional[Verdict]:
@@ -247,42 +256,34 @@ def localize_f3(rs: StatusReportSet) -> Optional[Verdict]:
     capacity 2(n-2)*2n explains."""
     n = rs.n
     cap = 4 * n**2 - 8 * n
-    best = None
-    for a in sorted(rs.reports):
-        if a in (rs.sender, rs.receiver):
-            continue
+    verdicts = []
+    for a in sorted(set(rs.reports) - {rs.sender, rs.receiver}):
         ra = rs.reports[a]
         inflow = sum(ra.in_val(b, "sig1") for b in ra.in_edges)
         outflow = sum(ra.out_val(b, "sig1") for b in ra.out_edges)
-        margin = (inflow - outflow) - cap
-        if margin > 0 and (best is None or (-margin, a) < (-best.margin, best.node)):
-            best = Verdict(a, "F3-flow",
-                           f"sum_B (SIG^{a}[1][B->{a}] - SIG^{a}[1][{a}->B]) "
-                           f"= {inflow} - {outflow} > 4n^2-8n = {cap}",
-                           margin)
-    return best
+        verdicts.append(Verdict(
+            a, "F3-flow",
+            f"sum_B (SIG^{a}[1][B->{a}] - SIG^{a}[1][{a}->B]) "
+            f"= {inflow} - {outflow} > 4n^2-8n = {cap}",
+            (inflow - outflow) - cap))
+    return _select(verdicts)
 
 
 def localize_f4(rs: StatusReportSet) -> Optional[Verdict]:
     """Find an internal node that emitted the duplicated packet more often
     than it received it, counting emissions as recorded by the receiving
     neighbors."""
-    best = None
-    for a in sorted(rs.reports):
-        if a in (rs.sender, rs.receiver):
-            continue
+    verdicts = []
+    for a in sorted(set(rs.reports) - {rs.sender, rs.receiver}):
         ra = rs.reports[a]
-        output = 0
-        for b, rb in rs.reports.items():
-            if b != a:
-                output += rb.in_val(a, "sigp")
+        output = sum(rb.in_val(a, "sigp")
+                     for b, rb in rs.reports.items() if b != a)
         inflow = sum(ra.in_val(b, "sigp") for b in ra.in_edges)
-        margin = output - inflow
-        if margin >= 1 and (best is None or (-margin, a) < (-best.margin, best.node)):
-            best = Verdict(a, "F4-duplication",
-                           f"sum_B (SIG^B[p][{a}->B] - SIG^{a}[p][B->{a}]) "
-                           f"= {output} - {inflow} >= 1", margin)
-    return best
+        verdicts.append(Verdict(
+            a, "F4-duplication",
+            f"sum_B (SIG^B[p][{a}->B] - SIG^{a}[p][B->{a}]) "
+            f"= {output} - {inflow} >= 1", output - inflow))
+    return _select(verdicts)
 
 
 _LOCALIZERS = {"f2": localize_f2, "f3": localize_f3, "f4": localize_f4}

@@ -2,10 +2,14 @@
 produce classified failures, a correct elimination within the failure
 budget, and no honest casualties (the engine raises on those)."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import cached_run
-from slidenet.engine import FAILED_RESULTS
+from slidenet.adversary import Corruption
+from slidenet.engine import FAILED_RESULTS, run_scenario
+from slidenet.localize import LocalizationError
 from slidenet.scenarios import attack_scenario
 from test_acceptance import GHOST
 
@@ -53,6 +57,17 @@ class TestSingleAttacker:
         assert [d["message"] for d in report["delivered"]] == [1, 2]
         results = [t["result"] for t in report["transmissions"]]
         assert results.count("ok") >= 2
+
+
+@pytest.mark.xfail(strict=True, raises=LocalizationError,
+                   reason="ROADMAP item 11: a replayed packet of an earlier "
+                          "codeword ends localization with no verdict")
+def test_replayed_codeword_run_completes():
+    """A replacer that turns in round 306 replays codeword-1 packets in
+    transmission 2, which fails f3; the run must still end in a report."""
+    scenario = replace(attack_scenario(4, {2: "replacer"}, messages=2),
+                       corruptions=[Corruption(2, 306, "replacer")])
+    run_scenario(scenario)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import ast
 import json
 from dataclasses import replace
 
@@ -5,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slidenet.auth
 from slidenet.adversary import ReportForger
-from slidenet.auth import (AuthNode, BlacklistParcel, ElimParcel, Omega,
-                           ReasonParcel, RemoveParcel, SenderAuth,
-                           StatusParcel, Theta, REASON_F2, REASON_F3)
+from slidenet.auth import (AuthNode, BlacklistParcel, ElimParcel,
+                           LedgerEntry, Omega, ReasonParcel, RemoveParcel,
+                           SenderAuth, StatusParcel, Theta, REASON_F2,
+                           REASON_F3)
 from slidenet.buffers import IncomingBuffer, OutgoingBuffer, Stored
 from slidenet.cli import main
 from slidenet.codec import Packet
 from slidenet.crypto import Signed, keygen
 from slidenet.engine import Engine, Scenario, run_scenario
-from slidenet.localize import ReportValue, _evidence_ok
+from slidenet.localize import _evidence_ok, build_report_set
 from slidenet.scenarios import attack_scenario
 from slidenet.util import InvariantError
 from test_golden import SCENARIOS as GOLDEN
@@ -235,11 +238,10 @@ class TestCounterRule:
             for name in ("sig1", "sig2", "sigp"):
                 entry = led.sigp[LABEL] if name == "sigp" \
                     else getattr(led, name)
-                rv = ReportValue(entry.value, entry.stamp, entry.evidence)
-                assert _evidence_ok(rv, side, name, peer, ring, 1, LABEL)
+                assert _evidence_ok(entry, side, name, peer, ring, 1, LABEL)
                 other = (msg if side == "out" else reply).value
-                swapped = replace(rv, evidence=ring.sign(
-                    ring.keypair(peer), other), stamp=other[1:3])
+                swapped = LedgerEntry(entry.value, other[1:3], ring.sign(
+                    ring.keypair(peer), other))
                 assert not _evidence_ok(swapped, side, name, peer, ring, 1,
                                         LABEL)
 
@@ -746,7 +748,7 @@ def test_pairing_record_verdict_matches_per_label_check(steps):
 
 class TestReportRoundTrip:
     """Ledger entries each node holds, through `make_own_report`, signing
-    and delivery, come back out of `SenderAuth.build_report_set` with the
+    and delivery, come back out of `localize.build_report_set` with the
     same value, stamp and evidence; so does the sender's own archive."""
 
     LABEL, OTHER = (1, 7), (1, 8)
@@ -812,14 +814,15 @@ class TestReportRoundTrip:
             for parcel in node.make_own_report(1, reason):
                 events += deliver(node, sender, node.sign(parcel), T=2)
         assert events == [("localize", 1)]
-        rs = sender.build_report_set(1, len(IDS))
+        rs = build_report_set(sender, 1, len(IDS))
         assert self.reported(rs.reports[0]) == sender_held
         assert rs.reports[0].sig_nn is None
         for node in nodes:
             rep = rs.reports[node.node_id]
             assert self.reported(rep) == self.held(node, names, dup_label)
             if reason[0] == "f2":
-                assert rep.sig_nn == ReportValue(node.sig_nn, (0, 0), None)
+                assert (rep.sig_nn.value, rep.sig_nn.stamp,
+                        rep.sig_nn.evidence) == (node.sig_nn, (0, 0), None)
             else:
                 assert rep.sig_nn is None
 
@@ -849,3 +852,28 @@ class TestReportRoundTrip:
             parcel.payload))
         events = deliver(node, sender, node.sign(bad), T=2)
         assert [ev[:2] for ev in events] == [("eliminate", 1)]
+
+
+def _imported_modules(tree):
+    """Every module name an import in `tree` can bind, a relative import
+    read from inside the slidenet package: `from .x import y` names both
+    slidenet.x and slidenet.x.y."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["slidenet" if node.level else "",
+                                            node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_auth_imports_nothing_from_localize():
+    """`localize` builds on `auth`, so no import in auth.py, a lazy one
+    inside a function included, may name `localize`."""
+    with open(slidenet.auth.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = list(_imported_modules(tree))
+    assert "slidenet.buffers" in names
+    assert [name for name in names if name == "slidenet.localize"
+            or name.startswith("slidenet.localize.")] == []

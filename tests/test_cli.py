@@ -75,6 +75,16 @@ NAMED_FIELD = {
     "churn-script": (_churn(script=5), "schedule.script 5"),
     "static-p": ({"schedule": {"kind": "static", "p": "x"}},
                  "static p must be a number in [0, 1], got 'x'"),
+    "trace": ({"trace": "yes"}, "trace 'yes' is not a bool"),
+    "crypto-backend-list": ({"crypto_backend": []}, "crypto backend []"),
+    "corruption-behavior-list": ({"mode": "auth", "corruptions": [
+        {"node": 2, "round": 1, "behavior": []}]}, "behavior []"),
+    "corruption-no-node": ({"mode": "auth", "corruptions": [
+        {"round": 1, "behavior": "deleter"}]},
+        "corruptions entry {'round': 1, 'behavior': 'deleter'} has no node"),
+    "corruption-no-behavior": ({"mode": "auth", "corruptions": [
+        {"node": 2, "round": 1}]},
+        "corruptions entry {'node': 2, 'round': 1} has no behavior"),
 }
 
 

@@ -1,14 +1,12 @@
 import random
-from dataclasses import replace
 
 import pytest
 
-from slidenet.auth import Theta
+from slidenet.auth import LedgerEntry, Theta, classify_failure
 from slidenet.crypto import keygen
-from slidenet.localize import (LocalizationError, NodeReport, ReportValue,
-                               StatusReportSet, Verdict, audit_consistency,
-                               classify_failure, localize_f2, localize_f3,
-                               localize_f4, run_localization)
+from slidenet.localize import (LocalizationError, NodeReport, StatusReportSet,
+                               Verdict, audit_consistency, localize_f2,
+                               localize_f3, localize_f4, run_localization)
 
 N = 4
 T_FAIL = 3
@@ -40,7 +38,7 @@ def build_reports(ring, reason, edges):
     for node in range(N):
         rep = NodeReport(node)
         if reason[0] == "f2" and node != 0:
-            rep.sig_nn = ReportValue(0, (T_FAIL, 0), None)
+            rep.sig_nn = LedgerEntry(0, (T_FAIL, 0), None)
         rs.reports[node] = rep
     for (a, b), spec in sorted(edges.items()):
         sig1 = spec.get("sig1", 0)
@@ -52,17 +50,17 @@ def build_reports(ring, reason, edges):
         ev1 = s1_evidence(ring, b, sig1, rise, r, label_pair)
         ev2 = s2_evidence(ring, a, sig1, drop, r, label_pair)
         out = rs.reports[a].out_edges.setdefault(b, {})
-        out["sig1"] = ReportValue(sig1, (T_FAIL, r), ev1)
-        out["sig2"] = ReportValue(rise, (T_FAIL, r), ev1)
-        out["sig3"] = ReportValue(drop, (T_FAIL, r), None)
+        out["sig1"] = LedgerEntry(sig1, (T_FAIL, r), ev1)
+        out["sig2"] = LedgerEntry(rise, (T_FAIL, r), ev1)
+        out["sig3"] = LedgerEntry(drop, (T_FAIL, r), None)
         if sigp is not None:
-            out["sigp"] = ReportValue(sigp, (T_FAIL, r), ev1)
+            out["sigp"] = LedgerEntry(sigp, (T_FAIL, r), ev1)
         inn = rs.reports[b].in_edges.setdefault(a, {})
-        inn["sig1"] = ReportValue(sig1, (T_FAIL, r), ev2)
-        inn["sig2"] = ReportValue(drop, (T_FAIL, r), ev2)
-        inn["sig3"] = ReportValue(rise, (T_FAIL, r), None)
+        inn["sig1"] = LedgerEntry(sig1, (T_FAIL, r), ev2)
+        inn["sig2"] = LedgerEntry(drop, (T_FAIL, r), ev2)
+        inn["sig3"] = LedgerEntry(rise, (T_FAIL, r), None)
         if sigp is not None:
-            inn["sigp"] = ReportValue(sigp, (T_FAIL, r), ev2)
+            inn["sigp"] = LedgerEntry(sigp, (T_FAIL, r), ev2)
     return rs
 
 
@@ -97,14 +95,14 @@ class TestConsistency:
 
     def test_negative_reshuffle_ledger(self, ring):
         rs = build_reports(ring, ("f2",), honest_chain_edges())
-        rs.reports[2].sig_nn = ReportValue(-3, (T_FAIL, 0), None)
+        rs.reports[2].sig_nn = LedgerEntry(-3, (T_FAIL, 0), None)
         verdict = audit_consistency(rs, ring)
         assert verdict is not None
         assert verdict.node == 2 and verdict.kind == "malformed-report"
 
     def test_unevidenced_value(self, ring):
         rs = build_reports(ring, ("f3",), honest_chain_edges())
-        rs.reports[2].in_edges[1]["sig1"] = ReportValue(99, (T_FAIL, 10),
+        rs.reports[2].in_edges[1]["sig1"] = LedgerEntry(99, (T_FAIL, 10),
                                                         None)
         verdict = audit_consistency(rs, ring)
         assert verdict is not None and verdict.node == 2
@@ -114,7 +112,7 @@ class TestConsistency:
         rs = build_reports(ring, ("f3",), edges)
         # node 2 reports an outdated (genuinely signed) value from round 4
         stale = s2_evidence(ring, 1, 3, 2, 4)
-        rs.reports[2].in_edges[1]["sig1"] = ReportValue(3, (T_FAIL, 4), stale)
+        rs.reports[2].in_edges[1]["sig1"] = LedgerEntry(3, (T_FAIL, 4), stale)
         verdict = audit_consistency(rs, ring)
         assert verdict is not None
         assert verdict.kind == "pairwise-inconsistency"
@@ -127,8 +125,8 @@ class TestConsistency:
         edges[(2, 3)] = dict(sig1=5, drop=1, rise=1)
         rs = build_reports(ring, ("f2",), edges)
         big = s2_evidence(ring, 2, 5, 60, 12)
-        rs.reports[3].in_edges[2]["sig2"] = ReportValue(60, (T_FAIL, 12), big)
-        rs.reports[3].in_edges[2]["sig1"] = ReportValue(5, (T_FAIL, 12), big)
+        rs.reports[3].in_edges[2]["sig2"] = LedgerEntry(60, (T_FAIL, 12), big)
+        rs.reports[3].in_edges[2]["sig1"] = LedgerEntry(5, (T_FAIL, 12), big)
         verdict = audit_consistency(rs, ring)
         assert verdict is not None and verdict.node == 2
 
@@ -142,7 +140,7 @@ class TestConsistency:
 
     def test_outgoing_increase_exceeding_own_decrease(self, ring):
         rs = build_reports(ring, ("f3",), honest_chain_edges())
-        rs.reports[1].out_edges[2]["sig3"] = ReportValue(0, (T_FAIL, 10),
+        rs.reports[1].out_edges[2]["sig3"] = LedgerEntry(0, (T_FAIL, 10),
                                                          None)
         verdict = audit_consistency(rs, ring)
         assert (verdict.node, verdict.kind) == (1, "malformed-report")
@@ -150,7 +148,7 @@ class TestConsistency:
 
     def test_incoming_increase_exceeding_signed_decrease(self, ring):
         rs = build_reports(ring, ("f3",), honest_chain_edges())
-        rs.reports[2].in_edges[1]["sig3"] = ReportValue(99, (T_FAIL, 10),
+        rs.reports[2].in_edges[1]["sig3"] = LedgerEntry(99, (T_FAIL, 10),
                                                         None)
         verdict = audit_consistency(rs, ring)
         assert (verdict.node, verdict.kind) == (2, "malformed-report")
@@ -160,7 +158,7 @@ class TestConsistency:
         # the claimed gain 30 stays within the sender-signed drop 40, but
         # exceeds the sender's own record of the rise, 15, by more than 2n
         rs = build_reports(ring, ("f3",), honest_chain_edges(drop=8))
-        rs.reports[1].in_edges[0]["sig3"] = ReportValue(30, (T_FAIL, 10),
+        rs.reports[1].in_edges[0]["sig3"] = LedgerEntry(30, (T_FAIL, 10),
                                                         None)
         verdict = audit_consistency(rs, ring)
         assert (verdict.node, verdict.kind) == (1, "pairwise-inconsistency")
@@ -170,7 +168,7 @@ class TestConsistency:
         # node 1's statement, word for word, but signed by node 3
         rs = build_reports(ring, ("f3",), honest_chain_edges())
         forged = s2_evidence(ring, 3, 5, 15, 10)
-        rs.reports[2].in_edges[1]["sig1"] = ReportValue(5, (T_FAIL, 10),
+        rs.reports[2].in_edges[1]["sig1"] = LedgerEntry(5, (T_FAIL, 10),
                                                         forged)
         verdict = audit_consistency(rs, ring)
         assert (verdict.node, verdict.kind) == (2, "malformed-report")
@@ -179,7 +177,8 @@ class TestConsistency:
     def test_evidence_with_another_stamp(self, ring):
         rs = build_reports(ring, ("f3",), honest_chain_edges())
         rv = rs.reports[2].in_edges[1]["sig1"]
-        rs.reports[2].in_edges[1]["sig1"] = replace(rv, stamp=(T_FAIL, 11))
+        rs.reports[2].in_edges[1]["sig1"] = LedgerEntry(rv.value, (T_FAIL, 11),
+                                                        rv.evidence)
         verdict = audit_consistency(rs, ring)
         assert (verdict.node, verdict.kind) == (2, "malformed-report")
         assert "without a matching signed statement" in verdict.inequality
@@ -197,10 +196,10 @@ class TestF2:
         edges[(2, 3)] = dict(sig1=300, drop=900, rise=300)
         edges[(2, 1)] = dict(sig1=300, drop=900, rise=300)
         rs = build_reports(ring, ("f2",), edges)
-        verdict = localize_f2(rs)
-        assert verdict is not None and verdict.node == 2
-        assert verdict.kind == "F2-potential"
-        assert "4n^3-4n^2" in verdict.inequality
+        assert localize_f2(rs) == Verdict(
+            2, "F2-potential",
+            "4n^3-4n^2 + sum_B SIG^2[3][B->2] < SIG_2,2 + sum_B "
+            "SIG^B[2][2->B]: 192 + 10 < 0 + 1800", 1598)
 
     def test_brute_force_honest_walks_never_flagged(self, ring):
         # independent oracle: simulate random honest packet journeys and
@@ -237,9 +236,10 @@ class TestF3:
         edges = honest_chain_edges(count=0)
         edges[(0, 2)] = dict(sig1=33, drop=99, rise=33)
         rs = build_reports(ring, ("f3",), edges)
-        verdict = localize_f3(rs)
-        assert verdict is not None and verdict.node == 2
-        assert "4n^2-8n = 32" in verdict.inequality
+        assert localize_f3(rs) == Verdict(
+            2, "F3-flow",
+            "sum_B (SIG^2[1][B->2] - SIG^2[1][2->B]) = 33 - 0 > "
+            "4n^2-8n = 32", 1)
 
     def test_full_buffers_not_flagged(self, ring):
         edges = honest_chain_edges(count=0)
@@ -270,9 +270,9 @@ class TestF4:
             (2, 3): dict(sig1=3, drop=6, rise=3, sigp=3),
         }
         rs = build_reports(ring, ("f4", LABEL), edges)
-        verdict = localize_f4(rs)
-        assert verdict is not None and verdict.node == 2
-        assert verdict.kind == "F4-duplication"
+        assert localize_f4(rs) == Verdict(
+            2, "F4-duplication",
+            "sum_B (SIG^B[p][2->B] - SIG^2[p][B->2]) = 3 - 1 >= 1", 2)
 
     def test_receiver_pins_duplicator_through_honest_relay(self, ring):
         # duplicate copies all flow through honest node 1; the averaging
@@ -288,11 +288,45 @@ class TestF4:
         assert verdict is not None and verdict.node == 2
 
 
+# for each localizer: its reason, and the edges that give internal nodes 1
+# and 2 the margins (m1, m2) in its incrimination inequality
+MARGIN_EDGES = {
+    "f2": (localize_f2, ("f2",), lambda m1, m2: {
+        (1, 3): dict(drop=4 * N**3 - 4 * N**2 + m1),
+        (2, 3): dict(drop=4 * N**3 - 4 * N**2 + m2)}),
+    "f3": (localize_f3, ("f3",), lambda m1, m2: {
+        (0, 1): dict(sig1=4 * N**2 - 8 * N + m1),
+        (0, 2): dict(sig1=4 * N**2 - 8 * N + m2)}),
+    "f4": (localize_f4, ("f4", LABEL), lambda m1, m2: {
+        (1, 3): dict(sigp=m1), (2, 3): dict(sigp=m2)}),
+}
+
+
+class TestSelection:
+    """F2, F3 and F4 convict the node of the largest positive margin, the
+    lowest node among equal margins, and nobody at a best margin of 0."""
+
+    @pytest.mark.parametrize("kind", sorted(MARGIN_EDGES))
+    @pytest.mark.parametrize("margins,node,margin", [
+        ((3, 3), 1, 3),          # a tie goes to the lower node
+        ((2, 5), 2, 5),          # a larger margin beats a lower node
+        ((5, 2), 1, 5),
+        ((0, 0), None, None),    # a best margin of 0 convicts nobody
+    ])
+    def test_selection(self, ring, kind, margins, node, margin):
+        localize, reason, edges = MARGIN_EDGES[kind]
+        verdict = localize(build_reports(ring, reason, edges(*margins)))
+        if node is None:
+            assert verdict is None
+        else:
+            assert (verdict.node, verdict.margin) == (node, margin)
+
+
 class TestPipeline:
     def test_consistency_runs_before_flow(self, ring):
         rs = build_reports(ring, ("f3",), honest_chain_edges())
         rs.reports[1].sig_nn = None
-        rs.reports[2].in_edges[1]["sig1"] = ReportValue(-1, (T_FAIL, 9), None)
+        rs.reports[2].in_edges[1]["sig1"] = LedgerEntry(-1, (T_FAIL, 9), None)
         verdict = run_localization(rs, ring)
         assert verdict.kind == "malformed-report" and verdict.node == 2
 
