@@ -30,6 +30,9 @@ GF_MOD = GF_SIZE - 1            # multiplicative group order
 _PRIM_POLY = 0x1100B            # x^16 + x^12 + x^3 + x + 1
 _BLOCK = 1 << 18                # table entries per kernel block: the int32
                                 # temporaries (1 MB each) stay in a core's L2
+# the most bytes one codeword (D x fragment_bytes) may hold: a run keeps
+# about 11 bytes of memory and ~1.3 us of host time per codeword byte
+MAX_CODEWORD_BYTES = 1 << 22
 
 
 def _build_tables():
@@ -144,6 +147,10 @@ def derive_params(n, lam, sigma=None, fragment_bytes: int = 2) -> CodingParams:
     if type(fragment_bytes) is not int or fragment_bytes < 2 \
             or fragment_bytes % 2:
         raise CodecError("fragment_bytes must be a positive multiple of 2")
+    if d * fragment_bytes > MAX_CODEWORD_BYTES:
+        raise CodecError(f"fragment_bytes {fragment_bytes} makes a codeword "
+                         f"of {d} x {fragment_bytes} bytes, above the "
+                         f"{MAX_CODEWORD_BYTES}-byte limit")
     return CodingParams(n, lam, sigma, fragment_bytes, d, d - 6 * n**3,
                         int(sigma * d))
 

@@ -12,6 +12,16 @@ Two interchangeable backends:
 
 Corrupt nodes hold their own key handles and may sign arbitrary values as
 themselves; nothing in the simulator can sign on behalf of another node.
+
+Signing is lazy.  `KeyRing.sign` checks the key handle at once, but for a
+hashable value it packs the value and computes the signature only when
+they are first read, and then keeps both.  Most statements are verified
+by their peer and then only their value is read, so most are never packed.
+A statement the ring minted this way verifies by construction; any other
+(hand-built, `dataclasses.replace`d, minted by another ring, or holding an
+unhashable value, which is signed eagerly) runs the backend's verify.
+Equality, hashing, `repr` and the packer read the real signature bytes, so
+every byte a run gives out is the same as under eager signing.
 """
 
 from __future__ import annotations
@@ -31,15 +41,31 @@ class Signed:
     value: object
     signer: object
     signature: bytes
-    # pack(value) as signed; set only by KeyRing.sign, and only for a
-    # hashable value, so no part of it can change after signing
+    # (backend, key) of a statement KeyRing.sign minted from a hashable
+    # value; its signature is computed on first read (__getattr__)
+    _mint: tuple = field(default=None, init=False, repr=False, compare=False)
+    # pack(value), kept once read from a minted statement
     _body: bytes = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def body(self) -> bytes:
         """The bytes the signature covers: pack(value)."""
         body = self._body
-        return pack(self.value) if body is None else body
+        if body is None:
+            body = pack(self.value)
+            if self._mint is not None:
+                object.__setattr__(self, "_body", body)
+        return body
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a minted
+        # statement's signature before its first read
+        if name != "signature" or self._mint is None:
+            raise AttributeError(name)
+        backend, key = self._mint
+        signature = backend.sign(key, self.body)
+        object.__setattr__(self, "signature", signature)
+        return signature
 
 
 register_packer(Signed, lambda s: ("~signed", s.value, s.signer, s.signature))
@@ -63,9 +89,13 @@ class _OracleBackend:
     def keypair(self, node_id):
         return KeyPair(node_id, self._secrets[node_id])
 
-    def sign(self, key: KeyPair, body: bytes) -> bytes:
-        if self._secrets.get(key.node_id) != key._secret:
+    def check(self, key: KeyPair):
+        secret = self._secrets.get(key.node_id)
+        if secret is None or secret != key._secret:
             raise CryptoError(f"bad key handle for {key.node_id}")
+
+    def sign(self, key: KeyPair, body: bytes) -> bytes:
+        self.check(key)
         return hashlib.blake2b(body, key=key._secret, digest_size=16).digest()
 
     def verify(self, node_id, body: bytes, signature: bytes) -> bool:
@@ -94,11 +124,14 @@ class _Ed25519Backend:
     def keypair(self, node_id):
         return KeyPair(node_id, self._private[node_id][0])
 
-    def sign(self, key: KeyPair, body: bytes) -> bytes:
-        raw, sk = self._private[key.node_id]
-        if raw != key._secret:
+    def check(self, key: KeyPair):
+        pair = self._private.get(key.node_id)
+        if pair is None or pair[0] != key._secret:
             raise CryptoError(f"bad key handle for {key.node_id}")
-        return sk.sign(body)
+
+    def sign(self, key: KeyPair, body: bytes) -> bytes:
+        self.check(key)
+        return self._private[key.node_id][1].sign(body)
 
     def verify(self, node_id, body: bytes, signature: bytes) -> bool:
         pub = self._public.get(node_id)
@@ -133,20 +166,28 @@ class KeyRing:
         return self._backend.keypair(node_id)
 
     def sign(self, key: KeyPair, value) -> Signed:
-        body = pack(value)
-        signed = Signed(value, key.node_id, self._backend.sign(key, body))
+        backend = self._backend
         try:
             # a value holding a list, a bytearray or a non-frozen
-            # dataclass is unhashable: verify packs it again every time
+            # dataclass is unhashable: it could change after signing, so
+            # it is signed now and verify packs it again every time
             hash(value)
         except TypeError:
-            return signed
-        object.__setattr__(signed, "_body", body)
+            return Signed(value, key.node_id, backend.sign(key, pack(value)))
+        backend.check(key)
+        signed = object.__new__(Signed)
+        object.__setattr__(signed, "value", value)
+        object.__setattr__(signed, "signer", key.node_id)
+        object.__setattr__(signed, "_mint", (backend, key))
         return signed
 
     def verify(self, signed: Signed) -> bool:
         if not isinstance(signed, Signed):
             return False
+        mint = signed._mint
+        if mint is not None and mint[0] is self._backend:
+            # minted here: its signature is this backend's, by construction
+            return True
         return self._backend.verify(signed.signer, signed.body,
                                     signed.signature)
 

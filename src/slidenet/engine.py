@@ -758,9 +758,12 @@ class Engine:
         if level == "off" and self.trace is None:
             return
         honest_run = not self.corrupt_nodes
-        # one row pass serves both the potential and the state row
+        # one row pass serves both the potential and the state row; only
+        # an honest run's checks and the trace read the potential
         nodes = self._buffer_rows() if self.trace is not None else None
-        phi_nd, phi_dup = self._potential(nodes)
+        phi_nd = None
+        if honest_run or nodes is not None:
+            phi_nd, phi_dup = self._potential(nodes)
         if level != "off":
             for i in self.ids:
                 if self._is_honest(i):

@@ -76,6 +76,8 @@ NAMED_FIELD = {
     "static-p": ({"schedule": {"kind": "static", "p": "x"}},
                  "static p must be a number in [0, 1], got 'x'"),
     "trace": ({"trace": "yes"}, "trace 'yes' is not a bool"),
+    "fragment-bytes-huge": ({"fragment_bytes": 2**24},
+                            "fragment_bytes 16777216"),
     "crypto-backend-list": ({"crypto_backend": []}, "crypto backend []"),
     "corruption-behavior-list": ({"mode": "auth", "corruptions": [
         {"node": 2, "round": 1, "behavior": []}]}, "behavior []"),
@@ -131,7 +133,7 @@ class TestRun:
           for bad_round in ("x", None, 1000.5, 0)),
         *({"mode": mode, "crypto_backend": backend}
           for mode in ("slide", "auth") for backend in ("rsa", 5)),
-        {"fragment_bytes": 2.0},
+        *({"fragment_bytes": size} for size in (2.0, 10**20)),
         *({"messages": count} for count in (1.5, True, -1)),
         {"max_transmissions": 1.5},
         *({"mode": "auth", "corruptions": [

@@ -58,6 +58,12 @@ class TestDeriveParams:
         with pytest.raises(CodecError):
             derive_params(4, "3/8", "3/4")
 
+    def test_codeword_size_bounded(self):
+        # D = 1024 at n=4: 4096-byte fragments fill the limit exactly
+        assert make_params(4, fragment_bytes=4096).fragment_bytes == 4096
+        with pytest.raises(CodecError, match="fragment_bytes 4098"):
+            derive_params(4, "3/8", fragment_bytes=4098)
+
     def test_default_sigma_is_max_rate(self):
         p = make_params(4, "3/8")
         assert p.sigma == Fraction(5, 8)

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from slidenet.crypto import CryptoError, Signed, keygen
+from slidenet.crypto import BACKENDS, CryptoError, KeyPair, Signed, keygen
 from slidenet.util import pack, register_packer
 
 
@@ -116,3 +116,69 @@ def test_cached_body_leaves_eq_and_hash_alone(ring):
 def test_body_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         Signed("x", 0, b"sig", b"forged body")
+
+
+# -- lazy signing: a minted statement verifies by construction -------------
+
+@pytest.fixture
+def backend_calls(ring, monkeypatch):
+    """Counts the backend verifies `ring` runs."""
+    calls = []
+    verify = ring._backend.verify
+
+    def counting_verify(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(ring._backend, "verify", counting_verify)
+    return calls
+
+
+def test_minted_statement_skips_backend_verify(ring, backend_calls):
+    signed = ring.sign(ring.keypair(1), ("hello", 7))
+    assert ring.verify(signed)
+    assert ring.verify_as(signed, 1)
+    assert not ring.verify_as(signed, 2)
+    assert backend_calls == []
+
+
+def test_unminted_statements_run_backend_verify(ring, backend_calls):
+    signed = ring.sign(ring.keypair(1), ("hello", 7))
+    assert ring.verify(Signed(signed.value, 1, signed.signature))
+    assert ring.verify(dataclasses.replace(signed))
+    listed = ring.sign(ring.keypair(1), ("hello", [7]))
+    assert ring.verify(listed)
+    listed.value[1].append(8)
+    assert not ring.verify(listed)
+    assert len(backend_calls) == 4
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_statement_minted_by_another_ring_rejected(backend):
+    r1 = keygen([0, 1], backend=backend, seed=1)
+    r2 = keygen([0, 1], backend=backend, seed=2)
+    signed = r1.sign(r1.keypair(0), ("x", 1))
+    assert not r2.verify(signed)
+    assert not r2.verify_as(signed, 0)
+    assert r1.verify(signed)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("value", [("x", 1), ("x", [1])],
+                         ids=["hashable", "list"])
+def test_foreign_key_handle_rejected_at_sign(backend, value):
+    r1 = keygen([0, 1], backend=backend, seed=1)
+    r2 = keygen([0, 1], backend=backend, seed=2)
+    for key in (r2.keypair(0), KeyPair(0, None), KeyPair(9, None)):
+        with pytest.raises(CryptoError):
+            r1.sign(key, value)
+
+
+def test_lazy_signature_is_the_eager_one(ring):
+    key = ring.keypair(2)
+    value = ("s1", 3, (4, b"\x05"))
+    signed = ring.sign(key, value)
+    eager = ring._backend.sign(key, pack(value))
+    assert repr(signed) == repr(Signed(value, 2, eager))
+    assert signed.signature == eager
+    assert pack(signed) == pack(Signed(value, 2, eager))

@@ -173,3 +173,38 @@ def test_signed_bytes_digest(name, monkeypatch):
     monkeypatch.setattr(KeyRing, "sign", recording_sign)
     run_scenario(SCENARIOS[name]())
     assert digest.hexdigest() == SIGNED_GOLDEN[name]
+
+
+# sha256 over the signature bytes of every statement signed in a run, in
+# signing order, read after the run has ended: the bytes a signer gives
+# out, for each backend, beside the signed values above.
+SIGNATURE_GOLDEN = {
+    ("deleter-n4", "oracle"):
+        "14c3718a14d77cc919b663f1991f453b30286bbc2046f0f2bfba0cdcfd090f6b",
+    ("deleter-n4", "ed25519"):
+        "a87b5b4bcf1344622a22752f27f2475cefc1d1c12ec2ac9f43866febd8ed8c86",
+    ("duplicator-n4", "oracle"):
+        "8ef3a7b7ff87d53ef7e7b732cd0d8ce6d75f6e26b5db1df8bbf31bfdb520da6e",
+    ("duplicator-n4", "ed25519"):
+        "4382c4bd4c7bd3ed10d8c5fce5234fee612bc974a2f7e9626f13d80f10de69ba",
+}
+
+
+@pytest.mark.parametrize("name,backend", sorted(SIGNATURE_GOLDEN))
+def test_signature_bytes_digest(name, backend, monkeypatch):
+    signed_log = []
+    sign = KeyRing.sign
+
+    def recording_sign(ring, key, value):
+        signed = sign(ring, key, value)
+        signed_log.append(signed)
+        return signed
+
+    monkeypatch.setattr(KeyRing, "sign", recording_sign)
+    sc = SCENARIOS[name]()
+    sc.crypto_backend = backend
+    run_scenario(sc)
+    digest = hashlib.sha256()
+    for signed in signed_log:
+        digest.update(signed.signature)
+    assert digest.hexdigest() == SIGNATURE_GOLDEN[name, backend]
