@@ -369,6 +369,8 @@ class AuthNode:
 
         self.bb = {}                  # parcel_key -> [Signed, passed:set]
         self._seq = 0                 # parcels added to bb
+        # per peer: gating parcels in bb not yet passed to it (_gates)
+        self.gating = dict.fromkeys(self.peers, 0)
         self.bl = {}                  # node -> failed transmission
         self.en = {}                  # node -> transmission eliminated
         self.claims = set()           # (claimant, target, failed_T)
@@ -377,6 +379,7 @@ class AuthNode:
         self.alpha_in = {p: None for p in self.peers}
         self.sot = {}                 # T -> [omega, elims, reasons, bls]
         self.current_T = 1
+        self.sot_ok = False           # _sot_done(current_T) == 4
         self.reported_for = set()
         self.relaxed_verify = False   # corrupt nodes may skip delta checks
         self.report_hook = None       # corrupt nodes may forge own reports
@@ -384,6 +387,7 @@ class AuthNode:
         self.max_bb = 0
         self.max_db = 0
         self.max_sig_entries = 0
+        self.sig_entries = 3          # the most entries() of any ledger
 
     # -- small helpers ----------------------------------------------------
 
@@ -417,38 +421,56 @@ class AuthNode:
         return 4
 
     def sot_complete(self) -> bool:
-        return self._sot_done(self.current_T) == 4
+        return self.sot_ok
+
+    def _gates(self, key) -> bool:
+        """Whether the parcel `key` holds up transfers until it passes."""
+        return key[0] in GATE_TAGS_ANY_T or (key[0] in GATE_TAGS_THIS_T
+                                             and key[-1] == self.current_T)
+
+    def _recount_gates(self) -> None:
+        """Count `gating` afresh, after bb is rebuilt or current_T moves."""
+        keys = [key for key in self.bb if self._gates(key)]
+        self.gating = {p: sum(p not in self.bb[key][1] for key in keys)
+                       for p in self.peers}
+
+    def mark_passed(self, key, peer) -> None:
+        """Mark the buffered parcel `key` passed over the link to `peer`."""
+        passed = self.bb[key][1]
+        if peer not in passed:
+            passed.add(peer)
+            self.gating[peer] -= self._gates(key)
 
     def _add_parcel(self, signed_parcel, mark_peer=None) -> bool:
         """Add a parcel to the broadcast buffer unless its key is there,
-        and mark it passed to `mark_peer`.  A new start-of-transmission
-        parcel is counted in `sot`: an omega opens its transmission's
-        record, any other adds one to its stage.  Returns whether the
-        parcel was new."""
+        and mark it passed to `mark_peer`.  A new gating parcel counts in
+        `gating` for every peer; a new start-of-transmission parcel counts
+        in `sot`: an omega opens its transmission's record, any other adds
+        one to its stage.  Returns whether the parcel was new."""
         parcel = signed_parcel.value
         key = parcel_key(parcel)
-        entry = self.bb.get(key)
-        added = entry is None
+        added = key not in self.bb
         if added:
-            self.bb[key] = entry = [signed_parcel, set()]
+            self.bb[key] = [signed_parcel, set()]
             self._seq += 1
+            if self._gates(key):
+                for p in self.gating:
+                    self.gating[p] += 1
             stage = parcel.sot_stage
             if stage == 0:
                 self.sot[parcel.T] = [parcel, 0, 0, 0]
             elif stage is not None:
                 self.sot[parcel.T][stage] += 1
+            self.sot_ok = self._sot_done(self.current_T) == 4
         if mark_peer is not None:
-            entry[1].add(mark_peer)
+            self.mark_passed(key, mark_peer)
         return added
 
     def note_watermarks(self):
         self.max_bb = max(self.max_bb, len(self.bb))
         db = len(self.bl) + len(self.en) + len(self.claims)
         self.max_db = max(self.max_db, db)
-        for ledgers in (self.out_led, self.in_led):
-            for led in ledgers.values():
-                self.max_sig_entries = max(self.max_sig_entries,
-                                           led.entries())
+        self.max_sig_entries = max(self.max_sig_entries, self.sig_entries)
 
     def add_local_drop(self, drop) -> None:
         """Record a potential drop made inside this node -- packets
@@ -526,7 +548,9 @@ class AuthNode:
                         r) -> None:
         """After confirmation of receipt, adopt the receiver's signed
         counters and record our own potential drop."""
-        self.out_led[ob.peer].adopt(signed, (T, r), confirmed_height)
+        led = self.out_led[ob.peer]
+        led.adopt(signed, (T, r), confirmed_height)
+        self.sig_entries = max(self.sig_entries, led.entries())
         self.add_local_drop(slide)
 
     # -- stage 2: signed packet transfers -----------------------------------
@@ -562,8 +586,10 @@ class AuthNode:
         return (stored, fr)
 
     def sync_on_accept(self, ib, signed, stored, land, T, r) -> None:
-        self.in_led[ib.peer].adopt(
-            signed, (T, r), None if self.node_id == self.receiver_id else land)
+        led = self.in_led[ib.peer]
+        led.adopt(signed, (T, r),
+                  None if self.node_id == self.receiver_id else land)
+        self.sig_entries = max(self.sig_entries, led.entries())
         self.last_fresh[ib.peer] = (stored.packet.label() if stored.fresh
                                     else None)
 
@@ -574,18 +600,9 @@ class AuthNode:
         link to `peer`: neither end eliminated or blacklisted, this
         transmission's start complete, and no gating parcel still to pass
         the link."""
-        T = self.current_T
-        if peer in self.en:
-            return False
-        if not self.sot_complete():
-            return False
-        if self.node_id in self.bl or peer in self.bl:
-            return False
-        for key, (_, passed) in self.bb.items():
-            if peer not in passed and (key[0] in GATE_TAGS_ANY_T or (
-                    key[0] in GATE_TAGS_THIS_T and key[-1] == T)):
-                return False
-        return True
+        return (peer not in self.en and self.sot_ok
+                and self.node_id not in self.bl and peer not in self.bl
+                and not self.gating[peer])
 
     okay_to_send = okay_to_transfer
     okay_to_receive = okay_to_transfer
@@ -629,10 +646,9 @@ class AuthNode:
         return bit
 
     def on_cbp(self, peer, bit) -> None:
-        if bit == 1 and self.last_sent[peer] is not None:
-            entry = self.bb.get(self.last_sent[peer])
-            if entry is not None:
-                entry[1].add(peer)
+        key = self.last_sent[peer]
+        if bit == 1 and key in self.bb:
+            self.mark_passed(key, peer)
         self.last_sent[peer] = None
 
     # -- broadcast: parcel channel (stage 2) ----------------------------------
@@ -766,12 +782,14 @@ class AuthNode:
             for led in ledgers.values():
                 led.clear(T)
         self.sig_nn = 0
+        self.sig_entries = 3
 
     def _wipe_for_elimination(self) -> None:
         """A newly-learned elimination wipes routing state: broadcast
         buffer except start-of-transmission parcels, claims, blacklist."""
         self.bb = {key: entry for key, entry in self.bb.items()
                    if key[0] in SOT_TAGS}
+        self._recount_gates()
         self.claims = set()
         self.bl = {}
 
@@ -788,6 +806,7 @@ class AuthNode:
                 drop.append(key)
         for key in drop:
             del self.bb[key]
+        self._recount_gates()
         self.claims = {c for c in self.claims
                        if c[1] != node or c[2] == keep_failed_T}
 
@@ -850,6 +869,8 @@ class AuthNode:
         self.cbp_out = {p: 0 for p in self.cbp_out}
         self.last_fresh = {p: None for p in self.last_fresh}
         self.current_T += 1
+        self.sot_ok = self._sot_done(self.current_T) == 4
+        self._recount_gates()
 
 
 class SenderAuth(AuthNode):
@@ -922,6 +943,7 @@ class SenderAuth(AuthNode):
         transmission T + 1, which follows an outcome `reason`."""
         self._clear_sig_buffers(T + 1)
         self.bb = {}
+        self._recount_gates()
         self._seq = 0
         self.theta = None
         omega = Omega(len(self.en), len(self.bl), len(self.failure_records),
@@ -1000,8 +1022,7 @@ class SenderAuth(AuthNode):
               + sum(len(parts) for parts in self.reports.values())
               + len(self.failure_records) * (2 * len(self.ids) + 1))
         self.max_db = max(self.max_db, db)
-        for led in self.out_led.values():
-            self.max_sig_entries = max(self.max_sig_entries, led.entries())
+        self.max_sig_entries = max(self.max_sig_entries, self.sig_entries)
 
     def round_state(self):
         return (super().round_state(), self.theta,

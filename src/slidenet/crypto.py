@@ -20,8 +20,10 @@ by their peer and then only their value is read, so most are never packed.
 A statement the ring minted this way verifies by construction; any other
 (hand-built, `dataclasses.replace`d, minted by another ring, or holding an
 unhashable value, which is signed eagerly) runs the backend's verify.
-Equality, hashing, `repr` and the packer read the real signature bytes, so
-every byte a run gives out is the same as under eager signing.
+Equality, `repr` and the packer read the real signature bytes, so every
+byte a run gives out is the same as under eager signing.  Hashing reads
+only the value and the signer, so hashing a value that nests minted
+statements computes none of their signatures.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ class Signed:
             if self._mint is not None:
                 object.__setattr__(self, "_body", body)
         return body
+
+    def __hash__(self):
+        # equal statements share value and signer; the signature is left
+        # unread, so hashing never computes it
+        return hash((self.value, self.signer))
 
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks: a minted

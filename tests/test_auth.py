@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import slidenet.auth
 from slidenet.adversary import ReportForger
 from slidenet.auth import (AuthNode, BlacklistParcel, ElimParcel,
-                           LedgerEntry, Omega, ReasonParcel, RemoveParcel,
-                           SenderAuth, StatusParcel, Theta, REASON_F2,
-                           REASON_F3)
+                           GATE_TAGS_ANY_T, GATE_TAGS_THIS_T, LedgerEntry,
+                           Omega, ReasonParcel, RemoveParcel, SenderAuth,
+                           StatusParcel, Theta, REASON_F2, REASON_F3)
 from slidenet.buffers import IncomingBuffer, OutgoingBuffer, Stored
 from slidenet.cli import main
 from slidenet.codec import Packet
@@ -51,13 +51,13 @@ class TestGates:
         # the omega has passed the sender link but not the link to node 2
         assert node.okay_to_send(0)
         assert not node.okay_to_send(2)
-        node.bb[("omega", 1)][1].add(2)
+        node.mark_passed(("omega", 1), 2)
         assert node.okay_to_send(2)
 
     def test_blacklisted_peer_blocks_transfer(self, ring):
         sender, node = make_nodes(ring)
         deliver(sender, node, sender.bb[("omega", 1)][0])
-        node.bb[("omega", 1)][1].add(2)
+        node.mark_passed(("omega", 1), 2)
         node.bl[2] = 1
         assert not node.okay_to_send(2)
         del node.bl[2]
@@ -67,17 +67,17 @@ class TestGates:
     def test_pending_theta_blocks_until_passed(self, ring):
         sender, node = make_nodes(ring)
         deliver(sender, node, sender.bb[("omega", 1)][0])
-        node.bb[("omega", 1)][1].add(2)
+        node.mark_passed(("omega", 1), 2)
         theta = node.ring.sign(node.ring.keypair(3), Theta(False, None, 1))
         node._add_parcel(theta)
         assert not node.okay_to_send(2)
-        node.bb[("theta", 1)][1].add(2)
+        node.mark_passed(("theta", 1), 2)
         assert node.okay_to_send(2)
 
     def test_eliminated_peer_never_ok(self, ring):
         sender, node = make_nodes(ring)
         deliver(sender, node, sender.bb[("omega", 1)][0])
-        node.bb[("omega", 1)][1].add(2)
+        node.mark_passed(("omega", 1), 2)
         node.en[2] = 1
         assert not node.okay_to_send(2)
 
@@ -474,6 +474,22 @@ class TestSotOrdering:
         assert 1 not in node.bl
         assert not [k for k in node.bb if k[0] == "status"]
 
+    def test_kept_gate_counts_follow_a_prune(self, ring):
+        """A removal prunes the node's own knowledge claim, which gates
+        transfers until it has passed; the kept gate counts follow."""
+        sender = self.build_sot(ring)
+        node = AuthNode(1, ring, IDS, 0, 3)
+        node.current_T = 2
+        ps = self.parcels(sender)
+        for key in (("omega", 2), ("elim", 2, 2), ("reason", 1, 2),
+                    ("bl", 1, 1, 2)):
+            deliver(sender, node, ps[key], T=2)
+        assert ("know", 1, 1, 1) in node.bb
+        assert kept_state(node) == scanned_state(node)
+        deliver(sender, node, sender.sign(RemoveParcel(1, 2)), T=2)
+        assert ("know", 1, 1, 1) not in node.bb
+        assert kept_state(node) == scanned_state(node)
+
 
 @pytest.mark.parametrize("decoded", [True, False], ids=["ok", "f3"])
 def test_sender_reshuffle_total_cleared_at_transmission_end(ring, decoded):
@@ -636,6 +652,76 @@ def test_sot_counts_match_broadcast_buffer(monkeypatch):
             run_scenario(scenario)
     # every stage's count was exercised above zero
     assert all(counted.values()), counted
+
+
+def scanned_state(auth):
+    """The kept gate counts, start-of-transmission flag, ledger maximum
+    and transfer verdicts of `auth`, found afresh by scanning its
+    broadcast buffer, `sot` record and ledgers."""
+    T = auth.current_T
+    gating = {}
+    for peer in auth.peers:
+        gating[peer] = 0
+        for key, (_, passed) in auth.bb.items():
+            if peer not in passed and (key[0] in GATE_TAGS_ANY_T or (
+                    key[0] in GATE_TAGS_THIS_T and key[-1] == T)):
+                gating[peer] += 1
+    sot_ok = auth._sot_done(T) == 4
+    entries = 0
+    for ledgers in (auth.out_led, auth.in_led):
+        for led in ledgers.values():
+            entries = max(entries, led.entries())
+    okay = {peer: peer not in auth.en and sot_ok
+            and auth.node_id not in auth.bl and peer not in auth.bl
+            and gating[peer] == 0 for peer in auth.peers}
+    return gating, sot_ok, entries, okay
+
+
+def kept_state(auth):
+    return (auth.gating, auth.sot_complete(), auth.sig_entries,
+            {peer: auth.okay_to_transfer(peer) for peer in auth.peers})
+
+
+def test_kept_auth_state_matches_scan(monkeypatch):
+    """After every executed round and every transmission end of every
+    golden auth run, each node's kept gate counts, start-of-transmission
+    flag and ledger maximum equal a fresh scan, and so does its transfer
+    verdict for every peer."""
+    seen = {"gated": 0, "sot_open": 0, "grown": 0}
+
+    def checking(method):
+        def run(eng):
+            method(eng)
+            for auth in eng.auth.values():
+                scanned = scanned_state(auth)
+                assert kept_state(auth) == scanned
+                seen["gated"] += any(scanned[0].values())
+                seen["sot_open"] += not scanned[1]
+                seen["grown"] += scanned[2] > 3
+        return run
+
+    for name in ("_post_round", "_end_transmission"):
+        monkeypatch.setattr(Engine, name, checking(getattr(Engine, name)))
+    for make in GOLDEN.values():
+        scenario = make()
+        if scenario.mode == "auth":
+            scenario.trace = False
+            run_scenario(scenario)
+    # each kept value was seen away from its resting value
+    assert all(seen.values()), seen
+
+
+def test_watermark_counts_ledgers_as_rounds_end(ring):
+    """An adoption that grows a ledger to a new high, then an omega that
+    clears the ledgers, in one round: `note_watermarks` at the round's end
+    counts only what the round ended with."""
+    sender, node, *_ = exchange(ring, True)
+    assert node.in_led[0].entries() == 5          # OTHER and LABEL
+    assert node.sig_entries == 5
+    deliver(sender, node, sender.bb[("omega", 1)][0])
+    assert node.in_led[0].entries() == 3
+    node.note_watermarks()
+    assert node.max_sig_entries == 3
 
 
 class TestLedgerPairing:

@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 from slidenet.crypto import BACKENDS, CryptoError, KeyPair, Signed, keygen
+from slidenet.engine import run_scenario
 from slidenet.util import pack, register_packer
+from test_golden import SCENARIOS
 
 
 @pytest.fixture(params=["oracle", "ed25519"])
@@ -182,3 +184,53 @@ def test_lazy_signature_is_the_eager_one(ring):
     assert repr(signed) == repr(Signed(value, 2, eager))
     assert signed.signature == eager
     assert pack(signed) == pack(Signed(value, 2, eager))
+
+
+# -- hashing reads value and signer only: it computes no lazy signature ----
+
+def counting_signs(monkeypatch, backend_cls):
+    """Counts the signatures instances of `backend_cls` compute."""
+    calls = []
+    sign = backend_cls.sign
+
+    def counting_sign(self, key, body):
+        calls.append(body)
+        return sign(self, key, body)
+
+    monkeypatch.setattr(backend_cls, "sign", counting_sign)
+    return calls
+
+
+def test_hashing_computes_no_signature(ring, monkeypatch):
+    signs = counting_signs(monkeypatch, type(ring._backend))
+    inner = ring.sign(ring.keypair(0), ("packet", 7))
+    outer = ring.sign(ring.keypair(1), ("s2", 1, inner, (2, inner)))
+    hash(inner)
+    hash(("hop", 1, outer))
+    assert {inner: 1, outer: 2}[outer] == 2
+    assert signs == []
+    assert outer.signature          # packs inner, so signs it too
+    assert len(signs) == 2
+
+
+def test_equal_statements_hash_equal(ring):
+    key = ring.keypair(2)
+    inner = ring.sign(ring.keypair(0), ("packet", 7))
+    a = ring.sign(key, ("s1", inner, 3))
+    b = ring.sign(key, ("s1", ring.sign(ring.keypair(0), ("packet", 7)), 3))
+    eager = Signed(a.value, 2, ring._backend.sign(key, pack(a.value)))
+    assert a == b == eager
+    assert hash(a) == hash(b) == hash(eager)
+    assert len({a, b, eager}) == 1
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_deleter_run_computes_no_signature(backend, monkeypatch):
+    """Nothing in a `deleter-n4` run reads a signature's bytes, so no
+    backend sign runs; the signature bytes a reader asks for after the
+    run are pinned by test_golden.test_signature_bytes_digest."""
+    signs = counting_signs(monkeypatch, BACKENDS[backend])
+    sc = SCENARIOS["deleter-n4"]()
+    sc.crypto_backend = backend
+    report, _ = run_scenario(sc)
+    assert report["eliminations"] and signs == []
