@@ -16,7 +16,6 @@ import time
 
 from slidenet import run_scenario
 from slidenet.adversary import ConfigError
-from slidenet.codec import CodecError
 from slidenet.engine import FAILED_RESULTS
 from slidenet.localize import LocalizationError
 from slidenet.scenarios import FAMILIES
@@ -81,7 +80,7 @@ def main(argv=None) -> int:
                 if values and (name not in worst
                                or max(values) > worst[name][0]):
                     worst[name] = (max(values), limit)
-    except (CodecError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.family} family, n={args.n}: {len(scenarios)} scenario(s) "

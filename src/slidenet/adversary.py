@@ -119,11 +119,15 @@ def full_mask(n: int) -> int:
     return (1 << (n * (n - 1) // 2)) - 1
 
 
-def path_mask(schedule_edges_bit, path) -> int:
+def edge_mask(bit: dict, edges) -> int:
     m = 0
-    for a, b in zip(path, path[1:]):
-        m |= 1 << schedule_edges_bit[edge_key(a, b)]
+    for a, b in edges:
+        m |= 1 << bit[edge_key(a, b)]
     return m
+
+
+def path_mask(bit: dict, path) -> int:
+    return edge_mask(bit, zip(path, path[1:]))
 
 
 def default_backbone(n: int, corrupt_nodes) -> list:
@@ -150,39 +154,12 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
       with the backbone forced active.
 
     With repair=False the backbone is not forced, so the result may
-    violate the conforming constraint (callers must validate).  p and
-    script are checked whatever the kind, since both enter the scenario
-    digest.
+    violate the conforming constraint (callers must validate).  The
+    arguments are those of a scenario that `Scenario.check()` passed.
     """
-    if n < 4:
-        raise ConfigError("need at least 4 nodes")
-    if type(seed) is not int:
-        raise ConfigError(f"schedule seed {seed!r} is not an int")
-    if kind not in ("static", "churn", "scripted"):
-        raise ConfigError(f"unknown schedule kind {kind!r}")
-    if type(p) not in (int, float) or not 0 <= p <= 1:
-        raise ConfigError(f"{kind} p must be a number in [0, 1], got {p!r}")
-    if type(repair) is not bool:
-        raise ConfigError(f"schedule repair must be true or false, got "
-                          f"{repair!r}")
     probe = EdgeSchedule(n, [])
-    edge_masks = [] if script is None else _script_masks(probe.bit, script)
-    if kind == "scripted" and not edge_masks:
-        raise ConfigError(f"a scripted schedule needs a non-empty "
-                          f"schedule.script, got {script!r:.80}")
     if backbone is None:
         backbone = default_backbone(n, set(corrupt_nodes))
-    if not (isinstance(backbone, (list, tuple)) and backbone
-            and all(type(node) is int for node in backbone)
-            and all(edge_key(a, b) in probe.bit
-                    for a, b in zip(backbone, backbone[1:]))):
-        raise ConfigError(f"backbone {backbone!r} is not a path of nodes "
-                          f"0..{n - 1}")
-    for node in backbone[1:-1]:
-        if node in corrupt_nodes:
-            raise ConfigError(f"backbone node {node} is corrupted")
-    if backbone[0] != 0 or backbone[-1] != n - 1:
-        raise ConfigError("backbone must run from the sender to the receiver")
     forced = path_mask(probe.bit, backbone) if repair else 0
 
     if kind == "static" or (kind == "churn" and p <= 0):
@@ -192,31 +169,11 @@ def generate_schedule(kind: str, n: int, rounds: int, seed=0, p=0.0,
     elif kind == "churn":
         masks = _churn(n, seed, p, forced)
     else:
-        masks = [m | forced for m in edge_masks]
+        masks = [edge_mask(probe.bit, edges) | forced for edges in script]
     sched = EdgeSchedule(n, masks, rounds)
     sched.backbone = list(backbone)
     sched.forced = forced
     return sched
-
-
-def _script_masks(bit: dict, script) -> list:
-    """The edge masks of a script of per-round edge lists, checked."""
-    if not (isinstance(script, (list, tuple)) and all(
-            isinstance(r, (list, tuple)) for r in script)):
-        raise ConfigError(f"schedule.script {script!r:.80} is not a "
-                          f"list of per-round edge lists")
-    masks = []
-    for edge_list in script:
-        m = 0
-        for edge in edge_list:
-            if not (isinstance(edge, (list, tuple)) and len(edge) == 2
-                    and all(type(v) is int for v in edge)
-                    and edge_key(*edge) in bit):
-                raise ConfigError(f"scripted edge {edge!r} is not a "
-                                  f"pair of two distinct nodes")
-            m |= 1 << bit[edge_key(*edge)]
-        masks.append(m)
-    return masks
 
 
 def _churn(n: int, seed, p: float, forced: int):
@@ -459,12 +416,3 @@ class Corruption:
     round_index: int
     behavior: str
     params: dict = field(default_factory=dict)
-
-    def make(self) -> Behavior:
-        if type(self.behavior) is not str or self.behavior not in BEHAVIORS:
-            raise ConfigError(f"unknown behavior {self.behavior!r}")
-        if self.params != {}:
-            # no behaviour reads a parameter
-            raise ConfigError(f"behavior {self.behavior!r} reads no params, "
-                              f"got {self.params!r}")
-        return BEHAVIORS[self.behavior]()

@@ -2,10 +2,11 @@
 
     slidenet run <scenario.json> [--out DIR] [--trace]
     slidenet audit <trace.jsonl>
-    slidenet gen <kind> [params...] [--out FILE]
+    slidenet gen --family NAME [--n N] [--index I]
 
 The scenario file fixes every input of a run, seeds and mode included;
-its invariant check level is "full" (the default, as `gen` writes) or "off".
+its invariant check level is "full" (the default) or "off".  `gen` prints
+scenario I of a `slidenet.scenarios` family at n nodes as such a file.
 
 Exit codes: 0 success, 2 configuration error, 3 conforming-constraint
 violation, 4 invariant or audit failure.
@@ -19,12 +20,12 @@ import json
 import os
 import sys
 
-from .adversary import ConfigError, Corruption
+from .adversary import ConfigError
 from .buffers import network_potential
-from .codec import CodecError
 from .engine import (FAILED_RESULTS, ConformingError, Engine, InvariantError,
                      Scenario)
 from .localize import LocalizationError
+from .scenarios import FAMILIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,9 +96,10 @@ def cmd_run(args) -> int:
             with open(args.scenario) as fh:
                 data = json.load(fh)
             scenario = Scenario.from_dict(data)
+            scenario.check()        # a file's trace is checked, then ignored
+            scenario.trace = args.trace
             os.makedirs(out_dir, exist_ok=True)
             sink = None
-            scenario.trace = args.trace
             if args.trace:
                 sink = _TraceFile(os.path.join(out_dir, "trace.jsonl"))
                 outputs.callback(sink.discard)
@@ -106,8 +108,7 @@ def cmd_run(args) -> int:
                              "honest": not scenario.corruptions,
                              "n": scenario.n})
             engine = Engine(scenario, trace=sink)
-        except (OSError, json.JSONDecodeError, CodecError, ConfigError,
-                KeyError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, ConfigError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except ConformingError as exc:
@@ -299,33 +300,22 @@ def _audit(records, kept) -> int:
 
 
 def cmd_gen(args) -> int:
-    corruptions = []
-    if args.kind == "attack":
-        node = args.n - 2 if args.corrupt_node is None else args.corrupt_node
-        corruptions = [Corruption(node, args.corrupt_round, args.behavior)]
-    scenario = Scenario(
-        n=args.n, mode=args.mode or ("auth" if corruptions else "slide"),
-        lam=args.lam, messages=args.messages,
-        max_transmissions=args.max_transmissions,
-        schedule_kind="static" if args.kind == "honest" else "churn",
-        schedule_p=0.0 if args.kind == "honest" else args.p,
-        schedule_seed=args.seed, backbone=args.backbone,
-        corruptions=corruptions, seed=args.seed)
     try:
+        family = FAMILIES[args.family](args.n)
+        if not 0 <= args.index < len(family):
+            print(f"configuration error: no index {args.index} among the "
+                  f"{len(family)} {args.family} scenarios", file=sys.stderr)
+            return EXIT_CONFIG
+        scenario = family[args.index]
         Engine(scenario)
-    except (CodecError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConformingError as exc:
         print(f"conforming violation: {exc}", file=sys.stderr)
         return EXIT_CONFORMING
-    data = scenario.to_dict()
-    if args.out:
-        _write_json(args.out, data)
-        print(f"wrote {args.out}")
-    else:
-        json.dump(data, sys.stdout, sort_keys=True, indent=1)
-        print()
+    json.dump(scenario.to_dict(), sys.stdout, sort_keys=True, indent=1)
+    print()
     return EXIT_OK
 
 
@@ -347,20 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("trace")
     p_audit.set_defaults(func=cmd_audit)
 
-    p_gen = sub.add_parser("gen", help="emit a validated scenario file")
-    p_gen.add_argument("kind", choices=["honest", "churn", "attack"])
+    p_gen = sub.add_parser("gen", help="print a family's scenario file")
+    p_gen.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p_gen.add_argument("--n", type=int, default=4)
-    p_gen.add_argument("--lam", default="3/8")
-    p_gen.add_argument("--messages", type=int, default=1)
-    p_gen.add_argument("--max-transmissions", type=int, default=None)
-    p_gen.add_argument("--p", type=float, default=0.2)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--mode", choices=["slide", "auth"], default=None)
-    p_gen.add_argument("--behavior", default="deleter")
-    p_gen.add_argument("--corrupt-node", type=int, default=None)
-    p_gen.add_argument("--corrupt-round", type=int, default=1)
-    p_gen.add_argument("--backbone", type=int, nargs="+", default=None)
-    p_gen.add_argument("--out", default=None)
+    p_gen.add_argument("--index", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
     return parser
 

@@ -135,7 +135,7 @@ def derive_params(n, lam, sigma=None, fragment_bytes: int = 2) -> CodingParams:
         raise CodecError(f"6*n^3/lam = {d} is not an integer")
     d = int(d)
     if d > GF_SIZE:
-        raise CodecError(f"D = {d} exceeds the field size {GF_SIZE}")
+        raise CodecError(f"D = 6*n^3/lam = {d} > {GF_SIZE}, the field size")
     sigma = Fraction(1) - lam if sigma is None else _fraction("sigma", sigma)
     if not (0 < sigma <= 1):
         raise CodecError(f"information rate must satisfy 0 < sigma <= 1, got {sigma}")

@@ -11,11 +11,12 @@ neighbor's mid-stage updates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from . import codec
-from .adversary import (ConfigError, Corruption, edge_key, find_honest_path,
-                        generate_schedule, validate_conforming)
+from .adversary import (BEHAVIORS, ConfigError, Corruption, edge_key,
+                        find_honest_path, generate_schedule,
+                        validate_conforming)
 from .auth import REASON_OK, AuthNode, LedgerPairing, SenderAuth
 from .buffers import Stored, network_potential
 from .crypto import BACKENDS, keygen
@@ -42,6 +43,7 @@ class ConformingError(RuntimeError):
 
 @dataclass
 class Scenario:
+    """Every input of a run, kept to the rules `check()` applies."""
     n: int = 4
     mode: str = "slide"             # "slide" or "auth"
     lam: str = "3/8"
@@ -62,47 +64,84 @@ class Scenario:
     trace: bool = False
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in _SCHEDULE_KEYS.values()}
+        out = {key: getattr(self, attr) for key, attr in _ATTRS[""].items()}
         out["lam"] = str(self.lam)
         out["sigma"] = None if self.sigma is None else str(self.sigma)
-        out["schedule"] = {key: getattr(self, name)
-                           for key, name in _SCHEDULE_KEYS.items()}
-        out["corruptions"] = [{"node": c.node, "round": c.round_index,
-                               "behavior": c.behavior, "params": c.params}
+        out["schedule"] = {key: getattr(self, attr)
+                           for key, attr in _ATTRS["schedule"].items()}
+        out["corruptions"] = [{key: getattr(c, attr) for key, attr
+                               in _ATTRS["corruptions"].items()}
                               for c in self.corruptions]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Parse the dict form written by `to_dict`.  `n` is required;
-        other missing keys take the field defaults.  An unknown key raises
-        ConfigError, so a misspelt key cannot silently run with the
-        default."""
-        _reject_unknown("scenario", data, cls().to_dict())
+        """Parse the dict form written by `to_dict`, with the keys of
+        `FIELDS`: an unknown key raises ConfigError, and so does a missing
+        `n`, or a corruptions entry's node or behavior; other missing keys
+        take the field defaults.  The values are left to `check()`."""
+        _reject_unknown("scenario", data, [*_ATTRS[""], "schedule"])
         sched = data.get("schedule", {})
-        _reject_unknown("schedule", sched, _SCHEDULE_KEYS)
+        _reject_unknown("schedule", sched, _ATTRS["schedule"])
         if "n" not in data:
             raise ConfigError("scenario has no node count n")
-        if type(data.get("trace", False)) is not bool:
-            raise ConfigError(f"trace {data['trace']!r:.80} is not a bool")
-        kwargs = {key: value for key, value in data.items()
-                  if key not in ("schedule", "corruptions")}
-        kwargs.update((_SCHEDULE_KEYS[key], value)
-                      for key, value in sched.items())
         corruptions = data.get("corruptions", [])
         if not isinstance(corruptions, list):
             raise ConfigError(f"corruptions {corruptions!r:.80} is not a list")
         for c in corruptions:
-            _reject_unknown("corruptions entry", c, _CORRUPTION_KEYS)
+            _reject_unknown("corruptions entry", c, _ATTRS["corruptions"])
             for key in ("node", "behavior"):
                 if key not in c:
                     raise ConfigError(f"corruptions entry {c!r:.80} has no "
                                       f"{key}")
+        kwargs = dict(data, **{_ATTRS["schedule"][key]: value
+                               for key, value in sched.items()})
+        kwargs.pop("schedule", None)
         kwargs["corruptions"] = [
             Corruption(c["node"], c.get("round", 1), c["behavior"],
                        c.get("params", {})) for c in corruptions]
         return cls(**kwargs)
+
+    def check(self) -> codec.CodingParams:
+        """Check every value against `FIELDS`, then the rules between
+        fields, and return the coding parameters the scenario derives.
+        The first rule broken raises ConfigError naming its field."""
+        for key, attr, test, message in FIELDS:
+            nested = key.startswith("corruptions.")
+            for of in self.corruptions if nested else (self,):
+                value = getattr(of, attr)
+                if test and not test(value):
+                    raise ConfigError(message.format(v=value, of=of))
+        try:
+            params = codec.derive_params(self.n, self.lam, self.sigma,
+                                         fragment_bytes=self.fragment_bytes)
+        except codec.CodecError as exc:
+            raise ConfigError(str(exc)) from exc
+        n, script, bb = self.n, self.schedule_script, self.backbone
+        corrupt = set()
+        for node in (c.node for c in self.corruptions):
+            if not (type(node) is int and 0 < node < n - 1):
+                raise ConfigError(f"corruption node {node!r:.80} is not an "
+                                  f"internal node 1..{n - 2}")
+            if node in corrupt:
+                raise ConfigError(f"node {node} is corrupted twice")
+            corrupt.add(node)
+        if corrupt and self.mode != "auth":
+            raise ConfigError("corruptions require authenticated mode")
+        for edge in (e for edges in script or () for e in edges):
+            if not (_distinct_nodes(edge, n) and len(edge) == 2):
+                raise ConfigError(f"schedule.script edge {edge!r:.80} is not "
+                                  f"a pair of distinct nodes of 0..{n - 1}")
+        if self.schedule_kind == "scripted" and not script:
+            raise ConfigError(f"schedule kind 'scripted' needs a non-empty "
+                              f"schedule.script, got {script!r:.80}")
+        if bb is not None and not (_distinct_nodes(bb, n) and bb
+                                   and bb[0] == 0 and bb[-1] == n - 1):
+            raise ConfigError(f"backbone {bb!r:.80} is not a path of distinct "
+                              f"nodes from 0 to n - 1 = {n - 1}")
+        for node in sorted(corrupt.intersection(bb or ())):
+            raise ConfigError(f"backbone node {node} is corrupted")
+        return params
 
     def digest(self) -> str:
         d = self.to_dict()
@@ -110,11 +149,72 @@ class Scenario:
         return digest(_canon(d))
 
 
-# schedule file key -> Scenario field
-_SCHEDULE_KEYS = {"kind": "schedule_kind", "p": "schedule_p",
-                  "seed": "schedule_seed", "script": "schedule_script",
-                  "backbone": "backbone", "repair": "schedule_repair"}
-_CORRUPTION_KEYS = ("node", "round", "behavior", "params")
+def _int(least=None):
+    return lambda v: type(v) is int and (least is None or v >= least)
+
+
+def _one_of(*choices):
+    return lambda v: type(v) is str and v in choices
+
+
+def _distinct_nodes(v, n) -> bool:
+    return isinstance(v, (list, tuple)) and all(
+        type(x) is int and 0 <= x < n for x in v) and len(set(v)) == len(v)
+
+
+# Every scenario field, once: its file key ("schedule.x" is key x of the
+# file's schedule, "corruptions.x" of each corruptions entry), the Scenario
+# or Corruption attribute, the test of its value, and the message of a value
+# that fails it ({v} the value, {of} its scenario or corruption).  A field
+# without a test is left to codec.derive_params or the rules after it.
+FIELDS = (
+    ("n", "n", _int(4), "n {v!r:.80} is not an int >= 4"),
+    ("mode", "mode", _one_of("slide", "auth"),
+     "mode {v!r:.80} is not 'slide' or 'auth'"),
+    ("lam", "lam", None, None),
+    ("sigma", "sigma", None, None),
+    ("fragment_bytes", "fragment_bytes", None, None),
+    ("messages", "messages", _int(0), "messages {v!r:.80} is not an int >= 0"),
+    ("max_transmissions", "max_transmissions",
+     lambda v: v is None or _int(0)(v),
+     "max_transmissions {v!r:.80} is not null or an int >= 0"),
+    ("schedule.kind", "schedule_kind", _one_of("static", "churn", "scripted"),
+     "schedule kind {v!r:.80} is not 'static', 'churn' or 'scripted'"),
+    ("schedule.p", "schedule_p",
+     lambda v: type(v) in (int, float) and 0 <= v <= 1,
+     "{of.schedule_kind} p must be a number in [0, 1], got {v!r:.80}"),
+    ("schedule.seed", "schedule_seed", _int(),
+     "schedule seed {v!r:.80} is not an int"),
+    ("schedule.script", "schedule_script",
+     lambda v: v is None or isinstance(v, (list, tuple)) and all(
+         isinstance(edges, (list, tuple)) for edges in v),
+     "schedule.script {v!r:.80} is not a list of per-round edge lists"),
+    ("schedule.backbone", "backbone", None, None),
+    ("schedule.repair", "schedule_repair", lambda v: type(v) is bool,
+     "schedule repair {v!r:.80} is not true or false"),
+    ("corruptions", "corruptions", lambda v: isinstance(v, list) and all(
+        isinstance(c, Corruption) for c in v),
+     "corruptions {v!r:.80} is not a list of Corruption"),
+    ("corruptions.node", "node", None, None),
+    ("corruptions.round", "round_index", _int(1),
+     "corruption round {v!r:.80} is not an int >= 1"),
+    ("corruptions.behavior", "behavior", _one_of(*BEHAVIORS),
+     "unknown behavior {v!r:.80}"),
+    ("corruptions.params", "params", lambda v: v == {},
+     "behavior {of.behavior!r} reads no params, got {v!r:.80}"),
+    ("crypto_backend", "crypto_backend", _one_of(*BACKENDS),
+     "unknown crypto backend {v!r:.80}"),
+    ("seed", "seed", _int(), "seed {v!r:.80} is not an int"),
+    ("checks", "checks", _one_of("full", "off"),
+     "checks {v!r:.80} is not 'full' or 'off'"),
+    ("trace", "trace", lambda v: type(v) is bool,
+     "trace {v!r:.80} is not a bool"),
+)
+
+# file key -> attribute, at the top level ("") and in each nested object
+_ATTRS = {group: {key.rpartition(".")[2]: attr for key, attr, _, _ in FIELDS
+                  if key.rpartition(".")[0] == group}
+          for group in ("", "schedule", "corruptions")}
 
 
 def _reject_unknown(where, data, known) -> None:
@@ -142,54 +242,27 @@ def message_payload(seed, index: int, size: int) -> bytes:
 
 class Engine:
     def __init__(self, scenario: Scenario, trace=None):
-        """Trace records go to `trace.append` as the run makes them, or
-        to a list if only `scenario.trace` is set."""
+        """Runs `scenario.check()` first.  Trace records go to
+        `trace.append` as the run makes them, or to a list if only
+        `scenario.trace` is set."""
         sc = scenario
         self.sc = sc
-        self.params = codec.derive_params(sc.n, sc.lam, sc.sigma,
-                                          fragment_bytes=sc.fragment_bytes)
+        self.params = sc.check()
         self.n = sc.n
         self.D = self.params.packets_per_codeword
         self.auth_mode = sc.mode == "auth"
-        if sc.mode not in ("slide", "auth"):
-            raise ConfigError(f"unknown mode {sc.mode!r}")
-        if sc.checks not in ("full", "off"):
-            raise ConfigError(f"unknown check level {sc.checks!r}")
-        if type(sc.crypto_backend) is not str \
-                or sc.crypto_backend not in BACKENDS:
-            raise ConfigError(f"unknown crypto backend {sc.crypto_backend!r}")
-        if type(sc.seed) is not int:
-            raise ConfigError(f"seed {sc.seed!r} is not an int")
         self.L = 4 * self.D if self.auth_mode else 3 * self.D
         self.ids = list(range(sc.n))
         self.S = 0
         self.R = sc.n - 1
 
-        self.corrupt_nodes = {}
-        for c in sc.corruptions:
-            if c.node in (self.S, self.R):
-                raise ConfigError("sender and receiver cannot be corrupted")
-            if type(c.node) is not int or c.node not in self.ids:
-                raise ConfigError(f"unknown node {c.node!r}")
-            if c.node in self.corrupt_nodes:
-                raise ConfigError(f"node {c.node} is corrupted twice")
-            if not self.auth_mode:
-                raise ConfigError("corruptions require authenticated mode")
-            if type(c.round_index) is not int or c.round_index < 1:
-                raise ConfigError(f"corruption round {c.round_index!r} is "
-                                  f"not a positive int")
-            self.corrupt_nodes[c.node] = (c.round_index, c.make())
+        self.corrupt_nodes = {c.node: (c.round_index, BEHAVIORS[c.behavior]())
+                              for c in sc.corruptions}
         self._corrupt_ids = frozenset(self.corrupt_nodes)
 
-        if type(sc.messages) is not int or sc.messages < 0:
-            raise ConfigError(f"messages {sc.messages!r} is not an int >= 0")
         budget = sc.max_transmissions
         if budget is None:
-            budget = sc.messages + (0 if not self.corrupt_nodes
-                                    else sc.n * sc.n)
-        elif type(budget) is not int or budget < 0:
-            raise ConfigError(f"max_transmissions {budget!r} is not an int "
-                              f">= 0")
+            budget = sc.messages + (sc.n * sc.n if self.corrupt_nodes else 0)
         self.max_transmissions = budget
         total_rounds = budget * self.L
         self.schedule = generate_schedule(

@@ -5,7 +5,6 @@ that n, with the seeds and churn rates the acceptance suite checks."""
 from __future__ import annotations
 
 from .adversary import BEHAVIORS, Corruption
-from .codec import derive_params
 from .engine import Scenario
 
 ATTACKERS = [name for name in BEHAVIORS if name != "honest"]
@@ -50,7 +49,7 @@ def throughput_mix(n):
     3L, the end of transmission 3: the paper's throughput setting, in
     which at least x - n^2 messages arrive."""
     x = n * n + 10
-    length = 4 * derive_params(n, "3/8").packets_per_codeword
+    length = 4 * Scenario(n=n).check().packets_per_codeword
     return Scenario(
         n=n, mode="auth", messages=x, max_transmissions=x,
         schedule_kind="churn", schedule_p=0.15, schedule_seed=5,

@@ -1,9 +1,10 @@
 import pytest
 
-from slidenet.adversary import (BEHAVIORS, ConfigError, EdgeSchedule,
-                                default_backbone, find_honest_path,
-                                full_mask, generate_schedule,
-                                validate_conforming)
+from slidenet.adversary import (BEHAVIORS, ConfigError, Corruption,
+                                EdgeSchedule, default_backbone,
+                                find_honest_path, full_mask,
+                                generate_schedule, validate_conforming)
+from slidenet.engine import Engine, Scenario
 
 
 def _masks(sched):
@@ -45,9 +46,11 @@ class TestValidateConforming:
         assert _masks(a) == _masks(b)
 
     def test_corrupted_backbone_refused(self):
-        with pytest.raises(ConfigError):
-            generate_schedule("churn", 5, 10, p=0.2, backbone=[0, 2, 4],
-                              corrupt_nodes={2})
+        sc = Scenario(n=5, mode="auth", schedule_kind="churn",
+                      schedule_p=0.2, backbone=[0, 2, 4],
+                      corruptions=[Corruption(2, 1, "deleter")])
+        with pytest.raises(ConfigError, match="backbone node 2 is corrupted"):
+            Engine(sc)
 
     def test_default_backbone_avoids_corrupt(self):
         assert default_backbone(5, {1}) == [0, 2, 4]

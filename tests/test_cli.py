@@ -9,6 +9,7 @@ from slidenet.adversary import Corruption
 from slidenet.cli import main
 from slidenet.engine import Engine, Scenario
 from slidenet.node import NodeState
+from slidenet.scenarios import FAMILIES
 from test_golden import CLI_GOLDEN, SCENARIOS
 
 
@@ -145,6 +146,14 @@ class TestRun:
         {"schedule": {"kind": "scripted", "script": [[[0, 1, 2]]]}},
         {"schedule": {"kind": "churn", "p": 0.2, "seed": 3, "repair": "no"}},
         *(bad for bad, _ in NAMED_FIELD.values()),
+        *(_churn(p=0.3, backbone=backbone)
+          for backbone in ([0, 1, 0, 3], [0, 1, 2, 1, 3], [0, 3, 0, 3])),
+        {"mode": "auth", **_churn(backbone=[0, 1, 3]),
+         "corruptions": [{"node": 1, "round": 1, "behavior": "deleter"}]},
+        {"mode": "auth", "corruptions": [
+            {"node": 2, "round": 1, "behavior": "nonsense"}]},
+        *({"schedule": {"kind": "scripted", "script": [[edge]]}}
+          for edge in ([0, 4], [-1, 0], [2, 2])),
     ])
     def test_malformed_scenario_exit2(self, tmp_path, bad, capsys):
         assert main(["run", _malformed(tmp_path, bad)]) == 2
@@ -162,6 +171,17 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run", honest_scenario] + flag)
         assert exc.value.code == 2
+
+    def test_setup_bug_is_not_a_config_error(self, honest_scenario,
+                                             monkeypatch):
+        """Only ConfigError is exit 2: a KeyError from engine setup is a
+        bug, and surfaces as one."""
+        def broken(*args, **kwargs):
+            raise KeyError("planted")
+
+        monkeypatch.setattr(NodeState, "__init__", broken)
+        with pytest.raises(KeyError, match="planted"):
+            main(["run", honest_scenario])
 
     def test_missing_node_count_exit2(self, tmp_path):
         assert main(["run", write(tmp_path / "empty.json", {})]) == 2
@@ -261,43 +281,26 @@ def test_scenario_round_trip():
 
 
 class TestGen:
-    def test_gen_honest_validates(self, tmp_path):
-        out = tmp_path / "sc.json"
-        assert main(["gen", "honest", "--n", "4", "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data["n"] == 4 and data["mode"] == "slide"
-        assert Scenario.from_dict(data).to_dict() == data
+    def test_gen_writes_each_family_scenario(self, capsys):
+        """The file `gen` prints is the family's scenario, checked."""
+        for name, family in sorted(FAMILIES.items()):
+            for index, scenario in enumerate(family(4)):
+                assert main(["gen", "--family", name, "--n", "4",
+                             "--index", str(index)]) == 0
+                data = json.loads(capsys.readouterr().out)
+                assert Scenario.from_dict(data).digest() \
+                    == scenario.digest(), (name, index)
 
-    def test_gen_churn_seed42(self, tmp_path):
-        out = tmp_path / "sc.json"
-        assert main(["gen", "churn", "--n", "5", "--p", "0.3",
-                     "--seed", "42", "--out", str(out)]) == 0
-
-    def test_gen_attack(self, tmp_path):
-        out = tmp_path / "sc.json"
-        assert main(["gen", "attack", "--behavior", "deleter",
-                     "--n", "4", "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data["mode"] == "auth"
-        assert data["corruptions"][0]["behavior"] == "deleter"
-
-    def test_gen_corrupted_backbone_refused(self, tmp_path):
-        code = main(["gen", "attack", "--behavior", "deleter", "--n", "4",
-                     "--corrupt-node", "1", "--backbone", "0", "1", "3",
-                     "--out", str(tmp_path / "x.json")])
-        assert code == 2
-
-    def test_gen_unknown_behavior_refused(self, tmp_path):
-        assert main(["gen", "attack", "--behavior", "nonsense"]) == 2
-
-    @pytest.mark.parametrize("p", ["1.5", "-2"])
-    def test_gen_churn_probability_outside_unit_interval_refused(
-            self, tmp_path, p, capsys):
-        out = tmp_path / "sc.json"
-        assert main(["gen", "churn", "--n", "4", "--p", p,
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("configuration error:")
-        assert not out.exists()
+    @pytest.mark.parametrize("flags", [
+        ["--family", "attack", "--index", "6"],
+        ["--family", "honest", "--index", "-1"],
+        *(["--family", name, "--n", n] for name in sorted(FAMILIES)
+          for n in ("3", "17")),
+    ])
+    def test_gen_refused_exit2(self, flags, capsys):
+        assert main(["gen", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error:")
 
 
 def _lower_internal_height(rows):

@@ -56,6 +56,13 @@ def test_bounds_config_error_exits_2(bounds, capsys):
     assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_bounds_n_the_codec_refuses_exits_2(bounds, family, capsys):
+    # n = 17 makes D = 6n^3/lam larger than the field
+    assert bounds.main(["--family", family, "--n", "17"]) == 2
+    assert "the field size" in capsys.readouterr().err
+
+
 def test_bounds_run_that_raises_exits_4(monkeypatch, capsys):
     """A receiver that stores nothing fails the first honest run; the
     runner prints that run's scenario as a file `slidenet run` takes.  The
