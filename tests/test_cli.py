@@ -9,7 +9,7 @@ from slidenet.adversary import Corruption
 from slidenet.cli import main
 from slidenet.engine import Engine, Scenario
 from slidenet.node import NodeState
-from slidenet.scenarios import FAMILIES
+from slidenet.scenarios import ATTACKERS, FAMILIES
 from test_golden import CLI_GOLDEN, SCENARIOS
 
 
@@ -301,6 +301,45 @@ class TestGen:
         assert main(["gen", *flags]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("configuration error:")
+
+    def test_gen_honest_validates(self, capsys):
+        assert main(["gen", "--family", "honest", "--n", "4"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["n"] == 4 and data["mode"] == "slide"
+        assert Scenario.from_dict(data).to_dict() == data
+
+    def test_gen_churn_seed42(self, capsys):
+        """gen's churn scenario at n=5, moved to seed 42, still checks."""
+        assert main(["gen", "--family", "honest", "--n", "5",
+                     "--index", "7"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["schedule"]["kind"] == "churn"
+        assert data["schedule"]["p"] == 0.3
+        assert data["schedule"]["seed"] == 7
+        data["schedule"]["seed"] = 42
+        assert Scenario.from_dict(data).check().n == 5
+
+    def test_gen_attack(self, capsys):
+        index = ATTACKERS.index("deleter")
+        assert main(["gen", "--family", "attack", "--n", "4",
+                     "--index", str(index)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["mode"] == "auth"
+        assert data["corruptions"][0]["behavior"] == "deleter"
+
+    @pytest.mark.parametrize("p", ["1.5", "-2"])
+    def test_gen_churn_probability_outside_unit_interval_refused(
+            self, tmp_path, p, capsys):
+        """gen's churn scenario with p outside [0, 1] is refused by run,
+        and run writes nothing."""
+        assert main(["gen", "--family", "honest", "--n", "4"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data["schedule"]["p"] = json.loads(p)
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path / "sc.json", data),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
 
 
 def _lower_internal_height(rows):
