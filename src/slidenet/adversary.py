@@ -94,14 +94,14 @@ class EdgeSchedule:
 
     def first_rounds(self):
         """The first round of each distinct mask, in round order.  A lazy
-        schedule is drawn to its last round first."""
-        if self._draw is not None and self.rounds:
-            self.mask(self.rounds)
-        seen = set()
-        for r, m in enumerate(itertools.islice(self._masks, self.rounds), 1):
-            if m not in seen:
-                seen.add(m)
-                yield r
+        schedule is drawn as the scan reads it, _DRAW_BLOCK masks, then 16x."""
+        seen, r = set(), 0
+        while r < self.rounds and (self._draw is not None or not r):
+            self.mask(min(self.rounds, max(16 * r, _DRAW_BLOCK)))
+            for r, m in enumerate(self._masks[r:self.rounds], r + 1):
+                if m not in seen:
+                    seen.add(m)
+                    yield r
 
     def active(self, r: int, a, b) -> bool:
         return bool(self.mask(r) >> self.bit[edge_key(a, b)] & 1)

@@ -5,17 +5,17 @@ A codeword consists of D fragments; any ceil((1-lam)*D) distinct fragments
 recover the message.  Only erasures occur in this system: fragments with
 bad signatures are discarded before decoding, never fed to the decoder.
 
-Encoding and decoding evaluate the interpolating polynomial at the missing
-points in row blocks of about _BLOCK table entries, so the codec's working
-set is bounded by the block size (a few MB of int32 temporaries), not by
-D^2.  The barycentric denominators and numerators are sums of logs over
-the K interpolation points, taken over their maximal aligned XOR blocks:
-they cost K x (blocks) table reads, not K^2 (encode's K points are two
-blocks at n=8).
+Encoding fits the polynomial through the K data points [0, K) and
+evaluates it on [K, D) by the additive FFT of Lin, Chung and Han, in
+O(D log^2 D).  Decoding's points are whatever arrived, so it evaluates
+the barycentric form in row blocks of about _BLOCK table entries, with
+the denominators and numerators summed over the points' maximal aligned
+XOR blocks.  Neither holds more than a few MB, whatever D is.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -36,18 +36,17 @@ MAX_CODEWORD_BYTES = 1 << 22
 
 
 def _build_tables():
-    """int32 exp/log tables of the generator x.  The powers are stepped on
-    Python ints and converted once.  exp holds them twice, so a sum of two
-    logs indexes it without a modulo.  log[0] is 0 (zero has no
-    logarithm), so a zero difference adds nothing to a sum of logs."""
-    powers = []
-    x = 1
-    for _ in range(GF_MOD):
-        powers.append(x)
-        x <<= 1
-        if x & GF_SIZE:
-            x ^= _PRIM_POLY
-    p = np.array(powers, dtype=np.int32)
+    """int32 exp/log tables of the generator x.  The powers double:
+    p[m:2m] = x^m p[0:m], read from a table of that linear map.  exp holds
+    them twice, so a sum of two logs indexes it without a modulo.  log[0]
+    is 0 (no logarithm), so a zero difference adds nothing to a sum."""
+    p = np.ones(1, dtype=np.int32)
+    while len(p) < GF_MOD:
+        times, v = np.zeros(1, dtype=np.int32), int(p[-1])
+        for _ in range(GF_BITS):            # x^m 2^b, b = 0..15, spanned
+            v = v << 1 ^ (_PRIM_POLY if v >> GF_BITS - 1 else 0)
+            times = np.concatenate([times, times ^ v])
+        p = np.concatenate([p, times[p]])[:GF_MOD]
     log = np.zeros(GF_SIZE, dtype=np.int32)
     log[p] = np.arange(GF_MOD, dtype=np.int32)
     return np.concatenate([p, p]), log
@@ -108,14 +107,19 @@ register_packer(Packet, lambda p: ("~packet", p.codeword_index, p.fragment_index
 
 
 def _fraction(name, value) -> Fraction:
-    """Parse '3/8', '0.375' or a number into an exact Fraction."""
+    """Parse '3/8', '0.375' or a number into an exact Fraction.  A decimal
+    exponent or a term above the field size is refused before it grows."""
     try:
-        if isinstance(value, float):
-            return Fraction(value).limit_denominator(10**9)
-        return Fraction(value)
+        if isinstance(value, str) and "e" in value.lower():
+            raise ValueError("a decimal exponent")
+        out = Fraction(value)
+        out = out.limit_denominator(10**9) if isinstance(value, float) else out
+        if max(abs(out.numerator), out.denominator) > GF_SIZE:
+            raise ValueError("a term above the field size")
+        return out
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CodecError(f"{name} must be a fraction such as 3/8, "
-                         f"got {value!r}") from exc
+                         f"got {value!r:.80}") from exc
 
 
 def derive_params(n, lam, sigma=None, fragment_bytes: int = 2) -> CodingParams:
@@ -161,6 +165,13 @@ def _to_words(payload: bytes) -> np.ndarray:
 
 def _to_bytes(words: np.ndarray) -> bytes:
     return words.astype(">u2").tobytes()
+
+
+def _scale(v: np.ndarray, logs) -> np.ndarray:
+    """v times the field elements whose logs are logs (broadcast)."""
+    out = _GF_EXP[_GF_LOG[v] + logs]
+    out[v == 0] = 0
+    return out
 
 
 def _aligned_blocks(member: np.ndarray) -> list:
@@ -235,10 +246,62 @@ def _lagrange_eval(xs: np.ndarray, values: np.ndarray,
             # weight_ij = v_j / ((t_i ^ x_j) * denom_j); a zero v_j adds nothing
             terms = _GF_EXP[log_u[w] - log_tdiff]
             terms[:, zero[w]] = 0
-            acc = np.bitwise_xor.reduce(terms, axis=1)
-            nz = acc != 0
-            out[s:s + step][nz, w] = _GF_EXP[numer[nz] + _GF_LOG[acc[nz]]]
+            out[s:s + step, w] = _scale(np.bitwise_xor.reduce(terms, axis=1),
+                                        numer)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _subspace_logs(bits: int) -> tuple:
+    """Entry j < bits: the logs of s_j(m << j+1), m < 2^(bits-j-1), where
+    s_j(x) = prod_{a < 2^j} (x ^ a) / (2^j ^ a) vanishes on [0, 2^j), is 1
+    at 2^j and is GF(2)-linear.  log s_j(0) reads as 0."""
+    s, out = np.arange(1 << bits), []   # s[i] = s_j(i << j); s_0(x) = x
+    for j in range(bits):
+        s = _scale(s[::2], GF_MOD - _GF_LOG[s[1]])  # s_j(2^j) = 1, m << j+1
+        out.append(_GF_LOG[s])
+        s = _scale(s, _GF_LOG[s]) ^ s   # s_j(s_j + 1) = s_j(x) s_j(x ^ 2^j)
+    return tuple(out)
+
+
+def _fft(a, start, k, tw, inverse=False):
+    """The additive FFT of Lin, Chung and Han (FOCS 2014), in place: row i
+    of a holds the coefficient of X_i = prod_{bit j of i} s_j and becomes
+    the value at start + i, on each coset of [0, 2^k) (inverse: back).  A
+    butterfly's twiddle is s_j at its block's first point."""
+    for j in range(k) if inverse else reversed(range(k)):
+        v = a.reshape(-1, 2, 1 << j, a.shape[1])
+        low, high, first = v[:, 0], v[:, 1], start >> j + 1
+        skip = int(not first)             # s_j(0) = 0: block 0 adds nothing
+        if inverse:
+            high ^= low
+        low[skip:] ^= _scale(high[skip:], tw[j][first + skip:first + len(v),
+                                                None, None])
+        if not inverse:
+            high ^= low
+    return a
+
+
+def _parity(data: np.ndarray, d: int) -> np.ndarray:
+    """Values at [K, d) of the polynomial of degree < K = len(data) that is
+    data[i] at i: the sum of Z_0 ... Z_{t-1} Q_t over the aligned blocks
+    o_t + [0, 2^k) of [0, K), one per set bit k of K, largest first.  Each
+    Z_t(x) = s_k(x ^ o_t) is linear: 1 on the later blocks, constant on each
+    coset of [0, 2^k).  So one inverse FFT fits Q_t (deg < 2^k) to the data
+    less the earlier terms, one FFT evaluates it to d: O(d log^2 d)."""
+    kdata, tw, o = len(data), _subspace_logs((d - 1).bit_length()), 0
+    acc = np.zeros((1 << len(tw), data.shape[1]), dtype=np.int32)
+    logz = np.zeros(len(acc), dtype=np.int32)  # log Z_0 ... Z_{t-1}
+    for k in (k for k in reversed(range(GF_BITS)) if kdata >> k & 1):
+        start, stop = o + (1 << k), -(-d >> k) << k
+        q = _fft(data[o:start] ^ acc[o:start], o, k, tw, inverse=True)
+        value = _fft(np.tile(q, ((stop - start) >> k, 1)), start, k, tw)
+        acc[start:stop] ^= _scale(value, logz[start:stop, None])
+        y = np.arange(start, stop) ^ o
+        z = np.where(y >> k > 1, _GF_EXP[tw[k][y >> k + 1]], 0) ^ y >> k & 1
+        logz[start:stop] = (logz[start:stop] + _GF_LOG[z]) % GF_MOD
+        o = start
+    return acc[kdata:d]
 
 
 def encode(msg: Message, params: CodingParams) -> tuple:
@@ -255,12 +318,9 @@ def encode(msg: Message, params: CodingParams) -> tuple:
                          f"got {len(msg.payload)}")
     fb = params.fragment_bytes
     data = _to_words(msg.payload).reshape(kdata, fb // 2)
-    parity = _lagrange_eval(np.arange(kdata, dtype=np.int32), data,
-                            np.arange(kdata, d, dtype=np.int32))
-    blob = msg.payload + _to_bytes(parity)
-
-    return tuple(Packet(codeword_index=msg.index, fragment_index=i,
-                        payload=blob[i * fb:(i + 1) * fb]) for i in range(d))
+    blob = msg.payload + _to_bytes(_parity(data, d))
+    return tuple(map(Packet, [msg.index] * d, range(d),
+                     [blob[i:i + fb] for i in range(0, d * fb, fb)]))
 
 
 def decode(fragments: Iterable[Packet],

@@ -1,10 +1,11 @@
 import pytest
 
+from slidenet import engine
 from slidenet.adversary import (BEHAVIORS, ConfigError, Corruption,
                                 EdgeSchedule, default_backbone,
                                 find_honest_path, full_mask,
                                 generate_schedule, validate_conforming)
-from slidenet.engine import Engine, Scenario
+from slidenet.engine import ConformingError, Engine, Scenario
 
 
 def _masks(sched):
@@ -51,6 +52,34 @@ class TestValidateConforming:
                       corruptions=[Corruption(2, 1, "deleter")])
         with pytest.raises(ConfigError, match="backbone node 2 is corrupted"):
             Engine(sc)
+
+    @pytest.mark.parametrize("budget", [1, 100, 10_000])
+    def test_unrepaired_churn_drawn_only_to_first_bad_round(
+            self, monkeypatch, budget):
+        # the schedule covers budget * 3072 rounds; the search stops at
+        # round 10, after the first block of masks
+        made = []
+
+        def keep(*args, **kwargs):
+            made.append(generate_schedule(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(engine, "generate_schedule", keep)
+        with pytest.raises(ConformingError, match="in round 10$"):
+            Engine(Scenario(n=4, schedule_kind="churn", schedule_p=0.3,
+                            schedule_repair=False, max_transmissions=budget))
+        assert made[0].rounds == budget * 3072
+        assert len(made[0]._masks) == 64
+
+    def test_first_rounds_of_lazy_schedule_match_drawn_masks(self):
+        def make():
+            return generate_schedule("churn", 5, 3000, seed=4, p=0.3,
+                                     repair=False)
+
+        masks, lazy = _masks(make()), make()
+        firsts = [r for r in range(1, 3001)
+                  if masks[r - 1] not in masks[:r - 1]]
+        assert list(lazy.first_rounds()) == firsts
 
     def test_default_backbone_avoids_corrupt(self):
         assert default_backbone(5, {1}) == [0, 2, 4]

@@ -89,6 +89,13 @@ NAMED_FIELD = {
         {"node": 2, "round": 1}]},
         "corruptions entry {'node': 2, 'round': 1} has no behavior"),
 }
+# TestRun's malformed-file cases spread the entries above at their place
+# and the entries below at their end, so every older case keeps its id
+SPREAD_NAMED = len(NAMED_FIELD)
+NAMED_FIELD.update({
+    f"lam-exponent-{lam}": ({"lam": lam}, f"lam must be a fraction such as "
+                                          f"3/8, got '{lam}'")
+    for lam in ("1e-100000", "1e-10000000")})
 
 
 class TestRun:
@@ -145,7 +152,7 @@ class TestRun:
             {"node": 2, "round": 5, "behavior": "ghost"}]},
         {"schedule": {"kind": "scripted", "script": [[[0, 1, 2]]]}},
         {"schedule": {"kind": "churn", "p": 0.2, "seed": 3, "repair": "no"}},
-        *(bad for bad, _ in NAMED_FIELD.values()),
+        *(bad for bad, _ in list(NAMED_FIELD.values())[:SPREAD_NAMED]),
         *(_churn(p=0.3, backbone=backbone)
           for backbone in ([0, 1, 0, 3], [0, 1, 2, 1, 3], [0, 3, 0, 3])),
         {"mode": "auth", **_churn(backbone=[0, 1, 3]),
@@ -154,6 +161,7 @@ class TestRun:
             {"node": 2, "round": 1, "behavior": "nonsense"}]},
         *({"schedule": {"kind": "scripted", "script": [[edge]]}}
           for edge in ([0, 4], [-1, 0], [2, 2])),
+        *(bad for bad, _ in list(NAMED_FIELD.values())[SPREAD_NAMED:]),
     ])
     def test_malformed_scenario_exit2(self, tmp_path, bad, capsys):
         assert main(["run", _malformed(tmp_path, bad)]) == 2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from slidenet import codec
 from slidenet.codec import CodecError, Message, decode, derive_params, encode
+from slidenet.scenarios import FAMILIES
 
 
 def make_params(n=4, lam="3/8", sigma=None, fragment_bytes=2):
@@ -63,6 +64,23 @@ class TestDeriveParams:
         assert make_params(4, fragment_bytes=4096).fragment_bytes == 4096
         with pytest.raises(CodecError, match="fragment_bytes 4098"):
             derive_params(4, "3/8", fragment_bytes=4098)
+
+    @pytest.mark.parametrize("lam", [
+        "1e-100000", "1e-10000000", "3E-1", "0." + "0" * 4000 + "1",
+        10**4000, "65537/131072"],
+        ids=["exp-5", "exp-7", "exp-upper", "4000-digits", "huge-int",
+             "term-above-field"])
+    def test_rate_refused_before_expansion(self, lam):
+        with pytest.raises(CodecError, match="^lam "):
+            derive_params(4, lam)
+
+    def test_exponent_refused_before_fraction_reads_it(self, monkeypatch):
+        read = []
+        monkeypatch.setattr(codec, "Fraction",
+                            lambda value: read.append(value) or Fraction(value))
+        with pytest.raises(CodecError, match="^lam "):
+            derive_params(4, "1e-100000")
+        assert read == []
 
     def test_default_sigma_is_max_rate(self):
         p = make_params(4, "3/8")
@@ -259,3 +277,66 @@ def test_threshold_round_trip_non_power_of_two(n, lam, d):
     rng.shuffle(cw)
     subset = cw[:p.decode_threshold]
     assert decode(subset, p) == msg
+
+
+def _planted(rng, kdata, words):
+    """Random field words with zeros planted: about a tenth of the words,
+    and one whole fragment."""
+    data = rng.integers(0, codec.GF_SIZE, (kdata, words)).astype(np.int32)
+    data[rng.random(data.shape) < 0.1] = 0
+    data[rng.integers(kdata)] = 0
+    return data
+
+
+def _lagrange_parity(data, targets):
+    xs = np.arange(len(data), dtype=np.int32)
+    return codec._lagrange_eval(xs, data, targets.astype(np.int32))
+
+
+FAMILY_CODES = sorted({(sc.n, sc.lam, sc.sigma, sc.fragment_bytes)
+                       for n in range(4, 9) for family in FAMILIES.values()
+                       for sc in family(n)}, key=str)
+
+
+@pytest.mark.parametrize(("n", "lam", "sigma", "fragment_bytes"),
+                         FAMILY_CODES)
+def test_fft_parity_matches_lagrange_on_family_codes(n, lam, sigma,
+                                                     fragment_bytes):
+    p = derive_params(n, lam, sigma, fragment_bytes)
+    d, kdata = p.packets_per_codeword, p.data_fragments
+    data = _planted(np.random.default_rng(n), kdata, fragment_bytes // 2)
+    expected = _lagrange_parity(data, np.arange(kdata, d))
+    assert (codec._parity(data, d) == expected).all()
+
+
+# (K, D): one block, a power of two, K = D - 1, D not a power of two
+@pytest.mark.parametrize(("kdata", "d"), [
+    (1, 2), (1, 777), (2, 3), (64, 1000), (512, 1024), (1023, 1024),
+    (1024, 1025), (1000, 1001), (5, 9), (1250, 2000), (4097, 5000)])
+@pytest.mark.parametrize("words", [1, 2, 3, 4])
+def test_fft_parity_matches_lagrange(kdata, d, words):
+    data = _planted(np.random.default_rng(kdata * d + words), kdata, words)
+    expected = _lagrange_parity(data, np.arange(kdata, d))
+    assert (codec._parity(data, d) == expected).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3000), st.floats(0, 1), st.integers(1, 4),
+       st.integers(0, 2**31))
+def test_fft_parity_matches_lagrange_random_codes(d, share, words, seed):
+    kdata = min(d - 1, max(1, round(share * d)))
+    data = _planted(np.random.default_rng(seed), kdata, words)
+    expected = _lagrange_parity(data, np.arange(kdata, d))
+    assert (codec._parity(data, d) == expected).all()
+
+
+@pytest.mark.parametrize("kdata", [65536 - 384, 65535, 20000])
+def test_fft_parity_full_field_sampled(kdata):
+    # D = 65536: every point of the field; 64 parity points checked
+    rng = np.random.default_rng(kdata)
+    data = _planted(rng, kdata, 2)
+    targets = np.sort(rng.choice(np.arange(kdata, 65536),
+                                 min(64, 65536 - kdata), replace=False))
+    parity = codec._parity(data, 65536)
+    assert parity.shape == (65536 - kdata, 2)
+    assert (parity[targets - kdata] == _lagrange_parity(data, targets)).all()
