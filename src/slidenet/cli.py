@@ -39,9 +39,8 @@ def _write_json(path, data) -> None:
         fh.write("\n")
 
 
-# the most `nodes` texts a trace sink keeps
+# the most `nodes` objects a trace sink, and the audit, keeps at once
 NODES_KEPT = 64
-_NODES_MARK = '"nodes": 0'
 
 
 class _TraceFile:
@@ -51,33 +50,35 @@ class _TraceFile:
     `audit`.
 
     State rows often share one `nodes` object (every row of a quiet
-    stretch, and each distinct row of an empty one), so its text is kept
-    by the object's id, beside the object itself, which keeps that id from
-    being reused while the entry lives."""
+    stretch, and each distinct row of an empty one), so a state row's
+    `nodes` goes out once, as a `{"id": i, "k": "nodes", "nodes": ...}`
+    record, and the row carries `"nid": i` in its place.  The sink keeps
+    the objects it wrote by `id()`, each beside its record id; holding the
+    object keeps its `id()` from being reused while the entry lives.  It
+    keeps at most NODES_KEPT, and clears them all when full."""
 
     def __init__(self, path):
         self.path = path
         self.fh = open(path + ".partial", "w", buffering=1 << 20)
         self._encode = json.JSONEncoder(sort_keys=True,
                                         check_circular=False).encode
-        self._nodes = {}              # id(nodes) -> (nodes, its text)
+        self._nodes = {}              # id(nodes) -> (nodes, its record id)
+        self._next_id = 0
 
     def append(self, rec):
-        encode = self._encode
-        nodes = rec.get("nodes")
-        if nodes is not None:
-            # encode the record with `nodes` as 0 and put the kept text in
-            # its place, unless another value holds that key and value too
-            head, _, tail = encode(dict(rec, nodes=0)).partition(_NODES_MARK)
-            if _NODES_MARK not in tail:
-                kept = self._nodes.get(id(nodes))
-                if kept is None:
-                    if len(self._nodes) >= NODES_KEPT:
-                        self._nodes.clear()
-                    kept = self._nodes[id(nodes)] = (nodes, encode(nodes))
-                self.fh.write(f'{head}"nodes": {kept[1]}{tail}\n')
-                return
-        self.fh.write(encode(rec) + "\n")
+        if rec["k"] == "state":
+            nodes = rec["nodes"]
+            kept = self._nodes.get(id(nodes))
+            if kept is None:
+                if len(self._nodes) >= NODES_KEPT:
+                    self._nodes.clear()
+                kept = self._nodes[id(nodes)] = (nodes, self._next_id)
+                self._next_id += 1
+                self.fh.write(self._encode(
+                    {"id": kept[1], "k": "nodes", "nodes": nodes}) + "\n")
+            rec = dict(rec, nid=kept[1])
+            del rec["nodes"]
+        self.fh.write(self._encode(rec) + "\n")
 
     def commit(self):
         self.fh.close()
@@ -91,13 +92,16 @@ class _TraceFile:
 
 def cmd_run(args) -> int:
     out_dir = args.out or "."
+    try:
+        with open(args.scenario) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:    # an int of too many digits too
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     with contextlib.ExitStack() as outputs:
         try:
-            with open(args.scenario) as fh:
-                data = json.load(fh)
             scenario = Scenario.from_dict(data)
-            scenario.check()        # a file's trace is checked, then ignored
-            scenario.trace = args.trace
+            scenario.check()
             os.makedirs(out_dir, exist_ok=True)
             sink = None
             if args.trace:
@@ -108,7 +112,7 @@ def cmd_run(args) -> int:
                              "honest": not scenario.corruptions,
                              "n": scenario.n})
             engine = Engine(scenario, trace=sink)
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        except (OSError, ConfigError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except ConformingError as exc:
@@ -132,37 +136,37 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _audit_state_row(rec, n, honest_nodes, errors) -> tuple:
-    """Recompute buffer potentials from one per-round state row and check
-    the height-derived invariants for honest nodes."""
-    if not isinstance(rec.get("nodes"), dict):
-        raise ValueError(f"round {rec['g']}: nodes is not an object")
+def _audit_nodes(rec, n, honest_nodes, errors) -> tuple:
+    """Check the buffer rows of one `nodes` record: every height in
+    [0, 2n], and an honest internal node's heights balanced.  Return the
+    potentials of its internal nodes."""
+    where = f"nodes {rec['id']}"
     internal_rows = []
     cap = 2 * n
     for node_str, bufs in sorted(rec["nodes"].items()):
         node = int(node_str)
         heights = []
         if not isinstance(bufs, list):
-            raise ValueError(f"round {rec['g']}: node {node} buffers "
-                             f"are not a list: {bufs!r}")
+            raise ValueError(f"{where}: node {node} buffers are not a "
+                             f"list: {bufs!r}")
         for row in bufs:
             if not (isinstance(row, list) and len(row) == 5
                     and isinstance(row[2], int)
                     and (row[3] is None or isinstance(row[3], int))):
-                raise ValueError(f"round {rec['g']}: node {node} buffer row "
-                                 f"{row!r} is not [kind, peer, height, "
-                                 f"extra, accepted]")
+                raise ValueError(f"{where}: node {node} buffer row {row!r} "
+                                 f"is not [kind, peer, height, extra, "
+                                 f"accepted]")
             h = row[2]
             heights.append(h)
             if h < 0 or h > cap:
-                errors.append(f"round {rec['g']}: node {node} buffer "
-                              f"height {h} outside [0, {cap}]")
+                errors.append(f"{where}: node {node} buffer height {h} "
+                              f"outside [0, {cap}]")
             if node not in (0, n - 1):
                 internal_rows.append(row)
         if node in honest_nodes and node not in (0, n - 1) and heights:
             if max(heights) - min(heights) > 1:
-                errors.append(f"round {rec['g']}: node {node} unbalanced "
-                              f"heights {heights}")
+                errors.append(f"{where}: node {node} unbalanced heights "
+                              f"{heights}")
     return network_potential(internal_rows)
 
 
@@ -178,33 +182,16 @@ class _Findings(list):
 
 # the fields the audit reads from each kind of trace record, and their types
 _RECORD_FIELDS = {"run": {"n": int, "scenario": dict}, "endT": {"T": int},
-                  "state": {"g": int, "r": int, "gain": int}}
+                  "nodes": {"id": int, "nodes": dict},
+                  "state": {"g": int, "r": int, "gain": int, "nid": int}}
 
 
-def _split_nodes(line, kept):
-    """`line`'s record and `nodes` text, or None.  The text runs to the last
-    } before `, "r": `; the line with 0 for it must decode with `nodes` an
-    int (one literal "nodes" and no escape make that the one key), and the
-    text alone to an object, unless `kept` holds it: then `nodes` stays 0."""
-    head, key, rest = line.partition('"nodes": ')
-    end = rest.rfind("}", 0, max(rest.rfind(', "r": '), 0)) + 1
-    if key and end and line.count('"nodes"') == 1 and "\\" not in line:
-        text = rest[:end]
-        with contextlib.suppress(ValueError):
-            rec = json.loads(head + key + "0" + rest[end:])
-            if isinstance(rec, dict) and type(rec.get("nodes")) is int:
-                if text not in kept:
-                    rec["nodes"] = json.loads(text)
-                return rec, text
-    return None
-
-
-def _trace_records(fh, kept):
-    """(record, its `nodes` text or None) for each non-blank line of a
-    trace file: an object with a string "k" and the fields the audit reads."""
+def _trace_records(fh):
+    """Each non-blank line of a trace file, decoded: an object with a
+    string "k" and the fields the audit reads."""
     for line in fh:
         if line.strip():
-            rec, text = _split_nodes(line, kept) or (json.loads(line), None)
+            rec = json.loads(line)
             if not isinstance(rec, dict) or not isinstance(rec.get("k"), str):
                 raise ValueError(f"not a trace record: {line.strip()[:80]}")
             bad = [f for f, t in _RECORD_FIELDS.get(rec["k"], {}).items()
@@ -212,23 +199,24 @@ def _trace_records(fh, kept):
             if bad:
                 raise ValueError(f"{rec['k']} record without a valid "
                                  f"{', '.join(bad)}: {line.strip()[:80]}")
-            yield rec, text
+            yield rec
 
 
 def cmd_audit(args) -> int:
-    kept = {}       # nodes text -> (phi_nd, phi_dup) of a row that passed
     try:
         with open(args.trace) as fh:
-            return _audit(_trace_records(fh, kept), kept)
+            return _audit(_trace_records(fh))
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 
-def _audit(records, kept) -> int:
+def _audit(records) -> int:
     """Replay the invariants over trace records parsed one at a time; a
-    malformed line stops it before it prints any finding."""
-    header, _ = next(records, ({}, None))
+    malformed line stops it before it prints any finding.  Each `nodes`
+    record is checked once, and each state row against the potentials of
+    the one it names, kept as the sink keeps its objects."""
+    header = next(records, {})
     if header.get("k") != "run":
         print("configuration error: not a trace file", file=sys.stderr)
         return EXIT_CONFIG
@@ -246,21 +234,24 @@ def _audit(records, kept) -> int:
     dup_bound = 2 * n**3 - 8 * n**2 + 8 * n
 
     errors = _Findings()
+    kept = {}                   # nodes record id -> (phi_nd, phi_dup)
     prev_nd = None
     tx_gain = tx_blocked_unwasted = tx_start_nd = rounds_seen = 0
-    for rec, text in records:
-        if rec["k"] == "state":
+    for rec in records:
+        if rec["k"] == "nodes":
+            if len(kept) >= NODES_KEPT:
+                kept.clear()
+            kept[rec["id"]] = _audit_nodes(rec, n, honest_nodes, errors)
+        elif rec["k"] == "state":
             rounds_seen += 1
-            if text in kept:
-                phi_nd, phi_dup = kept[text]
-            else:
-                found = errors.total
-                phi_nd, phi_dup = _audit_state_row(rec, n, honest_nodes,
-                                                   errors)
-                if text is not None and errors.total == found:
-                    if len(kept) >= NODES_KEPT:
-                        kept.clear()
-                    kept[text] = phi_nd, phi_dup
+            if rec["nid"] not in kept:
+                errors.append(f"round {rec['g']}: nid {rec['nid']} names "
+                              f"no kept nodes record")
+                # this transmission's drop, and the next row's rise, are
+                # unknown
+                prev_nd = tx_start_nd = None
+                continue
+            phi_nd, phi_dup = kept[rec["nid"]]
             if rec.get("nd") is not None and rec["nd"] != phi_nd:
                 errors.append(f"round {rec['g']}: recorded potential "
                               f"{rec['nd']} != recomputed {phi_nd}")
@@ -281,7 +272,8 @@ def _audit(records, kept) -> int:
                 tx_blocked_unwasted = 0
             if rec.get("blocked") and not rec.get("wasted"):
                 tx_blocked_unwasted += 1
-        elif rec["k"] == "endT" and honest and prev_nd is not None:
+        elif rec["k"] == "endT" and honest and prev_nd is not None \
+                and tx_start_nd is not None:
             drop = tx_start_nd + tx_gain - prev_nd
             need = n * tx_blocked_unwasted
             if drop < need:

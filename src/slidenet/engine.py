@@ -61,7 +61,6 @@ class Scenario:
     crypto_backend: str = "oracle"
     seed: int = 0
     checks: str = "full"            # "full" | "off"
-    trace: bool = False
 
     def to_dict(self) -> dict:
         out = {key: getattr(self, attr) for key, attr in _ATTRS[""].items()}
@@ -144,9 +143,7 @@ class Scenario:
         return params
 
     def digest(self) -> str:
-        d = self.to_dict()
-        d.pop("trace", None)
-        return digest(_canon(d))
+        return digest(_canon(self.to_dict()))
 
 
 def _int(least=None):
@@ -207,8 +204,6 @@ FIELDS = (
     ("seed", "seed", _int(), "seed {v!r:.80} is not an int"),
     ("checks", "checks", _one_of("full", "off"),
      "checks {v!r:.80} is not 'full' or 'off'"),
-    ("trace", "trace", lambda v: type(v) is bool,
-     "trace {v!r:.80} is not a bool"),
 )
 
 # file key -> attribute, at the top level ("") and in each nested object
@@ -243,8 +238,7 @@ def message_payload(seed, index: int, size: int) -> bytes:
 class Engine:
     def __init__(self, scenario: Scenario, trace=None):
         """Runs `scenario.check()` first.  Trace records go to
-        `trace.append` as the run makes them, or to a list if only
-        `scenario.trace` is set."""
+        `trace.append` as the run makes them; None records none."""
         sc = scenario
         self.sc = sc
         self.params = sc.check()
@@ -322,7 +316,7 @@ class Engine:
         self.transmissions = []       # per-transmission records
         self.eliminations = []        # {T, round, node, kind, inequality,
                                       # margin}
-        self.trace = [] if trace is None and sc.trace else trace
+        self.trace = trace
         self.max_packets = {i: 0 for i in self.ids}
         self._copy = None             # (message index, payload, packets)
         self._behavior = [None] * sc.n    # node -> its active behavior
@@ -973,7 +967,7 @@ class Engine:
         return report
 
 
-def run_scenario(scenario: Scenario):
-    engine = Engine(scenario)
+def run_scenario(scenario: Scenario, trace=None):
+    engine = Engine(scenario, trace=trace)
     report = engine.run()
     return report, engine

@@ -648,7 +648,6 @@ def test_sot_counts_match_broadcast_buffer(monkeypatch):
     for make in GOLDEN.values():
         scenario = make()
         if scenario.mode == "auth":
-            scenario.trace = False
             run_scenario(scenario)
     # every stage's count was exercised above zero
     assert all(counted.values()), counted
@@ -705,7 +704,6 @@ def test_kept_auth_state_matches_scan(monkeypatch):
     for make in GOLDEN.values():
         scenario = make()
         if scenario.mode == "auth":
-            scenario.trace = False
             run_scenario(scenario)
     # each kept value was seen away from its resting value
     assert all(seen.values()), seen

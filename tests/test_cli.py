@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -7,7 +8,7 @@ import pytest
 from slidenet import cli
 from slidenet.adversary import Corruption
 from slidenet.cli import main
-from slidenet.engine import Engine, Scenario
+from slidenet.engine import Engine, Scenario, run_scenario
 from slidenet.node import NodeState
 from slidenet.scenarios import ATTACKERS, FAMILIES
 from test_golden import CLI_GOLDEN, SCENARIOS
@@ -43,12 +44,18 @@ def corrupt_heights(monkeypatch):
 
 
 def _malformed(tmp_path, bad):
-    """A scenario file: the honest churn scenario updated with `bad`."""
+    """A scenario file: the honest churn scenario updated with `bad`,
+    written with no limit on the digits of an int, as `json.load` has."""
     data = {"n": 4, "mode": "slide", "lam": "3/8", "messages": 1,
             "schedule": {"kind": "churn", "p": 0.2, "seed": 3},
             "seed": 1, "checks": "full"}
     data.update(bad)
-    return write(tmp_path / "bad.json", data)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return write(tmp_path / "bad.json", data)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _churn(**fields):
@@ -76,7 +83,7 @@ NAMED_FIELD = {
     "churn-script": (_churn(script=5), "schedule.script 5"),
     "static-p": ({"schedule": {"kind": "static", "p": "x"}},
                  "static p must be a number in [0, 1], got 'x'"),
-    "trace": ({"trace": "yes"}, "trace 'yes' is not a bool"),
+    "trace": ({"trace": "yes"}, "unknown scenario key(s): trace"),
     "fragment-bytes-huge": ({"fragment_bytes": 2**24},
                             "fragment_bytes 16777216"),
     "crypto-backend-list": ({"crypto_backend": []}, "crypto backend []"),
@@ -162,6 +169,7 @@ class TestRun:
         *({"schedule": {"kind": "scripted", "script": [[edge]]}}
           for edge in ([0, 4], [-1, 0], [2, 2])),
         *(bad for bad, _ in list(NAMED_FIELD.values())[SPREAD_NAMED:]),
+        {"seed": 10**5000},
     ])
     def test_malformed_scenario_exit2(self, tmp_path, bad, capsys):
         assert main(["run", _malformed(tmp_path, bad)]) == 2
@@ -222,9 +230,10 @@ class TestRun:
         assert out == ""
         assert err.startswith("configuration error:")
 
-    def test_file_trace_needs_trace_option(self, tmp_path, monkeypatch):
-        """A file's "trace": true, run without --trace, keeps no trace in
-        memory and writes none: its report is that of "trace": false."""
+    def test_file_trace_needs_trace_option(self, tmp_path, monkeypatch,
+                                           honest_scenario, capsys):
+        """Only --trace records a trace: a run without it keeps none in
+        memory and writes none, and a file's "trace" key is refused."""
         engines = []
 
         class Recording(Engine):
@@ -233,17 +242,15 @@ class TestRun:
                 engines.append(self)
 
         monkeypatch.setattr(cli, "Engine", Recording)
-        reports = []
+        out = tmp_path / "out"
+        assert main(["run", honest_scenario, "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        assert [e.trace for e in engines] == [None]
         for trace in (True, False):
-            data = {"n": 4, "mode": "slide", "messages": 1, "trace": trace,
-                    "schedule": {"kind": "churn", "p": 0.2, "seed": 3}}
-            out = tmp_path / f"out-{trace}"
-            assert main(["run", write(tmp_path / f"{trace}.json", data),
-                         "--out", str(out)]) == 0
-            assert [p.name for p in out.iterdir()] == ["report.json"]
-            reports.append((out / "report.json").read_bytes())
-        assert [e.trace for e in engines] == [None, None]
-        assert reports[0] == reports[1]
+            assert main(["run", _malformed(tmp_path, {"trace": trace}),
+                         "--out", str(tmp_path / "refused")]) == 2
+            assert "unknown scenario key(s): trace" in capsys.readouterr().err
+        assert len(engines) == 1 and not (tmp_path / "refused").exists()
 
     def test_summary_counts_classified_failures(self, tmp_path, capsys):
         """The golden deleter run ends f3, eliminated, ok: one failure
@@ -280,7 +287,7 @@ def test_scenario_round_trip():
         backbone=[0, 1, 4], schedule_repair=False,
         corruptions=[Corruption(node=2, round_index=5, behavior="replacer",
                                 params={"pool": 1})],
-        crypto_backend="ed25519", seed=11, checks="off", trace=True)
+        crypto_backend="ed25519", seed=11, checks="off")
     default = Scenario()
     assert [f.name for f in fields(Scenario)
             if getattr(sc, f.name) == getattr(default, f.name)] == []
@@ -352,7 +359,7 @@ class TestGen:
 
 def _lower_internal_height(rows):
     for rec in rows:
-        if rec["k"] != "state":
+        if rec["k"] != "nodes":
             continue
         for node, bufs in rec["nodes"].items():
             if node not in ("0", "3"):
@@ -380,9 +387,10 @@ def _hide_insertion_gain(rows):
 
 
 def _unbalance_internal_heights(rows):
-    """Raise an internal node's tallest buffer by 2 in one row."""
+    """Raise an internal node's tallest buffer by 2 in one `nodes`
+    record."""
     for rec in rows:
-        if rec["k"] == "state":
+        if rec["k"] == "nodes":
             max(rec["nodes"]["1"], key=lambda buf: buf[2])[2] += 2
             return True
     return False
@@ -392,7 +400,7 @@ def _accept_distant_flag(rows):
     """Give an internal out-buffer row an accepted flagged packet at
     height 100, a duplication potential of 100."""
     for rec in rows:
-        if rec["k"] == "state":
+        if rec["k"] == "nodes":
             for buf in rec["nodes"]["1"]:
                 if buf[0] == "out":
                     buf[3:] = [100, True]
@@ -410,6 +418,25 @@ def _block_first_transmission(rows):
     return marked
 
 
+def _raise_sender_height(rows):
+    """Raise a sender buffer above 2n in the first `nodes` record, which
+    leaves every potential as it was."""
+    for rec in rows:
+        if rec["k"] == "nodes":
+            rec["nodes"]["0"][0][2] = 9
+            return rec["id"] == 0
+    return False
+
+
+def _dangle_nid(rows):
+    """Point the first state row at a `nodes` record the file lacks."""
+    for rec in rows:
+        if rec["k"] == "state":
+            rec["nid"] = 10**6
+            return True
+    return False
+
+
 # tamper -> (messages in the traced run, the audit finding it raises);
 # transmission 1 runs all its 3072 rounds only when a second message
 # follows it
@@ -421,6 +448,12 @@ TAMPERS = {
     _accept_distant_flag: (1, "duplication potential 100 outside [0, 32]"),
     _block_first_transmission: (
         2, "transmission 1: potential drop 3481 below n*blocked = 12288"),
+    _raise_sender_height: (
+        1, "audit: nodes 0: node 0 buffer height 9 outside [0, 8]\n"
+           "audit failed with 1 finding(s)\n"),
+    _dangle_nid: (
+        1, "audit: round 1: nid 1000000 names no kept nodes record\n"
+           "audit failed with 1 finding(s)\n"),
 }
 
 
@@ -487,6 +520,10 @@ class TestAudit:
         pytest.param(-1, '{"k": "state"}', id="bare-state-last"),
         pytest.param(1, '{"k": "state", "g": 1, "r": 1, "gain": 0, '
                         '"nodes": []}', id="state-nodes-list"),
+        pytest.param(1, '{"id": 0, "k": "nodes", "nodes": []}',
+                     id="nodes-record-list"),
+        pytest.param(1, '{"k": "nodes", "nodes": {}}',
+                     id="nodes-record-no-id"),
     ])
     def test_record_without_fields_exit2(self, tmp_path, honest_scenario,
                                          capsys, at, record):
@@ -515,15 +552,17 @@ class TestAudit:
     ])
     def test_malformed_field_contents_exit2(self, tmp_path, capsys,
                                             scenario, row):
-        # the first state row has a finding (a height above 2n), so an
-        # audit that printed its findings before stopping would show it
+        # the first `nodes` record has a finding (a height above 2n), so
+        # an audit that printed its findings before stopping would show it
         header = {"k": "run", "n": 4, "honest": True, "scenario": scenario}
+        tall = {"id": 0, "k": "nodes",
+                "nodes": {"1": [["in", 0, 99, None, False]]}}
         state = {"k": "state", "g": 1, "T": 1, "r": 1, "gain": 0, "nd": 0,
-                 "nodes": {"1": [["in", 0, 99, None, False]]}}
-        bad = dict(state, g=2, r=2, nodes={"1": [row]})
+                 "nid": 0}
+        bad = {"id": 1, "k": "nodes", "nodes": {"1": [row]}}
         path = tmp_path / "malformed.jsonl"
-        path.write_text("".join(json.dumps(rec) + "\n"
-                                for rec in (header, state, bad)))
+        rows = (header, tall, state, bad, dict(state, g=2, nid=1))
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
         capsys.readouterr()
         assert main(["audit", str(path)]) == 2
         err = capsys.readouterr().err
@@ -553,7 +592,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("honest", [False, 1, None])
     def test_header_honest_not_its_scenarios_exit2(
-            self, tmp_path, honest_scenario, monkeypatch, capsys, honest):
+            self, tmp_path, honest_scenario, capsys, honest):
         """A header whose `honest` is not true for a scenario without
         corruptions cannot switch the honest-only checks off: the audit
         refuses it before it prints the finding they make (`honest` None
@@ -564,136 +603,96 @@ class TestAudit:
         if honest is None:
             del rows[0]["honest"]
         trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
-        code, _, err = _audit_both(monkeypatch, capsys, trace)
+        code, _, err = _audit(capsys, trace)
         assert code == 2
         assert err.startswith("configuration error: run record whose")
         assert "audit:" not in err
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
     def test_tampered_trace_exit4(self, tmp_path, honest_scenario,
-                                  monkeypatch, capsys, tamper):
+                                  capsys, tamper):
         messages, finding = TAMPERS[tamper]
         data = json.loads(open(honest_scenario).read())
         trace, rows = _traced_rows(tmp_path, write(
             tmp_path / "scenario.json", dict(data, messages=messages)))
         assert tamper(rows)
         trace.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
-        code, _, err = _audit_both(monkeypatch, capsys, trace)
+        code, _, err = _audit(capsys, trace)
         assert code == 4
         assert finding in err
 
 
-# -- the audit's `nodes` memo --------------------------------------------------
+# -- the audit's `nodes` records ----------------------------------------------
 
-def _audit_both(monkeypatch, capsys, path):
-    """(exit code, stdout, stderr) of `slidenet audit` on `path`, which
-    must be the same as shipped and with every line decoded whole, the
-    reference: no `nodes` text split off, so none kept."""
-    results = []
-    for split in (cli._split_nodes, lambda line, kept: None):
-        monkeypatch.setattr(cli, "_split_nodes", split)
-        capsys.readouterr()
-        results.append((main(["audit", str(path)]), *capsys.readouterr()))
-    monkeypatch.undo()
-    assert results[0] == results[1]
-    return results[0]
+def _audit(capsys, path):
+    """(exit code, stdout, stderr) of `slidenet audit` on `path`."""
+    capsys.readouterr()
+    return (main(["audit", str(path)]), *capsys.readouterr())
+
+
+def _resolved(lines):
+    """The records of trace file `lines`, `nodes` records left out and
+    each state row's `nid` replaced by the `nodes` it names, each as
+    `json.dumps` gives it."""
+    nodes, out = {}, []
+    for rec in map(json.loads, lines):
+        if rec["k"] == "nodes":
+            nodes[rec["id"]] = rec["nodes"]
+            continue
+        if rec["k"] == "state":
+            rec["nodes"] = nodes[rec.pop("nid")]
+        out.append(json.dumps(rec, sort_keys=True))
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
-def test_audit_matches_whole_decode_golden(tmp_path, monkeypatch, capsys,
-                                           name):
+def test_audit_matches_whole_decode_golden(tmp_path, capsys, name):
+    """The trace file of a golden run passes the audit, and holds the
+    engine's in-memory trace once each `nid` is replaced by its `nodes`."""
     path = write(tmp_path / "scenario.json", SCENARIOS[name]().to_dict())
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out), "--trace"]) == 0
-    code, stdout, _ = _audit_both(monkeypatch, capsys, out / "trace.jsonl")
+    code, stdout, _ = _audit(capsys, out / "trace.jsonl")
     assert code == 0 and stdout.startswith("audit passed over")
+    _, engine = run_scenario(SCENARIOS[name](), trace=[])
+    lines = (out / "trace.jsonl").read_text().splitlines()
+    assert _resolved(lines[1:]) == [json.dumps(rec, sort_keys=True)
+                                    for rec in engine.trace]
 
 
-def _passing_row(g, peer=1):
-    """The line of a state row that passes the audit, with potential 0; its
-    `nodes` text differs by `peer`, which the audit does not check."""
-    nodes = {"0": [["out", peer, 0, None, False]],
-             "1": [["in", 0, 0, None, False]]}
-    return json.dumps(_state_row(g, nodes), sort_keys=True)
+_HEADER = {"k": "run", "n": 4, "honest": True, "scenario": {}}
 
 
-_HEADER = json.dumps({"k": "run", "n": 4, "honest": True, "scenario": {}},
-                     sort_keys=True)
-_KEPT_NODES = json.dumps({"0": [["out", 1, 0, None, False]],
-                          "1": [["in", 0, 0, None, False]]})
-
-# lines a split of `nodes` apart from the rest would misread, each after a
-# row whose `nodes` text the audit keeps; every one is malformed as a whole
-MISREAD = {
-    # a second key "nodes", which the decoder takes over the first
-    "second-nodes-key": '{"T": 1, "g": 2, "gain": 0, "k": "state", '
-                        f'"nd": 0, "nodes": {_KEPT_NODES}, "r": 2, '
-                        '"nodes": 0}',
-    "second-nodes-key-no-space": '{"T": 1, "g": 2, "gain": 0, "k": '
-                                 f'"state", "nd": 0, "nodes": {_KEPT_NODES}'
-                                 ', "r": 2, "nodes":0}',
-    # "nodes" inside another key, and the key itself spelled with an escape
-    "nodes-in-a-key": '{"T": 1, "g": 2, "gain": 0, "k": "state", "nd": 0, '
-                      r'"\u006eodes": 0, "a\"nodes": '
-                      f'{_KEPT_NODES}, "r": 2}}',
-    # "nodes" only as a key of another field's object
-    "nodes-in-an-object": '{"T": 1, "g": 2, "gain": 0, "k": "state", '
-                          f'"nd": 0, "r": 2, "p": {{"nodes": {_KEPT_NODES}'
-                          ', "r": 2}}',
-    # the kept text, and then one } too many
-    "extra-brace": '{"T": 1, "g": 2, "gain": 0, "k": "state", "nd": 0, '
-                   f'"nodes": {_KEPT_NODES}}}, "r": 2}}',
-}
+def _passing_nodes(peer):
+    """The `nodes` of a state row that passes the audit, with potential 0;
+    it differs by `peer`, which the audit does not check."""
+    return {"0": [["out", peer, 0, None, False]],
+            "1": [["in", 0, 0, None, False]]}
 
 
-@pytest.mark.parametrize("name", list(MISREAD))
-def test_audit_matches_whole_decode_misread(tmp_path, monkeypatch, capsys,
-                                            name):
-    assert f'"nodes": {_KEPT_NODES}, "r": 1,' in _passing_row(1)
+def _row_naming(g, nid):
+    """The line of a state row, with potential 0, that names `nodes`
+    record `nid`."""
+    row = dict(_state_row(g, None), nid=nid)
+    del row["nodes"]
+    return json.dumps(row)
+
+
+def test_audit_nodes_texts_bounded(tmp_path, capsys):
+    """After 640 `nodes` records, each named by one passing state row, the
+    audit holds the potentials of the last NODES_KEPT of them, and of no
+    earlier one, as the sink holds their objects."""
+    kept = cli.NODES_KEPT
+    assert 640 % kept == 0
+    lines = [json.dumps(_HEADER)]
+    for i in range(640):
+        lines.append(json.dumps({"id": i, "k": "nodes",
+                                 "nodes": _passing_nodes(i)}))
+        lines.append(_row_naming(i + 1, i))
     path = tmp_path / "trace.jsonl"
-    path.write_text("\n".join([_HEADER, _passing_row(1), MISREAD[name],
-                               _passing_row(3)]) + "\n")
-    code, stdout, err = _audit_both(monkeypatch, capsys, path)
-    assert (code, stdout) == (2, "")
-    assert err.startswith("configuration error:")
-
-
-def test_audit_repeated_finding_counted_per_round(tmp_path, monkeypatch,
-                                                  capsys):
-    """A row with a finding is never kept, so each repeat of it is checked
-    again and named by its own round."""
-    tall = {"1": [["in", 0, 99, None, False]]}
-    rows = [json.dumps(_state_row(g, tall, nd=None), sort_keys=True)
-            for g in range(1, 6)] + [_passing_row(6)]
-    path = tmp_path / "trace.jsonl"
-    path.write_text("\n".join([_HEADER] + rows) + "\n")
-    code, _, err = _audit_both(monkeypatch, capsys, path)
-    assert code == 4
-    assert err.splitlines() == [
-        f"audit: round {g}: node 1 buffer height 99 outside [0, 8]"
-        for g in range(1, 6)] + ["audit failed with 5 finding(s)"]
-
-
-def test_audit_nodes_texts_bounded(tmp_path, monkeypatch):
-    """10,000 distinct rows that each pass: the audit keeps at most
-    NODES_KEPT of their `nodes` texts, and does keep that many."""
-    path = tmp_path / "trace.jsonl"
-    path.write_text("\n".join(
-        [_HEADER] + [_passing_row(g, peer=g) for g in range(1, 10_001)])
-        + "\n")
-    sizes = []
-    trace_records = cli._trace_records
-
-    def recording_trace_records(fh, kept):
-        for item in trace_records(fh, kept):
-            sizes.append(len(kept))
-            yield item
-        sizes.append(len(kept))
-
-    monkeypatch.setattr(cli, "_trace_records", recording_trace_records)
-    assert main(["audit", str(path)]) == 0
-    assert len(sizes) == 10_002
-    assert max(sizes) == cli.NODES_KEPT
+    for nid, code in ((640 - kept, 0), (639 - kept, 4)):
+        path.write_text("\n".join(lines + [_row_naming(641, nid)]) + "\n")
+        assert _audit(capsys, path)[0] == code
 
 
 def _run_and_audit_peak(tmp_path, messages):
@@ -723,7 +722,7 @@ def test_traced_run_and_audit_memory_constant(tmp_path):
     assert abs(long - short) < 2 * 2**20
 
 
-# -- the trace file's `nodes` texts --------------------------------------------
+# -- the trace file's `nodes` records ---------------------------------------
 
 def _state_row(g, nodes, **extra):
     return {"k": "state", "g": g, "T": 1, "r": g, "gain": 0, "blocked": 0,
@@ -737,7 +736,7 @@ def _fresh_nodes(i):
 def _sink_lines(tmp_path, records):
     """Append each record `records` yields to a trace file, and return
     its lines, each record's `json.dumps` taken as it was appended, and
-    the most `nodes` texts the sink held at once."""
+    the most `nodes` objects the sink held at once."""
     sink = cli._TraceFile(str(tmp_path / "trace.jsonl"))
     expected, most = [], 0
     for rec in records:
@@ -748,6 +747,11 @@ def _sink_lines(tmp_path, records):
     return (tmp_path / "trace.jsonl").read_text().splitlines(), expected, most
 
 
+def _nodes_ids(lines):
+    return [rec["id"] for rec in map(json.loads, lines)
+            if rec["k"] == "nodes"]
+
+
 def test_trace_file_encodes_shared_nodes_once(tmp_path):
     nodes = _fresh_nodes(3)
 
@@ -755,24 +759,25 @@ def test_trace_file_encodes_shared_nodes_once(tmp_path):
         for g in range(1, 201):
             yield _state_row(g, nodes)
             yield {"k": "confirm", "T": 1, "r": g, "e": [0, 1], "h": 2}
-        # another field that holds the text `"nodes": 0` as well
-        yield _state_row(201, nodes, note={"nodes": 0})
-        yield _state_row(202, nodes, ab={"nodes": 0.5})
 
     lines, expected, most = _sink_lines(tmp_path, records())
-    assert lines == expected
+    assert _resolved(lines) == expected
+    assert lines[0] == json.dumps({"id": 0, "k": "nodes", "nodes": nodes},
+                                  sort_keys=True)
+    assert _nodes_ids(lines) == [0]
     assert most == 1
 
 
 def test_trace_file_nodes_ids_reused(tmp_path):
     """Each row's `nodes` is built and freed in turn, so a later one can
-    take a freed one's id: the sink must never write a freed one's text."""
+    take a freed one's id: the sink must write each one as a new record."""
     def records():
         for i in range(1000):
             yield _state_row(i, _fresh_nodes(i))
 
     lines, expected, most = _sink_lines(tmp_path, records())
-    assert lines == expected
+    assert _resolved(lines) == expected
+    assert _nodes_ids(lines) == list(range(1000))
     assert most <= cli.NODES_KEPT
 
 
@@ -780,5 +785,28 @@ def test_trace_file_nodes_texts_bounded(tmp_path):
     kept = [_fresh_nodes(i) for i in range(10_000)]
     lines, expected, most = _sink_lines(
         tmp_path, (_state_row(i, nodes) for i, nodes in enumerate(kept)))
-    assert lines == expected
+    assert _resolved(lines) == expected
+    assert _nodes_ids(lines) == list(range(10_000))
     assert most == cli.NODES_KEPT
+
+
+def test_trace_file_rewrites_evicted_nodes(tmp_path, capsys):
+    """A row whose `nodes` object the sink has evicted gets a fresh
+    record under a new id, which the audit, having evicted the old one
+    in step, reads, and the trace passes."""
+    first, *rest = [_passing_nodes(peer) for peer in range(cli.NODES_KEPT)]
+
+    def records():
+        yield _HEADER
+        for g, nodes in enumerate([first, *rest, _passing_nodes(-1), first],
+                                  start=1):
+            yield _state_row(g, nodes)
+
+    lines, expected, _ = _sink_lines(tmp_path, records())
+    assert _resolved(lines) == expected
+    ids = _nodes_ids(lines)
+    assert ids == list(range(cli.NODES_KEPT + 2))
+    assert json.loads(lines[-1])["nid"] == ids[-1]
+    assert json.loads(lines[-2])["nodes"] == first
+    assert _audit(capsys, tmp_path / "trace.jsonl")[:2] == (
+        0, f"audit passed over {cli.NODES_KEPT + 2} recorded rounds\n")

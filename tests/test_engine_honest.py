@@ -107,10 +107,9 @@ class TestHonestDelivery:
 class TestDeterminism:
     def test_identical_reports(self):
         sc = Scenario(n=4, mode="slide", messages=1, schedule_kind="churn",
-                      schedule_p=0.25, schedule_seed=3, checks="full",
-                      trace=True)
-        r1, e1 = run_scenario(sc)
-        r2, e2 = run_scenario(sc)
+                      schedule_p=0.25, schedule_seed=3, checks="full")
+        r1, e1 = run_scenario(sc, trace=[])
+        r2, e2 = run_scenario(sc, trace=[])
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2,
                                                             sort_keys=True)
         assert e1.trace == e2.trace

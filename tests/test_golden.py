@@ -28,20 +28,20 @@ def _attack(behavior):
         schedule_kind="scripted", schedule_script=THIN_LINE_N4,
         backbone=[0, 1, 3],
         corruptions=[Corruption(node=2, round_index=1, behavior=behavior)],
-        seed=0, trace=True)
+        seed=0)
 
 
 SCENARIOS = {
     "slide-n4-churn": lambda: Scenario(
         n=4, mode="slide", messages=2, schedule_kind="churn",
-        schedule_p=0.3, schedule_seed=1, seed=1, trace=True),
+        schedule_p=0.3, schedule_seed=1, seed=1),
     "auth-n4-churn": lambda: Scenario(
         n=4, mode="auth", schedule_kind="churn", schedule_p=0.2,
-        schedule_seed=3, seed=3, trace=True),
+        schedule_seed=3, seed=3),
     # 3+3-buffer re-shuffle and sender redistribution onto live edges
     "slide-n5-churn": lambda: Scenario(
         n=5, mode="slide", messages=2, schedule_kind="churn",
-        schedule_p=0.3, schedule_seed=2, seed=2, trace=True),
+        schedule_p=0.3, schedule_seed=2, seed=2),
     # the benchmark's auth-n4-deleter workload: one localization and one
     # elimination
     "deleter-n4": lambda: _attack("deleter"),
@@ -52,8 +52,7 @@ SCENARIOS = {
     # honest run whose rounds after delivery change no state: one long
     # quiet stretch on an unchanging schedule
     "auth-n4-static": lambda: Scenario(
-        n=4, mode="auth", messages=1, schedule_kind="static", seed=0,
-        trace=True),
+        n=4, mode="auth", messages=1, schedule_kind="static", seed=0),
     # behaviours whose stage1_reply_height / suppress_output hooks run
     # every round
     "liar-n4": lambda: _attack("liar"),
@@ -101,7 +100,7 @@ def _sha256(obj) -> str:
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_digests(name):
-    report, engine = run_scenario(SCENARIOS[name]())
+    report, engine = run_scenario(SCENARIOS[name](), trace=[])
     assert (_sha256(report), _sha256(engine.trace)) == GOLDEN[name]
 
 
@@ -113,7 +112,7 @@ def test_untraced_report_with_checks_off(name):
     reports = {}
     for checks in ("full", "off"):
         sc = SCENARIOS[name]()
-        sc.trace, sc.checks = False, checks
+        sc.checks = checks
         reports[checks], engine = run_scenario(sc)
         assert engine.trace is None
     assert _sha256(reports["full"]) == GOLDEN[name][0]
@@ -128,10 +127,10 @@ def test_untraced_report_with_checks_off(name):
 CLI_GOLDEN = {
     "deleter-n4": (
         "dbb217ad0bc409b8c33bec04e560a7364f6b91d5fda6a99e8403d358dcf16d6e",
-        "2247acf90f1448cf4172b7da6df664dc0ddc36e0a751c0fda832934564fd73e8"),
+        "93e1f00df4bc27530c8842b2485eeaf4b03cb1a8e4e7de95195f5173970d3e64"),
     "slide-n5-churn": (
         "ca07e2b992de5d85412f139e688a51b96500f59ab2fb278bcabad52f7c8eb1bd",
-        "c7333c3b642a42b94e238ff9db09f1e5867595bd2adaacd6a70bfef44135aea3"),
+        "18963be0e8f9695c37baeb002c7d19c8f8784b2ae44926c6cec6944358c4a20b"),
 }
 
 

@@ -10,8 +10,6 @@ run's after the same round, and the two runs' reports and traces must be
 equal.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from conftest import engine_snapshot
@@ -45,22 +43,23 @@ EXTRA = {
         n=4, mode="auth", messages=1, schedule_kind="static",
         corruptions=[Corruption(node=2, round_index=1000,
                                 behavior="deleter")],
-        seed=0, trace=True),
+        seed=0),
     "scripted-runs": lambda: Scenario(
         n=4, mode="auth", messages=1, schedule_kind="scripted",
         schedule_script=[COMPLETE_N4] * 700 + [THIN_LINE_N4[0]] * 700,
-        backbone=[0, 1, 3], seed=0, trace=True),
+        backbone=[0, 1, 3], seed=0),
     "ghost-scripted-runs": lambda: Scenario(
         n=4, mode="auth", messages=1, schedule_kind="scripted",
         corruptions=[Corruption(node=2, round_index=1, behavior="ghost")],
         schedule_script=[COMPLETE_N4] * 700 + [THIN_LINE_N4[0]] * 700,
-        backbone=[0, 1, 3], seed=0, trace=True),
+        backbone=[0, 1, 3], seed=0),
 }
 
 
-def _check_equivalent(monkeypatch, make):
-    """Run `make()` with and without the advance and compare them;
-    returns how many rounds it advanced over, by kind of stretch."""
+def _check_equivalent(monkeypatch, make, traced=False):
+    """Run `make()` with and without the advance, each traced if `traced`,
+    and compare them; returns how many rounds it advanced over, by kind of
+    stretch."""
     at_end = {}
     advance = Engine._advance
 
@@ -73,7 +72,7 @@ def _check_equivalent(monkeypatch, make):
                                     engine_snapshot(self))
 
     monkeypatch.setattr(Engine, "_advance", recording_advance)
-    report, engine = run_scenario(make())
+    report, engine = run_scenario(make(), trace=[] if traced else None)
     monkeypatch.undo()
 
     seen = {}
@@ -86,7 +85,7 @@ def _check_equivalent(monkeypatch, make):
 
     monkeypatch.setattr(Engine, "_advance", lambda self: None)
     monkeypatch.setattr(Engine, "_post_round", recording_post_round)
-    ref_report, ref = run_scenario(make())
+    ref_report, ref = run_scenario(make(), trace=[] if traced else None)
     monkeypatch.undo()
 
     assert sorted(seen) == sorted(at_end)
@@ -102,7 +101,7 @@ def _check_equivalent(monkeypatch, make):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_skip_matches_every_round_golden(monkeypatch, name):
-    skipped = _check_equivalent(monkeypatch, GOLDEN[name])
+    skipped = _check_equivalent(monkeypatch, GOLDEN[name], traced=True)
     if name == "auth-n4-static":
         assert skipped["quiet"] > 3000
     # each traced slide run's first transmission ends in an empty network;
@@ -112,7 +111,8 @@ def test_skip_matches_every_round_golden(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(EXTRA))
 def test_skip_matches_every_round_stops(monkeypatch, name):
-    assert _check_equivalent(monkeypatch, EXTRA[name])["quiet"] > 0
+    assert _check_equivalent(monkeypatch, EXTRA[name],
+                             traced=True)["quiet"] > 0
 
 
 @pytest.mark.slow
@@ -142,11 +142,12 @@ def test_empty_stretch_untraced_matches_every_round(monkeypatch):
     assert _check_equivalent(monkeypatch, benchmark_slide)["empty"] > 0
 
 
-def _rows_built_per_stretch(monkeypatch, scenario):
-    """Run `scenario`, recording each empty stretch's skipped rounds, the
-    number of distinct ghost patterns among them (which in-buffers of
-    non-receiver nodes have their edge up), and the `_buffer_rows` calls
-    its advance made outside the closing invariant checks."""
+def _rows_built_per_stretch(monkeypatch, scenario, trace):
+    """Run `scenario`, tracing into `trace`, recording each empty
+    stretch's skipped rounds, the number of distinct ghost patterns among
+    them (which in-buffers of non-receiver nodes have their edge up), and
+    the `_buffer_rows` calls its advance made outside the closing
+    invariant checks."""
     stretches = []
     counting = []
     advance, check_round = Engine._advance, Engine._check_round
@@ -181,7 +182,7 @@ def _rows_built_per_stretch(monkeypatch, scenario):
     monkeypatch.setattr(Engine, "_advance", recording_advance)
     monkeypatch.setattr(Engine, "_check_round", quiet_check_round)
     monkeypatch.setattr(Engine, "_buffer_rows", counting_buffer_rows)
-    run_scenario(scenario)
+    run_scenario(scenario, trace=trace)
     monkeypatch.undo()
     return stretches
 
@@ -190,7 +191,7 @@ def test_empty_stretch_builds_each_distinct_row_once(monkeypatch):
     """A traced empty stretch builds one row for each distinct pattern of
     ghost slots, not one for each round."""
     stretches = _rows_built_per_stretch(monkeypatch,
-                                        GOLDEN["slide-n5-churn"]())
+                                        GOLDEN["slide-n5-churn"](), [])
     assert stretches
     for rounds, patterns, built in stretches:
         assert built <= patterns < rounds
@@ -199,8 +200,8 @@ def test_empty_stretch_builds_each_distinct_row_once(monkeypatch):
 
 
 def test_untraced_empty_stretch_builds_no_row(monkeypatch):
-    scenario = replace(GOLDEN["slide-n5-churn"](), trace=False)
-    stretches = _rows_built_per_stretch(monkeypatch, scenario)
+    stretches = _rows_built_per_stretch(monkeypatch,
+                                        GOLDEN["slide-n5-churn"](), None)
     assert stretches
     assert all(built == 0 for _, _, built in stretches)
 
