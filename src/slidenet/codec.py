@@ -5,12 +5,15 @@ A codeword consists of D fragments; any ceil((1-lam)*D) distinct fragments
 recover the message.  Only erasures occur in this system: fragments with
 bad signatures are discarded before decoding, never fed to the decoder.
 
-Encoding fits the polynomial through the K data points [0, K) and
-evaluates it on [K, D) by the additive FFT of Lin, Chung and Han, in
-O(D log^2 D).  Decoding's points are whatever arrived, so it evaluates
-the barycentric form in row blocks of about _BLOCK table entries, with
-the denominators and numerators summed over the points' maximal aligned
-XOR blocks.  Neither holds more than a few MB, whatever D is.
+Both directions use the additive FFT of Lin, Chung and Han over the
+points [0, N), N = 2^m >= D.  Encoding fits the polynomial through the K
+data points [0, K) and evaluates it on [K, D), in O(D log^2 D).
+Decoding is the erasure decoder of Lin, Al-Naffouri, Han and Chung (IEEE
+Trans. Inf. Theory 62(11), 2016; Leopard-RS implements it): one
+Walsh-Hadamard transform gives the erasure locator's logs, and an
+inverse FFT, a formal derivative and an FFT give the erased values, in
+O(N log N).  Each holds a few arrays of the codeword's size: a few MB at
+2-byte fragments, whatever D is.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ GF_BITS = 16
 GF_SIZE = 1 << GF_BITS          # 65536
 GF_MOD = GF_SIZE - 1            # multiplicative group order
 _PRIM_POLY = 0x1100B            # x^16 + x^12 + x^3 + x + 1
-_BLOCK = 1 << 18                # table entries per kernel block: the int32
-                                # temporaries (1 MB each) stay in a core's L2
 # the most bytes one codeword (D x fragment_bytes) may hold: a run keeps
 # about 11 bytes of memory and ~1.3 us of host time per codeword byte
 MAX_CODEWORD_BYTES = 1 << 22
@@ -174,83 +175,6 @@ def _scale(v: np.ndarray, logs) -> np.ndarray:
     return out
 
 
-def _aligned_blocks(member: np.ndarray) -> list:
-    """The maximal aligned blocks of the set whose indicator over [0, 2^m)
-    is member, by level: entry j holds the ids k of the blocks
-    [k*2^j, (k+1)*2^j) that the set holds whole and whose parent it does
-    not."""
-    levels = []
-    while len(member) > 1:
-        whole = member[0::2] & member[1::2]
-        levels.append(np.flatnonzero(member & ~np.repeat(whole, 2))
-                      .astype(np.int32))
-        member = whole
-    levels.append(np.flatnonzero(member).astype(np.int32))
-    return levels
-
-
-def _block_sums(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """For each p in points, the sum over y in xs of log(p ^ y), mod GF_MOD.
-
-    The points lie in V = [0, 2^m), which is closed under XOR, and p ^ B
-    is an aligned block for every aligned block B of V.  So a block
-    [k*2^j, (k+1)*2^j) of xs adds level_j[(p >> j) ^ k], where level_j
-    holds the log sums of V's aligned blocks of size 2^j.  Every p sums
-    to the same total over all of V, so xs or V minus xs, whichever
-    splits into fewer blocks, gives the sum: each point costs one table
-    read per block, never more than min(|xs|, |V| - |xs|).
-    """
-    size = 1 << int(max(points.max(), xs.max())).bit_length()
-    member = np.zeros(size, dtype=bool)
-    member[xs] = True
-    inside, outside = _aligned_blocks(member), _aligned_blocks(~member)
-    complement = sum(map(len, outside)) < sum(map(len, inside))
-    out = np.zeros(len(points), dtype=np.int64)
-    level = _GF_LOG[:size]
-    for j, ids in enumerate(outside if complement else inside):
-        if len(ids):
-            shifted = points >> j
-            step = max(1, _BLOCK // len(ids))
-            for s in range(0, len(points), step):
-                block = level[shifted[s:s + step, None] ^ ids[None, :]]
-                out[s:s + step] += block.sum(axis=1, dtype=np.int64)
-        level = (level[0::2] + level[1::2]) % GF_MOD
-    if complement:
-        out = _GF_LOG[:size].sum(dtype=np.int64) - out
-    return out % GF_MOD
-
-
-def _lagrange_eval(xs: np.ndarray, values: np.ndarray,
-                   targets: np.ndarray) -> np.ndarray:
-    """Evaluate, at each target point, the unique polynomial of degree
-    < len(xs) interpolating values[i] at xs[i].  Barycentric form over
-    GF(2^16); targets must be disjoint from xs.  values has shape
-    (len(xs), words); returns (len(targets), words).
-    """
-    words = values.shape[1]
-    # a point's own term is log 0 = 0, so the sums at xs are the
-    # barycentric denominators; the sums at the targets are the numerators
-    sums = _block_sums(np.concatenate([xs, targets]), xs)
-    denom, numers = sums[:len(xs)], sums[len(xs):]
-    # log(v_j / denom_j), offset by GF_MOD so that subtracting a log stays
-    # a valid index into the doubled exp table
-    log_u = (_GF_LOG[values.T] - denom) % GF_MOD
-    log_u = (log_u + GF_MOD).astype(np.int32)
-    zero = values.T == 0
-    out = np.zeros((len(targets), words), dtype=np.int32)
-    step = max(1, _BLOCK // len(xs))
-    for s in range(0, len(targets), step):
-        log_tdiff = _GF_LOG[targets[s:s + step, None] ^ xs[None, :]]
-        numer = numers[s:s + step]
-        for w in range(words):
-            # weight_ij = v_j / ((t_i ^ x_j) * denom_j); a zero v_j adds nothing
-            terms = _GF_EXP[log_u[w] - log_tdiff]
-            terms[:, zero[w]] = 0
-            out[s:s + step, w] = _scale(np.bitwise_xor.reduce(terms, axis=1),
-                                        numer)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _subspace_logs(bits: int) -> tuple:
     """Entry j < bits: the logs of s_j(m << j+1), m < 2^(bits-j-1), where
@@ -304,6 +228,34 @@ def _parity(data: np.ndarray, d: int) -> np.ndarray:
     return acc[kdata:d]
 
 
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """The Walsh-Hadamard transform of a (int64, length 2^m), in place."""
+    for j in range(len(a).bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << j)
+        low, high = v[:, 0], v[:, 1]
+        low += high                     # (x, y) -> (x + y, y)
+        high *= -2
+        high += low                     # -> (x + y, x - y)
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _log_spectrum(bits: int) -> np.ndarray:
+    """The Walsh-Hadamard transform of the log table on [0, 2^bits)."""
+    return _fwht(_GF_LOG[:1 << bits].astype(np.int64)) % GF_MOD
+
+
+def _locator_logs(member: np.ndarray) -> np.ndarray:
+    """For every x < 2^m = len(member), the sum over the set y with
+    member[y] of log(x ^ y), mod GF_MOD, as int32: one XOR convolution
+    of the set's indicator with the log table, by Walsh-Hadamard
+    transform.  2 is a unit mod GF_MOD, so the 1/2^m comes out exact."""
+    spectrum = _fwht(member.astype(np.int64)) % GF_MOD
+    spectrum = spectrum * _log_spectrum(len(member).bit_length() - 1) % GF_MOD
+    inverse = pow(len(member), -1, GF_MOD)
+    return (_fwht(spectrum) % GF_MOD * inverse % GF_MOD).astype(np.int32)
+
+
 def encode(msg: Message, params: CodingParams) -> tuple:
     """Expand a message into its D-fragment codeword: the tuple of its
     unsigned packets, in fragment order.
@@ -343,15 +295,35 @@ def decode(fragments: Iterable[Packet],
 
     kdata = params.data_fragments
     have = sorted(by_index)[:kdata]
-    xs = np.array(have, dtype=np.int32)
-    values = np.stack([_to_words(by_index[i].payload) for i in have])
-
-    data = np.zeros((kdata, params.fragment_bytes // 2), dtype=np.int32)
-    is_data = xs < kdata
-    data[xs[is_data]] = values[is_data]
-    known = set(have)
-    missing = np.array([i for i in range(kdata) if i not in known],
-                       dtype=np.int32)
-    if len(missing):
-        data[missing] = _lagrange_eval(xs, values, missing)
+    payloads = b"".join(by_index[i].payload for i in have)
+    if have[-1] < kdata:                # every data fragment arrived
+        return Message(cw, payloads)
+    # P (degree < K) is known on the points S = have.  The erasure locator
+    # L(x) = prod (x + e) over the e in [0, 2^bits) outside S makes P L,
+    # of degree < 2^bits, known everywhere: 0 off S.  At an erased e,
+    # (P L)'(e) = P(e) L'(e), and L'(e) = prod_{e' != e} (e + e').  The
+    # log sums over the erased set give log L on S and log L' off it.
+    bits = (params.packets_per_codeword - 1).bit_length()
+    erased = np.ones(1 << bits, dtype=bool)
+    erased[have] = False
+    logs = _locator_logs(erased)
+    values = _to_words(payloads).reshape(kdata, -1)
+    a = np.zeros((1 << bits, values.shape[1]), dtype=np.int32)
+    a[have] = _scale(values, logs[have, None])
+    tw = _subspace_logs(bits)
+    _fft(a, 0, bits, tw, inverse=True)
+    # X_i' = sum over bits j of i of s_j'(0) X_(i ^ 2^j), s_j being linear
+    # and s_j'(0) = prod_{0 < x < 2^j} x / prod_{2^j <= x < 2^(j+1)} x
+    sums = np.cumsum(_GF_LOG[:1 << bits], dtype=np.int64)
+    deriv = np.zeros_like(a)
+    for j in range(bits):
+        c = int(2 * sums[(1 << j) - 1] - sums[(2 << j) - 1]) % GF_MOD
+        v = a.reshape(-1, 2, 1 << j, a.shape[1])
+        deriv.reshape(v.shape)[:, 0] ^= _scale(v[:, 1], c)
+    _fft(deriv, 0, bits, tw)
+    missing = np.flatnonzero(erased[:kdata])
+    data = np.zeros((kdata, a.shape[1]), dtype=np.int32)
+    data[missing] = _scale(deriv[missing], GF_MOD - logs[missing, None])
+    got = kdata - len(missing)          # have lists the data points first
+    data[have[:got]] = values[:got]
     return Message(index=cw, payload=_to_bytes(data.reshape(-1)))

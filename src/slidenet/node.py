@@ -206,10 +206,12 @@ class NodeState:
 
     def _receiver_take(self, item: Stored) -> None:
         pkt = item.packet
-        if pkt.codeword_index != self.current_codeword or not item.fresh:
+        if not item.fresh:
             return
         idx = pkt.fragment_index
-        if idx in self.storage:
+        # a duplicate, or a replayed packet of another codeword, is dropped;
+        # its label is the theta evidence against the node that sent it
+        if pkt.codeword_index != self.current_codeword or idx in self.storage:
             if self.duplicate_label is None:
                 self.duplicate_label = pkt.label()
             return

@@ -9,7 +9,6 @@ import pytest
 from conftest import cached_run
 from slidenet.adversary import Corruption
 from slidenet.engine import FAILED_RESULTS, run_scenario
-from slidenet.localize import LocalizationError
 from slidenet.scenarios import attack_scenario
 from test_acceptance import GHOST
 
@@ -59,15 +58,17 @@ class TestSingleAttacker:
         assert results.count("ok") >= 2
 
 
-@pytest.mark.xfail(strict=True, raises=LocalizationError,
-                   reason="ROADMAP item 11: a replayed packet of an earlier "
-                          "codeword ends localization with no verdict")
 def test_replayed_codeword_run_completes():
     """A replacer that turns in round 306 replays codeword-1 packets in
-    transmission 2, which fails f3; the run must still end in a report."""
+    transmission 2, which fails f4: the receiver's duplicate label is a
+    replayed packet's, and localization convicts the replacer."""
     scenario = replace(attack_scenario(4, {2: "replacer"}, messages=2),
                        corruptions=[Corruption(2, 306, "replacer")])
-    run_scenario(scenario)
+    report, _ = run_scenario(scenario)
+    assert [t["result"] for t in report["transmissions"]] == \
+        ["ok", "f4", "eliminated", "ok"]
+    assert [e["node"] for e in report["eliminations"]] == [2]
+    assert [d["message"] for d in report["delivered"]] == [1, 2]
 
 
 @pytest.fixture(scope="module")

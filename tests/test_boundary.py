@@ -3,7 +3,10 @@ every boundary, in both modes, so a retry counts only the packets it
 sends itself, and a receiver that decoded moves on to the next
 codeword."""
 
+from slidenet.buffers import Stored
+from slidenet.codec import Packet
 from slidenet.engine import Engine, Scenario, run_scenario
+from slidenet.node import RECEIVER, NodeState
 from slidenet.scenarios import attack_scenario
 
 _POST_ROUND = Engine._post_round
@@ -66,3 +69,18 @@ def test_auth_retry_receiver_starts_empty(monkeypatch):
     assert seen == [(1, (256, False), (0, False, 1, None)),
                     (2, (0, False), (0, False, 1, None)),
                     (3, (1023, True), (0, False, 2, None))]
+
+
+def test_packet_of_another_codeword_sets_duplicate_label():
+    """A fresh packet of another codeword is dropped, and its label becomes
+    the receiver's duplicate label; a stale one is dropped silently."""
+    rx = NodeState(3, RECEIVER, [0, 1, 2, 3], 0, 3)
+    replayed = Packet(rx.current_codeword + 1, 5, b"\0\0")
+    rx._receiver_take(Stored(replayed, fresh=False))
+    assert (rx.storage, rx.duplicate_label) == ({}, None)
+    rx._receiver_take(Stored(replayed))
+    assert (rx.storage, rx.duplicate_label) == ({}, replayed.label())
+    current = Packet(rx.current_codeword, 5, b"\0\0")
+    rx._receiver_take(Stored(current))
+    assert list(rx.storage) == [5]
+    assert rx.duplicate_label == replayed.label()

@@ -216,22 +216,48 @@ def test_max_erasure_decode(n, fragment_bytes):
 
 
 def test_n8_codec_memory_bounded():
-    # the dense (D-K, K) int64 kernel peaked near 700 MB here
-    p = make_params(8)
-    msg = random_message(p, 8)
-    tracemalloc.start()
-    try:
-        cw = encode(msg, p)
-        assert decode(max_erasure_subset(cw, p), p) == msg
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    # the dense (D-K, K) int64 kernel peaked near 700 MB at n=8; n=16 is
+    # D = 65536, the field limit
+    for p in (make_params(8), make_params(16)):
+        msg = random_message(p, p.n)
+        tracemalloc.start()
+        try:
+            cw = encode(msg, p)
+            assert decode(max_erasure_subset(cw, p), p) == msg
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(("n", "lam", "d"), [(8, "3/32", 32768),
+                                             (16, "3/8", 65536)])
+def test_threshold_round_trip_at_scale(n, lam, d):
+    p = make_params(n, lam)
+    assert p.packets_per_codeword == d
+    msg = random_message(p, n)
+    cw = encode(msg, p)
+    rng = random.Random(n)
+    for _ in range(2):
+        assert decode(rng.sample(cw, p.decode_threshold), p) == msg
 
 
 def _direct_sums(points, xs):
-    return np.array([codec._GF_LOG[p ^ xs].sum(dtype=np.int64) % codec.GF_MOD
-                     for p in points], dtype=np.int64)
+    """For each p in points, the sum over y in xs of log(p ^ y), mod
+    GF_MOD, in row blocks of about 2^20 table reads."""
+    step = max(1, 2**20 // len(xs))
+    return np.concatenate([
+        codec._GF_LOG[points[s:s + step, None] ^ xs].sum(axis=1,
+                                                         dtype=np.int64)
+        for s in range(0, len(points), step)]) % codec.GF_MOD
+
+
+# the decoder's erasure locator logs: at each point, the log sum over a
+# set, by Walsh-Hadamard transform
+def _locator_sums(points, xs, size):
+    member = np.zeros(size, dtype=bool)
+    member[xs] = True
+    return codec._locator_logs(member)[points]
 
 
 @pytest.mark.parametrize("m", range(17))
@@ -245,7 +271,8 @@ def test_block_sums_match_direct_sum(m):
         points = np.unique(np.concatenate([
             rng.choice(size, min(size, 40), replace=False),
             [0, size - 1]])).astype(np.int32)
-        assert (codec._block_sums(points, xs) == _direct_sums(points, xs)).all()
+        assert (_locator_sums(points, xs, size)
+                == _direct_sums(points, xs)).all()
 
 
 @pytest.mark.parametrize("xs", [
@@ -263,7 +290,7 @@ def test_block_sums_edge_cases(xs):
     rng = np.random.default_rng(len(xs))
     points = np.concatenate([xs[:50], rng.permutation(outside)[:50],
                              [0, size - 1]]).astype(np.int32)
-    assert (codec._block_sums(points, xs) == _direct_sums(points, xs)).all()
+    assert (_locator_sums(points, xs, size) == _direct_sums(points, xs)).all()
 
 
 @pytest.mark.parametrize(("n", "lam", "d"), [(5, "3/8", 2000),
@@ -288,9 +315,38 @@ def _planted(rng, kdata, words):
     return data
 
 
+def _lagrange(xs, values, targets):
+    """The polynomial of degree < len(xs) that is values[i] at xs[i], at
+    each target outside xs: P(t) = sum_i v_i prod_{j != i} (t + x_j) /
+    (x_i + x_j).  Each log sum over xs is taken over xs, or as the sum
+    over all of V = [0, 2^m) less the sum over V minus xs, whichever is
+    shorter: every point of V has the same log sum over V."""
+    log, exp = codec._GF_LOG, codec._GF_EXP
+    size = 1 << int(max(xs.max(), targets.max())).bit_length()
+    rest = np.setdiff1d(np.arange(size), xs)
+
+    def log_sums(points):
+        if len(rest) < len(xs):
+            total = log[:size].sum(dtype=np.int64)
+            return (total - _direct_sums(points, rest)) % codec.GF_MOD
+        return _direct_sums(points, xs)
+
+    log_u = (log[values] - log_sums(xs)[:, None]) % codec.GF_MOD  # v_i/w_i
+    log_n = log_sums(targets)
+    out = np.zeros((len(targets), values.shape[1]), dtype=np.int32)
+    step = max(1, 2**20 // values.size)
+    for s in range(0, len(targets), step):
+        # log of N(t) / (t + x_i), with N(t) = prod_j (t + x_j), a row per t
+        log_c = (log_n[s:s + step, None]
+                 - log[targets[s:s + step, None] ^ xs]) % codec.GF_MOD
+        terms = exp[log_u + log_c[:, :, None]]
+        terms[:, values == 0] = 0
+        out[s:s + step] = np.bitwise_xor.reduce(terms, axis=1)
+    return out
+
+
 def _lagrange_parity(data, targets):
-    xs = np.arange(len(data), dtype=np.int32)
-    return codec._lagrange_eval(xs, data, targets.astype(np.int32))
+    return _lagrange(np.arange(len(data)), data, targets)
 
 
 FAMILY_CODES = sorted({(sc.n, sc.lam, sc.sigma, sc.fragment_bytes)
