@@ -5,15 +5,15 @@ A codeword consists of D fragments; any ceil((1-lam)*D) distinct fragments
 recover the message.  Only erasures occur in this system: fragments with
 bad signatures are discarded before decoding, never fed to the decoder.
 
-Both directions use the additive FFT of Lin, Chung and Han over the
-points [0, N), N = 2^m >= D.  Encoding fits the polynomial through the K
-data points [0, K) and evaluates it on [K, D), in O(D log^2 D).
-Decoding is the erasure decoder of Lin, Al-Naffouri, Han and Chung (IEEE
-Trans. Inf. Theory 62(11), 2016; Leopard-RS implements it): one
-Walsh-Hadamard transform gives the erasure locator's logs, and an
-inverse FFT, a formal derivative and an FFT give the erased values, in
-O(N log N).  Each holds a few arrays of the codeword's size: a few MB at
-2-byte fragments, whatever D is.
+Both directions are one routine over the points [0, N), N = 2^m >= D:
+the erasure decoder of Lin, Al-Naffouri, Han and Chung (IEEE Trans. Inf.
+Theory 62(11), 2016; Leopard-RS implements it) in the additive FFT basis
+of Lin, Chung and Han.  From the values at K points, one Walsh-Hadamard
+transform gives the erasure locator's logs, and an inverse FFT, a formal
+derivative and an FFT give the values at every other point, in
+O(N log N).  Encoding erases the parity points [K, D); decoding erases
+the fragments that did not arrive.  It holds a few arrays of the
+codeword's size: a few MB at 2-byte fragments, whatever D is.
 """
 
 from __future__ import annotations
@@ -188,44 +188,22 @@ def _subspace_logs(bits: int) -> tuple:
     return tuple(out)
 
 
-def _fft(a, start, k, tw, inverse=False):
-    """The additive FFT of Lin, Chung and Han (FOCS 2014), in place: row i
-    of a holds the coefficient of X_i = prod_{bit j of i} s_j and becomes
-    the value at start + i, on each coset of [0, 2^k) (inverse: back).  A
-    butterfly's twiddle is s_j at its block's first point."""
-    for j in range(k) if inverse else reversed(range(k)):
+def _fft(a, inverse=False):
+    """The additive FFT of Lin, Chung and Han (FOCS 2014) over [0, 2^m),
+    2^m = len(a), in place: row i of a holds the coefficient of X_i =
+    prod_{bit j of i} s_j and becomes the value at i (inverse: back).  A
+    butterfly's twiddle is s_j at its block's first point; block 0's,
+    s_j(0), is 0."""
+    tw = _subspace_logs(len(a).bit_length() - 1)
+    for j in range(len(tw)) if inverse else reversed(range(len(tw))):
         v = a.reshape(-1, 2, 1 << j, a.shape[1])
-        low, high, first = v[:, 0], v[:, 1], start >> j + 1
-        skip = int(not first)             # s_j(0) = 0: block 0 adds nothing
+        low, high = v[:, 0], v[:, 1]
         if inverse:
             high ^= low
-        low[skip:] ^= _scale(high[skip:], tw[j][first + skip:first + len(v),
-                                                None, None])
+        low[1:] ^= _scale(high[1:], tw[j][1:len(v), None, None])
         if not inverse:
             high ^= low
     return a
-
-
-def _parity(data: np.ndarray, d: int) -> np.ndarray:
-    """Values at [K, d) of the polynomial of degree < K = len(data) that is
-    data[i] at i: the sum of Z_0 ... Z_{t-1} Q_t over the aligned blocks
-    o_t + [0, 2^k) of [0, K), one per set bit k of K, largest first.  Each
-    Z_t(x) = s_k(x ^ o_t) is linear: 1 on the later blocks, constant on each
-    coset of [0, 2^k).  So one inverse FFT fits Q_t (deg < 2^k) to the data
-    less the earlier terms, one FFT evaluates it to d: O(d log^2 d)."""
-    kdata, tw, o = len(data), _subspace_logs((d - 1).bit_length()), 0
-    acc = np.zeros((1 << len(tw), data.shape[1]), dtype=np.int32)
-    logz = np.zeros(len(acc), dtype=np.int32)  # log Z_0 ... Z_{t-1}
-    for k in (k for k in reversed(range(GF_BITS)) if kdata >> k & 1):
-        start, stop = o + (1 << k), -(-d >> k) << k
-        q = _fft(data[o:start] ^ acc[o:start], o, k, tw, inverse=True)
-        value = _fft(np.tile(q, ((stop - start) >> k, 1)), start, k, tw)
-        acc[start:stop] ^= _scale(value, logz[start:stop, None])
-        y = np.arange(start, stop) ^ o
-        z = np.where(y >> k > 1, _GF_EXP[tw[k][y >> k + 1]], 0) ^ y >> k & 1
-        logz[start:stop] = (logz[start:stop] + _GF_LOG[z]) % GF_MOD
-        o = start
-    return acc[kdata:d]
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
@@ -256,6 +234,37 @@ def _locator_logs(member: np.ndarray) -> np.ndarray:
     return (_fwht(spectrum) % GF_MOD * inverse % GF_MOD).astype(np.int32)
 
 
+def _interpolate(values: np.ndarray, points, d: int) -> np.ndarray:
+    """The values on [0, 2^m), 2^m >= d, of the polynomial P of degree
+    < K = len(points) that is values[i] at the distinct points[i].
+
+    The erasure decoder of Lin, Al-Naffouri, Han and Chung.  The erasure
+    locator L(x) = prod (x + e) over the e in [0, 2^m) outside the points
+    makes P L, of degree < 2^m, known everywhere: 0 off the points.  At
+    an erased e, (P L)'(e) = P(e) L'(e), and L'(e) = prod_{e' != e}
+    (e + e').  The log sums over the erased set give log L on the points
+    and log L' off them."""
+    bits = (d - 1).bit_length()
+    erased = np.ones(1 << bits, dtype=bool)
+    erased[points] = False
+    logs = _locator_logs(erased)
+    a = np.zeros((1 << bits, values.shape[1]), dtype=np.int32)
+    a[points] = _scale(values, logs[points, None])
+    _fft(a, inverse=True)
+    # X_i' = sum over bits j of i of s_j'(0) X_(i ^ 2^j), s_j being linear
+    # and s_j'(0) = prod_{0 < x < 2^j} x / prod_{2^j <= x < 2^(j+1)} x
+    sums = np.cumsum(_GF_LOG[:1 << bits], dtype=np.int64)
+    deriv = np.zeros_like(a)
+    for j in range(bits):
+        c = int(2 * sums[(1 << j) - 1] - sums[(2 << j) - 1]) % GF_MOD
+        v = a.reshape(-1, 2, 1 << j, a.shape[1])
+        deriv.reshape(v.shape)[:, 0] ^= _scale(v[:, 1], c)
+    _fft(deriv)
+    deriv[erased] = _scale(deriv[erased], GF_MOD - logs[erased, None])
+    deriv[points] = values
+    return deriv
+
+
 def encode(msg: Message, params: CodingParams) -> tuple:
     """Expand a message into its D-fragment codeword: the tuple of its
     unsigned packets, in fragment order.
@@ -270,7 +279,8 @@ def encode(msg: Message, params: CodingParams) -> tuple:
                          f"got {len(msg.payload)}")
     fb = params.fragment_bytes
     data = _to_words(msg.payload).reshape(kdata, fb // 2)
-    blob = msg.payload + _to_bytes(_parity(data, d))
+    parity = _interpolate(data, np.arange(kdata), d)[kdata:d]
+    blob = msg.payload + _to_bytes(parity)
     return tuple(map(Packet, [msg.index] * d, range(d),
                      [blob[i:i + fb] for i in range(0, d * fb, fb)]))
 
@@ -280,7 +290,7 @@ def decode(fragments: Iterable[Packet],
     """Recover the message from a set of fragments, or None if fewer than
     (1-lam)*D distinct fragments are available.  The caller drops
     fragments with bad signatures first.  Mixing fragments of different
-    codewords is a caller error.
+    codewords, or a fragment index outside [0, D), is a caller error.
     """
     by_index = {}
     cw = None
@@ -290,6 +300,9 @@ def decode(fragments: Iterable[Packet],
         elif frag.codeword_index != cw:
             raise CodecError("fragments from different codewords")
         by_index.setdefault(frag.fragment_index, frag)
+    d = params.packets_per_codeword
+    if by_index and not 0 <= min(by_index) <= max(by_index) < d:
+        raise CodecError(f"a fragment index outside [0, {d})")
     if cw is None or len(by_index) < params.decode_threshold:
         return None
 
@@ -298,32 +311,6 @@ def decode(fragments: Iterable[Packet],
     payloads = b"".join(by_index[i].payload for i in have)
     if have[-1] < kdata:                # every data fragment arrived
         return Message(cw, payloads)
-    # P (degree < K) is known on the points S = have.  The erasure locator
-    # L(x) = prod (x + e) over the e in [0, 2^bits) outside S makes P L,
-    # of degree < 2^bits, known everywhere: 0 off S.  At an erased e,
-    # (P L)'(e) = P(e) L'(e), and L'(e) = prod_{e' != e} (e + e').  The
-    # log sums over the erased set give log L on S and log L' off it.
-    bits = (params.packets_per_codeword - 1).bit_length()
-    erased = np.ones(1 << bits, dtype=bool)
-    erased[have] = False
-    logs = _locator_logs(erased)
     values = _to_words(payloads).reshape(kdata, -1)
-    a = np.zeros((1 << bits, values.shape[1]), dtype=np.int32)
-    a[have] = _scale(values, logs[have, None])
-    tw = _subspace_logs(bits)
-    _fft(a, 0, bits, tw, inverse=True)
-    # X_i' = sum over bits j of i of s_j'(0) X_(i ^ 2^j), s_j being linear
-    # and s_j'(0) = prod_{0 < x < 2^j} x / prod_{2^j <= x < 2^(j+1)} x
-    sums = np.cumsum(_GF_LOG[:1 << bits], dtype=np.int64)
-    deriv = np.zeros_like(a)
-    for j in range(bits):
-        c = int(2 * sums[(1 << j) - 1] - sums[(2 << j) - 1]) % GF_MOD
-        v = a.reshape(-1, 2, 1 << j, a.shape[1])
-        deriv.reshape(v.shape)[:, 0] ^= _scale(v[:, 1], c)
-    _fft(deriv, 0, bits, tw)
-    missing = np.flatnonzero(erased[:kdata])
-    data = np.zeros((kdata, a.shape[1]), dtype=np.int32)
-    data[missing] = _scale(deriv[missing], GF_MOD - logs[missing, None])
-    got = kdata - len(missing)          # have lists the data points first
-    data[have[:got]] = values[:got]
+    data = _interpolate(values, have, d)[:kdata]
     return Message(index=cw, payload=_to_bytes(data.reshape(-1)))

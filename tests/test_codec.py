@@ -123,6 +123,17 @@ class TestRoundTrip:
         with pytest.raises(CodecError):
             decode(mixed, p)
 
+    # D overruns the locator's 2^m rows at n=4; -1 and 2040 < 2^m = 2048
+    # index rows of it, and would decode a wrong message
+    @pytest.mark.parametrize(("n", "index"), [(4, 1024), (4, -1), (5, 2040)])
+    def test_fragment_index_outside_codeword_rejected(self, n, index):
+        p = make_params(n)
+        subset = max_erasure_subset(encode(random_message(p, n), p), p)
+        stray = replace(subset.pop(), fragment_index=index)
+        for fragments in (subset + [stray], [stray]):
+            with pytest.raises(CodecError, match="outside"):
+                decode(fragments, p)
+
     def test_wrong_payload_length(self):
         p = make_params()
         with pytest.raises(CodecError):
@@ -349,6 +360,13 @@ def _lagrange_parity(data, targets):
     return _lagrange(np.arange(len(data)), data, targets)
 
 
+def _parity(data, d):
+    """encode's parity: rows [K, d) of the shared interpolation routine,
+    fitted to the data at [0, K)."""
+    kdata = len(data)
+    return codec._interpolate(data, np.arange(kdata), d)[kdata:d]
+
+
 FAMILY_CODES = sorted({(sc.n, sc.lam, sc.sigma, sc.fragment_bytes)
                        for n in range(4, 9) for family in FAMILIES.values()
                        for sc in family(n)}, key=str)
@@ -362,7 +380,7 @@ def test_fft_parity_matches_lagrange_on_family_codes(n, lam, sigma,
     d, kdata = p.packets_per_codeword, p.data_fragments
     data = _planted(np.random.default_rng(n), kdata, fragment_bytes // 2)
     expected = _lagrange_parity(data, np.arange(kdata, d))
-    assert (codec._parity(data, d) == expected).all()
+    assert (_parity(data, d) == expected).all()
 
 
 # (K, D): one block, a power of two, K = D - 1, D not a power of two
@@ -373,7 +391,7 @@ def test_fft_parity_matches_lagrange_on_family_codes(n, lam, sigma,
 def test_fft_parity_matches_lagrange(kdata, d, words):
     data = _planted(np.random.default_rng(kdata * d + words), kdata, words)
     expected = _lagrange_parity(data, np.arange(kdata, d))
-    assert (codec._parity(data, d) == expected).all()
+    assert (_parity(data, d) == expected).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -383,7 +401,7 @@ def test_fft_parity_matches_lagrange_random_codes(d, share, words, seed):
     kdata = min(d - 1, max(1, round(share * d)))
     data = _planted(np.random.default_rng(seed), kdata, words)
     expected = _lagrange_parity(data, np.arange(kdata, d))
-    assert (codec._parity(data, d) == expected).all()
+    assert (_parity(data, d) == expected).all()
 
 
 @pytest.mark.parametrize("kdata", [65536 - 384, 65535, 20000])
@@ -393,6 +411,23 @@ def test_fft_parity_full_field_sampled(kdata):
     data = _planted(rng, kdata, 2)
     targets = np.sort(rng.choice(np.arange(kdata, 65536),
                                  min(64, 65536 - kdata), replace=False))
-    parity = codec._parity(data, 65536)
+    parity = _parity(data, 65536)
     assert parity.shape == (65536 - kdata, 2)
     assert (parity[targets - kdata] == _lagrange_parity(data, targets)).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3000), st.floats(0, 1), st.integers(1, 4),
+       st.integers(0, 2**31))
+def test_interpolate_matches_lagrange_from_any_points(d, share, words, seed):
+    # a random K-subset of [0, d); targets off it, in [0, 2^m)
+    rng = np.random.default_rng(seed)
+    kdata = min(d - 1, max(1, round(share * d)))
+    points = np.sort(rng.choice(d, kdata, replace=False)).astype(np.int32)
+    values = _planted(rng, kdata, words)
+    out = codec._interpolate(values, points, d)
+    assert out.shape == (1 << (d - 1).bit_length(), words)
+    assert (out[points] == values).all()
+    off = np.setdiff1d(np.arange(len(out)), points)
+    targets = np.sort(rng.choice(off, min(64, len(off)), replace=False))
+    assert (out[targets] == _lagrange(points, values, targets)).all()

@@ -1,4 +1,4 @@
-"""Golden digests: the report and trace of ten fixed scenarios, pinned
+"""Golden digests: the report and trace of eleven fixed scenarios, pinned
 across versions, and the files `slidenet run --trace` writes for two of
 them.  A refactor must leave every digest unchanged; only a change whose
 point is a behaviour change may update them, and it says why in
@@ -57,6 +57,15 @@ SCENARIOS = {
     # every round
     "liar-n4": lambda: _attack("liar"),
     "ghost-n4": lambda: _attack("ghost"),
+    # a replacer that turns in round 306 replays codeword-1 packets in
+    # transmission 2: ok, f4, node 2 eliminated by F4, 2/2 delivered
+    "replayed-codeword-n4": lambda: Scenario(
+        n=4, mode="auth", messages=2, max_transmissions=10, checks="full",
+        schedule_kind="scripted", schedule_script=THIN_LINE_N4,
+        backbone=[0, 1, 3],
+        corruptions=[Corruption(node=2, round_index=306,
+                                behavior="replacer")],
+        seed=0),
 }
 
 # (report sha256, trace sha256) of json.dumps(..., sort_keys=True)
@@ -91,6 +100,9 @@ GOLDEN = {
     "ghost-n4": (
         "3c3f82a37a4ee55dc3db82a064c2d2dacedaad35e9479d05333ecaa8889ef23a",
         "c9c86bf2ec57903013d14d6a13dfaf31a74455d584fc0c148c95d768378ce3bb"),
+    "replayed-codeword-n4": (
+        "0e6d31502534dddd6f75952b19046e33b6022cfa4179284507b0b5f104ddce63",
+        "d319f0de99ecd0db9ce7bd03d593338b550ae2ff2da59958d3626dfb8d1e7a59"),
 }
 
 
