@@ -42,6 +42,14 @@ def _write_json(path, data) -> None:
 # the most `nodes` objects a trace sink, and the audit, keeps at once
 NODES_KEPT = 64
 
+# the line of each per-round kind of record, as `json.dumps(rec,
+# sort_keys=True)` gives the engine's: int fields, two-item `e` and `p`
+_STATE_LINE = ('{"T": %d, "blocked": %d, "g": %d, "gain": %d, "k": "state", '
+               '"nd": %d, "nid": %d, "r": %d, "wasted": %d}\n')
+_ACCEPT_LINE = ('{"T": %d, "e": [%d, %d], "h": %d, "k": "accept", '
+                '"p": [%d, %d], "r": %d}\n')
+_CONFIRM_LINE = '{"T": %d, "e": [%d, %d], "h": %d, "k": "confirm", "r": %d}\n'
+
 
 class _TraceFile:
     """Trace sink: writes each record the engine appends as one JSON line
@@ -55,7 +63,8 @@ class _TraceFile:
     record, and the row carries `"nid": i` in its place.  The sink keeps
     the objects it wrote by `id()`, each beside its record id; holding the
     object keeps its `id()` from being reused while the entry lives.  It
-    keeps at most NODES_KEPT, and clears them all when full."""
+    keeps at most NODES_KEPT, and clears them all when full.  State,
+    accept and confirm lines come from the templates above."""
 
     def __init__(self, path):
         self.path = path
@@ -76,9 +85,17 @@ class _TraceFile:
                 self._next_id += 1
                 self.fh.write(self._encode(
                     {"id": kept[1], "k": "nodes", "nodes": nodes}) + "\n")
-            rec = dict(rec, nid=kept[1])
-            del rec["nodes"]
-        self.fh.write(self._encode(rec) + "\n")
+            line = _STATE_LINE % (rec["T"], rec["blocked"], rec["g"],
+                                  rec["gain"], rec["nd"], kept[1], rec["r"],
+                                  rec["wasted"])
+        elif rec["k"] == "accept":
+            line = _ACCEPT_LINE % (rec["T"], *rec["e"], rec["h"], *rec["p"],
+                                   rec["r"])
+        elif rec["k"] == "confirm":
+            line = _CONFIRM_LINE % (rec["T"], *rec["e"], rec["h"], rec["r"])
+        else:
+            line = self._encode(rec) + "\n"
+        self.fh.write(line)
 
     def commit(self):
         self.fh.close()
@@ -183,22 +200,25 @@ class _Findings(list):
 # the fields the audit reads from each kind of trace record, and their types
 _RECORD_FIELDS = {"run": {"n": int, "scenario": dict}, "endT": {"T": int},
                   "nodes": {"id": int, "nodes": dict},
-                  "state": {"g": int, "r": int, "gain": int, "nid": int}}
+                  "state": {"g": int, "r": int, "gain": int, "nid": int,
+                            "nd": int, "blocked": int, "wasted": int}}
 
 
 def _trace_records(fh):
     """Each non-blank line of a trace file, decoded: an object with a
     string "k" and the fields the audit reads."""
+    decode = json.JSONDecoder().decode
     for line in fh:
-        if line.strip():
-            rec = json.loads(line)
+        if not line.isspace():
+            rec = decode(line)
             if not isinstance(rec, dict) or not isinstance(rec.get("k"), str):
                 raise ValueError(f"not a trace record: {line.strip()[:80]}")
-            bad = [f for f, t in _RECORD_FIELDS.get(rec["k"], {}).items()
-                   if not isinstance(rec.get(f), t)]
-            if bad:
-                raise ValueError(f"{rec['k']} record without a valid "
-                                 f"{', '.join(bad)}: {line.strip()[:80]}")
+            if rec["k"] in _RECORD_FIELDS:
+                bad = [f for f, t in _RECORD_FIELDS[rec["k"]].items()
+                       if not isinstance(rec.get(f), t)]
+                if bad:
+                    raise ValueError(f"{rec['k']} record without a valid "
+                                     f"{', '.join(bad)}: {line.strip()[:80]}")
             yield rec
 
 
@@ -252,7 +272,7 @@ def _audit(records) -> int:
                 prev_nd = tx_start_nd = None
                 continue
             phi_nd, phi_dup = kept[rec["nid"]]
-            if rec.get("nd") is not None and rec["nd"] != phi_nd:
+            if rec["nd"] != phi_nd:
                 errors.append(f"round {rec['g']}: recorded potential "
                               f"{rec['nd']} != recomputed {phi_nd}")
             if honest:
@@ -270,7 +290,7 @@ def _audit(records) -> int:
                 tx_start_nd = phi_nd - rec["gain"]
                 tx_gain = rec["gain"]
                 tx_blocked_unwasted = 0
-            if rec.get("blocked") and not rec.get("wasted"):
+            if rec["blocked"] and not rec["wasted"]:
                 tx_blocked_unwasted += 1
         elif rec["k"] == "endT" and honest and prev_nd is not None \
                 and tx_start_nd is not None:

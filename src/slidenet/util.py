@@ -33,22 +33,12 @@ def _int_bytes(obj: int) -> bytes:
     return b"i" + len(data).to_bytes(2, "big") + data
 
 
-# Encodings of the ints in [-1, 8192).  In the auth deleter runs no
-# packed int is below -1, round stamps reach L = 4D (8000 at n=5), and
-# only a few sig3 sums in s2 statements pass 8191: the table holds every
-# exact int packed at n=4 and 99.99% of them at n=5.  A miss takes
-# _int_bytes, which gives the same bytes.
-_INT_LO, _INT_HI = -1, 8192
-_SMALL_INTS = [_int_bytes(v) for v in range(_INT_LO, _INT_HI)]
-
-
 def _pack_into(obj, out: bytearray) -> None:
     # exact int and tuple first: they are nearly every item of a signed
     # statement; bool, subclasses and everything else take _pack_other
     t = type(obj)
     if t is int:
-        out += (_SMALL_INTS[obj - _INT_LO] if _INT_LO <= obj < _INT_HI
-                else _int_bytes(obj))
+        out += _int_bytes(obj)
     elif t is tuple:
         out += b"l" + len(obj).to_bytes(4, "big")
         for item in obj:

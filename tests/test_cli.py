@@ -457,6 +457,11 @@ TAMPERS = {
 }
 
 
+# a state row's fields before `nd`, `blocked` and `wasted`; it names `nodes`
+# record 0
+_ROW_HEAD = '{"k": "state", "g": 1, "T": 1, "r": 1, "gain": 0, "nid": 0, '
+
+
 def _traced_rows(tmp_path, scenario):
     out = tmp_path / "out"
     assert main(["run", scenario, "--out", str(out), "--trace"]) == 0
@@ -524,6 +529,16 @@ class TestAudit:
                      id="nodes-record-list"),
         pytest.param(1, '{"k": "nodes", "nodes": {}}',
                      id="nodes-record-no-id"),
+        pytest.param(-1, _ROW_HEAD + '"blocked": 0, "wasted": 0}',
+                     id="state-no-nd"),
+        pytest.param(-1, _ROW_HEAD + '"nd": null, "blocked": 0, "wasted": 0}',
+                     id="state-nd-null"),
+        pytest.param(-1, _ROW_HEAD + '"nd": 0, "wasted": 0}',
+                     id="state-no-blocked"),
+        pytest.param(-1, _ROW_HEAD + '"nd": 0, "blocked": 0}',
+                     id="state-no-wasted"),
+        pytest.param(-1, _ROW_HEAD + '"nd": 0, "blocked": 0, "wasted": 0.5}',
+                     id="state-wasted-float"),
     ])
     def test_record_without_fields_exit2(self, tmp_path, honest_scenario,
                                          capsys, at, record):
@@ -558,7 +573,7 @@ class TestAudit:
         tall = {"id": 0, "k": "nodes",
                 "nodes": {"1": [["in", 0, 99, None, False]]}}
         state = {"k": "state", "g": 1, "T": 1, "r": 1, "gain": 0, "nd": 0,
-                 "nid": 0}
+                 "blocked": 0, "wasted": 0, "nid": 0}
         bad = {"id": 1, "k": "nodes", "nodes": {"1": [row]}}
         path = tmp_path / "malformed.jsonl"
         rows = (header, tall, state, bad, dict(state, g=2, nid=1))

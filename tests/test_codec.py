@@ -272,7 +272,7 @@ def _locator_sums(points, xs, size):
 
 
 @pytest.mark.parametrize("m", range(17))
-def test_block_sums_match_direct_sum(m):
+def test_locator_logs_match_direct_sum(m):
     # random subsets of V = [0, 2^m), summed at points in and out of xs
     size = 1 << m
     rng = np.random.default_rng(m)
@@ -294,7 +294,7 @@ def test_block_sums_match_direct_sum(m):
     np.array([0, 1, 2, 3, 7, 8, 100, 511, 512, 1000]),
     np.arange(3, 1024, 5),                           # 0 outside, many blocks
 ], ids=["field", "all-of-V", "zero", "single", "mixed", "strided"])
-def test_block_sums_edge_cases(xs):
+def test_locator_logs_edge_cases(xs):
     xs = xs.astype(np.int32)
     size = 1 << int(xs.max()).bit_length()
     outside = np.setdiff1d(np.arange(size), xs)

@@ -1,6 +1,7 @@
 """Golden digests: the report and trace of eleven fixed scenarios, pinned
 across versions, and the files `slidenet run --trace` writes for two of
-them.  A refactor must leave every digest unchanged; only a change whose
+them.  Each line the trace sink writes from every one of them must be
+the record's `json.dumps`.  A refactor must leave every digest unchanged; only a change whose
 point is a behaviour change may update them, and it says why in
 CHANGES.md.
 
@@ -14,7 +15,7 @@ import json
 import pytest
 
 from slidenet.adversary import Corruption
-from slidenet.cli import main
+from slidenet.cli import _TraceFile, main
 from slidenet.crypto import KeyRing
 from slidenet.engine import Scenario, run_scenario
 
@@ -110,10 +111,48 @@ def _sha256(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_digests(name):
-    report, engine = run_scenario(SCENARIOS[name](), trace=[])
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def golden_run(request):
+    """(name, report, engine) of one scenario run with its trace kept in
+    memory, shared by the tests that take it."""
+    report, engine = run_scenario(SCENARIOS[request.param](), trace=[])
+    return request.param, report, engine
+
+
+def test_golden_digests(golden_run):
+    name, report, engine = golden_run
     assert (_sha256(report), _sha256(engine.trace)) == GOLDEN[name]
+
+
+def test_trace_file_lines_are_json_dumps(golden_run, tmp_path):
+    """Each line the trace sink writes from a run's records is exactly
+    `json.dumps(rec, sort_keys=True)`: a state row's with `nid` in place
+    of `nodes`, naming the `nodes` record written from that very object,
+    and each `nodes` record's its own."""
+    _, _, engine = golden_run
+    path = tmp_path / "trace.jsonl"
+    sink = _TraceFile(str(path))
+    for rec in engine.trace:
+        sink.append(rec)
+    sink.commit()
+    lines = iter(path.read_bytes().decode().split("\n"))
+    written = {}                  # nodes record id -> the object written
+    for rec in engine.trace:
+        line = next(lines)
+        if rec["k"] == "state":
+            got = json.loads(line)
+            if got["k"] == "nodes":
+                assert line == json.dumps(
+                    {"id": got["id"], "k": "nodes", "nodes": rec["nodes"]},
+                    sort_keys=True)
+                written[got["id"]] = rec["nodes"]
+                line = next(lines)
+                got = json.loads(line)
+            assert written[got["nid"]] is rec["nodes"]
+            rec = dict(rec, nid=got["nid"])
+            del rec["nodes"]
+        assert line == json.dumps(rec, sort_keys=True)
+    assert list(lines) == [""]
 
 
 @pytest.mark.parametrize("name", ["deleter-n4", "slide-n4-churn"])
