@@ -3,13 +3,18 @@
     slidenet run <scenario.json> [--out DIR] [--trace]
     slidenet audit <trace.jsonl>
     slidenet gen --family NAME [--n N] [--index I]
+    slidenet bounds --family NAME [--n N]
 
 The scenario file fixes every input of a run, seeds and mode included;
 its invariant check level is "full" (the default) or "off".  `gen` prints
 scenario I of a `slidenet.scenarios` family at n nodes as such a file.
+`bounds` runs every scenario of a family and prints, for each of the
+paper's bounds the family measures, the worst value against its limit.
 
 Exit codes: 0 success, 2 configuration error, 3 conforming-constraint
-violation, 4 invariant or audit failure.
+violation, 4 invariant or audit failure, or a bound past its limit.  A
+`bounds` run that fails an invariant prints its scenario to stdout, as
+one line of JSON that `slidenet run` takes.
 """
 
 from __future__ import annotations
@@ -19,11 +24,14 @@ import contextlib
 import json
 import os
 import sys
+import time
 
 from .adversary import ConfigError
+from .bounds import (FAILED_RESULTS, drop_finding, dup_finding, measure,
+                     rise_finding)
 from .buffers import network_potential
-from .engine import (FAILED_RESULTS, ConformingError, Engine, InvariantError,
-                     Scenario)
+from .engine import (ConformingError, Engine, InvariantError, Scenario,
+                     run_scenario)
 from .localize import LocalizationError
 from .scenarios import FAMILIES
 
@@ -31,6 +39,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONFORMING = 3
 EXIT_INVARIANT = 4
+
+
+def _config_error(exc) -> int:
+    print(f"configuration error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _write_json(path, data) -> None:
@@ -109,37 +122,24 @@ class _TraceFile:
 
 def cmd_run(args) -> int:
     out_dir = args.out or "."
-    try:
-        with open(args.scenario) as fh:
+    with open(args.scenario) as fh:
+        try:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:    # an int of too many digits too
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        except ValueError as exc:           # an int of too many digits too
+            return _config_error(exc)
     with contextlib.ExitStack() as outputs:
-        try:
-            scenario = Scenario.from_dict(data)
-            scenario.check()
-            os.makedirs(out_dir, exist_ok=True)
-            sink = None
-            if args.trace:
-                sink = _TraceFile(os.path.join(out_dir, "trace.jsonl"))
-                outputs.callback(sink.discard)
-                sink.append({"k": "run", "scenario": scenario.to_dict(),
-                             "digest": scenario.digest(),
-                             "honest": not scenario.corruptions,
-                             "n": scenario.n})
-            engine = Engine(scenario, trace=sink)
-        except (OSError, ConfigError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except ConformingError as exc:
-            print(f"conforming violation: {exc}", file=sys.stderr)
-            return EXIT_CONFORMING
-        try:
-            report = engine.run()
-        except (InvariantError, LocalizationError) as exc:
-            print(f"invariant failure: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
+        scenario = Scenario.from_dict(data)
+        scenario.check()
+        os.makedirs(out_dir, exist_ok=True)
+        sink = None
+        if args.trace:
+            sink = _TraceFile(os.path.join(out_dir, "trace.jsonl"))
+            outputs.callback(sink.discard)
+            sink.append({"k": "run", "scenario": scenario.to_dict(),
+                         "digest": scenario.digest(),
+                         "honest": not scenario.corruptions,
+                         "n": scenario.n})
+        report = Engine(scenario, trace=sink).run()
         _write_json(os.path.join(out_dir, "report.json"), report)
         if sink is not None:
             sink.commit()
@@ -223,12 +223,11 @@ def _trace_records(fh):
 
 
 def cmd_audit(args) -> int:
-    try:
-        with open(args.trace) as fh:
+    with open(args.trace) as fh:
+        try:
             return _audit(_trace_records(fh))
-    except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        except ValueError as exc:
+            return _config_error(exc)
 
 
 def _audit(records) -> int:
@@ -238,8 +237,7 @@ def _audit(records) -> int:
     the one it names, kept as the sink keeps its objects."""
     header = next(records, {})
     if header.get("k") != "run":
-        print("configuration error: not a trace file", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("not a trace file")
     n, honest = header["n"], header.get("honest")
     corruptions = header["scenario"].get("corruptions", [])
     if not (isinstance(corruptions, list) and all(
@@ -251,7 +249,6 @@ def _audit(records) -> int:
                          f"{corruptions!r:.80}")
     corrupt = {c["node"] for c in corruptions}
     honest_nodes = {i for i in range(n) if i not in corrupt}
-    dup_bound = 2 * n**3 - 8 * n**2 + 8 * n
 
     errors = _Findings()
     kept = {}                   # nodes record id -> (phi_nd, phi_dup)
@@ -276,14 +273,12 @@ def _audit(records) -> int:
                 errors.append(f"round {rec['g']}: recorded potential "
                               f"{rec['nd']} != recomputed {phi_nd}")
             if honest:
-                if not 0 <= phi_dup <= dup_bound:
-                    errors.append(f"round {rec['g']}: duplication potential "
-                                  f"{phi_dup} outside [0, {dup_bound}]")
-                if prev_nd is not None and rec["r"] != 1 \
-                        and phi_nd - prev_nd > rec["gain"]:
-                    errors.append(
-                        f"round {rec['g']}: potential rose {phi_nd - prev_nd}"
-                        f" with insertions {rec['gain']}")
+                if finding := dup_finding(phi_dup, n):
+                    errors.append(f"round {rec['g']}: {finding}")
+                if prev_nd is not None and rec["r"] != 1 and (
+                        finding := rise_finding(phi_nd - prev_nd,
+                                                rec["gain"])):
+                    errors.append(f"round {rec['g']}: {finding}")
             prev_nd = phi_nd
             tx_gain += rec["gain"]
             if rec["r"] == 1:
@@ -293,12 +288,10 @@ def _audit(records) -> int:
             if rec["blocked"] and not rec["wasted"]:
                 tx_blocked_unwasted += 1
         elif rec["k"] == "endT" and honest and prev_nd is not None \
-                and tx_start_nd is not None:
-            drop = tx_start_nd + tx_gain - prev_nd
-            need = n * tx_blocked_unwasted
-            if drop < need:
-                errors.append(f"transmission {rec['T']}: potential drop "
-                              f"{drop} below n*blocked = {need}")
+                and tx_start_nd is not None and (finding := drop_finding(
+                    rec["T"], tx_start_nd + tx_gain - prev_nd, n,
+                    tx_blocked_unwasted)):
+            errors.append(finding)
     if rounds_seen == 0:
         errors.append("trace contains no state rows (was it recorded with "
                       "--trace?)")
@@ -312,23 +305,38 @@ def _audit(records) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        family = FAMILIES[args.family](args.n)
-        if not 0 <= args.index < len(family):
-            print(f"configuration error: no index {args.index} among the "
-                  f"{len(family)} {args.family} scenarios", file=sys.stderr)
-            return EXIT_CONFIG
-        scenario = family[args.index]
-        Engine(scenario)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConformingError as exc:
-        print(f"conforming violation: {exc}", file=sys.stderr)
-        return EXIT_CONFORMING
+    family = FAMILIES[args.family](args.n)
+    if not 0 <= args.index < len(family):
+        return _config_error(f"no index {args.index} among the "
+                             f"{len(family)} {args.family} scenarios")
+    scenario = family[args.index]
+    Engine(scenario)
     json.dump(scenario.to_dict(), sys.stdout, sort_keys=True, indent=1)
     print()
     return EXIT_OK
+
+
+def cmd_bounds(args) -> int:
+    t0 = time.time()
+    scenarios = FAMILIES[args.family](args.n)
+    worst = {}      # bound -> (worst value, limit)
+    for sc in scenarios:
+        try:
+            table = measure(run_scenario(sc)[0])
+        except (InvariantError, LocalizationError):
+            print(json.dumps(sc.to_dict(), sort_keys=True))
+            raise
+        for name, (limit, values) in table.items():
+            if values and (name not in worst
+                           or max(values) > worst[name][0]):
+                worst[name] = (max(values), limit)
+    print(f"{args.family} family, n={args.n}: {len(scenarios)} scenario(s) "
+          f"in {time.time() - t0:.1f} s")
+    for name, (value, limit) in worst.items():
+        print(f"  {name:<32}{value:>6} {'<=' if value <= limit else '>'} "
+              f"{limit}")
+    breached = any(value > limit for value, limit in worst.values())
+    return EXIT_INVARIANT if breached else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,12 +362,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=4)
     p_gen.add_argument("--index", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
+
+    p_bounds = sub.add_parser("bounds",
+                              help="check the paper's bounds on a family")
+    p_bounds.add_argument("--family", choices=sorted(FAMILIES), required=True)
+    p_bounds.add_argument("--n", type=int, default=4)
+    p_bounds.set_defaults(func=cmd_bounds)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; map its errors to a stderr line and an exit code.
+    Every OSError comes from a path the command line names."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ConfigError) as exc:
+        return _config_error(exc)
+    except ConformingError as exc:
+        print(f"conforming violation: {exc}", file=sys.stderr)
+        return EXIT_CONFORMING
+    except (InvariantError, LocalizationError) as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

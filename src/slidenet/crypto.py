@@ -15,8 +15,9 @@ themselves; nothing in the simulator can sign on behalf of another node.
 
 Signing is lazy.  `KeyRing.sign` checks the key handle at once, but for a
 hashable value it packs the value and computes the signature only when
-they are first read, and then keeps both.  Most statements are verified
-by their peer and then only their value is read, so most are never packed.
+the signature is first read, and then keeps the signature.  Most
+statements are verified by their peer and then only their value is read,
+so most are never packed.
 A statement the ring minted this way verifies by construction; any other
 (hand-built, `dataclasses.replace`d, minted by another ring, or holding an
 unhashable value, which is signed eagerly) runs the backend's verify.
@@ -46,18 +47,11 @@ class Signed:
     # (backend, key) of a statement KeyRing.sign minted from a hashable
     # value; its signature is computed on first read (__getattr__)
     _mint: tuple = field(default=None, init=False, repr=False, compare=False)
-    # pack(value), kept once read from a minted statement
-    _body: bytes = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def body(self) -> bytes:
         """The bytes the signature covers: pack(value)."""
-        body = self._body
-        if body is None:
-            body = pack(self.value)
-            if self._mint is not None:
-                object.__setattr__(self, "_body", body)
-        return body
+        return pack(self.value)
 
     def __hash__(self):
         # equal statements share value and signer; the signature is left

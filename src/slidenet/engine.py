@@ -18,17 +18,13 @@ from .adversary import (BEHAVIORS, ConfigError, Corruption, edge_key,
                         find_honest_path, generate_schedule,
                         validate_conforming)
 from .auth import REASON_OK, AuthNode, LedgerPairing, SenderAuth
+from .bounds import drop_finding, dup_finding, rise_finding
 from .buffers import Stored, network_potential
 from .crypto import BACKENDS, keygen
 from .localize import build_report_set, run_localization
 from .node import INTERNAL, RECEIVER, SENDER, NodeState
 from .util import InvariantError, digest
 
-
-# the transmission results that count against the paper's failure budgets
-# (n per elimination, n^2 in all); a transmission that ends in an
-# elimination is not one of them
-FAILED_RESULTS = ("f2", "f3", "f4")
 
 # the most distinct state rows an empty stretch keeps for reuse
 ROWS_KEPT = 64
@@ -598,7 +594,8 @@ class Engine:
                     self.nodes[a].note_confirmed()
                 if behavior[a] is not None:
                     behavior[a].after_forward(ob, confirmed)
-                self._emit("confirm", e=[a, b], h=height)
+                if self.trace is not None:
+                    self._emit("confirm", e=[a, b], h=height)
 
     def _broadcast_control(self):
         """Stage 1's control channel: every ordered pair passes its cbp
@@ -679,8 +676,9 @@ class Engine:
                     inserted = True
                     if b != self.R:
                         insert_gain += land
-                self._emit("accept", e=[a, b], h=land,
-                           p=list(stored.packet.label()))
+                if self.trace is not None:
+                    self._emit("accept", e=[a, b], h=land,
+                               p=list(stored.packet.label()))
                 if behavior[b] is not None \
                         and not behavior[b].after_accept(ib, stored, land):
                     ib.discard(land)
@@ -839,16 +837,11 @@ class Engine:
                         self.nodes[i].check_invariants(heights[i])
             if honest_run:
                 prev = self._phi_prev
-                if prev is not None and phi_nd - prev > self._round_gain:
-                    raise InvariantError(
-                        f"non-duplicated potential rose by {phi_nd - prev} "
-                        f"with insertions only {self._round_gain} in round "
-                        f"{self.g_round}")
-                bound = 2 * self.n**3 - 8 * self.n**2 + 8 * self.n
-                if not 0 <= phi_dup <= bound:
-                    raise InvariantError(
-                        f"duplication potential {phi_dup} outside "
-                        f"[0, {bound}]")
+                finding = (prev is not None
+                           and rise_finding(phi_nd - prev, self._round_gain)
+                           or dup_finding(phi_dup, self.n))
+                if finding:
+                    raise InvariantError(finding)
             # every 8th round: does the stretch hold a multiple of 8?
             if honest_run and not self.auth_mode \
                     and self.r_local // 8 != (self.r_local - rounds) // 8:
@@ -898,11 +891,10 @@ class Engine:
         tm["potential_drop"] = drop
         tm["kappa"] = self.nodes[self.S].kappa
         if not self.corrupt_nodes and self.sc.checks != "off":
-            need = self.n * self._blocked_unwasted
-            if drop < need:
-                raise InvariantError(
-                    f"transmission {self.T}: potential drop {drop} below "
-                    f"n*blocked = {need}")
+            finding = drop_finding(self.T, drop, self.n,
+                                   self._blocked_unwasted)
+            if finding:
+                raise InvariantError(finding)
 
         if self.auth_mode:
             sender = self.auth[self.S]

@@ -1,4 +1,4 @@
-"""The scenario families that the tests and `scripts/bounds.py` share:
+"""The scenario families that the tests and `slidenet bounds` share:
 each maps a node count n to the scenarios that check the paper's bounds at
 that n, with the seeds and churn rates the acceptance suite checks."""
 

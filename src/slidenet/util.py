@@ -28,26 +28,8 @@ def pack(obj) -> bytes:
     return bytes(out)
 
 
-def _int_bytes(obj: int) -> bytes:
-    data = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
-    return b"i" + len(data).to_bytes(2, "big") + data
-
-
 def _pack_into(obj, out: bytearray) -> None:
-    # exact int and tuple first: they are nearly every item of a signed
-    # statement; bool, subclasses and everything else take _pack_other
-    t = type(obj)
-    if t is int:
-        out += _int_bytes(obj)
-    elif t is tuple:
-        out += b"l" + len(obj).to_bytes(4, "big")
-        for item in obj:
-            _pack_into(item, out)
-    else:
-        _pack_other(obj, out)
-
-
-def _pack_other(obj, out: bytearray) -> None:
+    # None, True and False ahead of int, of which bool is a subclass
     if obj is None:
         out += b"N"
     elif obj is True:
@@ -55,7 +37,8 @@ def _pack_other(obj, out: bytearray) -> None:
     elif obj is False:
         out += b"F"
     elif isinstance(obj, int):
-        out += _int_bytes(obj)
+        data = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
+        out += b"i" + len(data).to_bytes(2, "big") + data
     elif isinstance(obj, str):
         data = obj.encode()
         out += b"s" + len(data).to_bytes(4, "big") + data

@@ -1,9 +1,4 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture(scope="session")
@@ -20,15 +15,6 @@ def cached_run(cache, scenario):
         from slidenet.engine import run_scenario
         cache[key] = run_scenario(scenario)
     return cache[key]
-
-
-def load_bounds():
-    """`scripts/bounds.py` as a fresh module (scripts/ is no package)."""
-    spec = importlib.util.spec_from_file_location("bounds",
-                                                  SCRIPTS / "bounds.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 # attributes that point at shared or fixed objects (the key ring, keys,

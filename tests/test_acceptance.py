@@ -1,7 +1,7 @@
 """Acceptance suite: one test per delivery/memory/elimination bound, each
 printing a PASS line with the measured quantities.  Run with -s to see
 them.  The scenarios come from `slidenet.scenarios`, and each bound's
-formula from `scripts/bounds.py`'s `measure`.  The module takes
+formula from `slidenet.bounds.measure`.  The module takes
 about 15 s on a 2-core host: its fixtures run the honest family in 1.5 s,
 the attack suite in 4.8 s and the throughput mix in 7.7 s.
 """
@@ -11,15 +11,14 @@ import random
 
 import pytest
 
-from conftest import cached_run, load_bounds
+from conftest import cached_run
 from slidenet import codec
 from slidenet.adversary import Corruption
-from slidenet.engine import FAILED_RESULTS, Scenario, run_scenario
+from slidenet.bounds import FAILED_RESULTS, measure
+from slidenet.engine import Scenario, run_scenario
 from slidenet.scenarios import FAMILIES, attack_scenario, throughput_mix
 
 pytestmark = pytest.mark.slow
-
-measure = load_bounds().measure
 
 BEHAVIORS = ["duplicator", "deleter", "replacer", "report-forger"]
 
@@ -102,10 +101,10 @@ def test_criterion_2_decode_threshold():
           f"{fail}/100 sub-threshold subsets refused at D=1024")
 
 
-def within(key, report, eng, name, low=None):
+def within(key, report, name, low=None):
     """Assert that every value `measure` gives for bound `name` is within
     its limit (and at least `low`, when given); returns the values."""
-    limit, values = measure(report, eng)[name]
+    limit, values = measure(report)[name]
     for value in values:
         assert value <= limit and (low is None or low <= value), \
             (key, name, value, limit)
@@ -119,14 +118,14 @@ def test_criterion_3_buffer_invariants(honest_runs, suite_runs):
     within 2(n-2) buffers of 2n slots."""
     for key, (report, eng) in honest_runs.items():
         assert eng.sc.checks == "full"
-        assert within(key, report, eng, "packets per internal node")
+        assert within(key, report, "packets per internal node")
         # structural slot invariants also hold on the final state
         for node in eng.nodes.values():
             for buf in node.all_buffers():
                 buf.check()
     for key, (report, eng) in suite_runs.items():
         assert eng.sc.checks == "full"
-        assert within(key, report, eng, "packets per internal node")
+        assert within(key, report, "packets per internal node")
     print("\nPASS criterion 3: balance/flag/contiguity/capacity checks "
           "held every round of every scenario (engine-enforced), "
           "high-water packet counts within 4n(n-2)")
@@ -164,7 +163,7 @@ def test_criterion_5_adversarial_localization(suite_runs):
                 (behavior, t)
         for e in report["eliminations"]:
             assert e["node"] in corrupt, (behavior, e)
-        spans = within((n, behavior), report, eng,
+        spans = within((n, behavior), report,
                        "failures up to an elimination")
         assert len(spans) == len(report["eliminations"])
         if behavior == "ghost":
@@ -206,8 +205,8 @@ def test_criterion_7_wasted_round_bound(suite_runs, mixed_run):
     in every suite scenario."""
     worst = 0
     runs = list(suite_runs.items()) + [(("mixed", 4), mixed_run)]
-    for key, (report, eng) in runs:
-        values = within(key, report, eng, "wasted rounds per transmission")
+    for key, (report, _) in runs:
+        values = within(key, report, "wasted rounds per transmission")
         assert len(values) == len(report["transmissions"])
         worst = max(worst, *values)
     print(f"\nPASS criterion 7: wasted rounds per transmission <= 4n^3 in "
@@ -219,9 +218,9 @@ def test_criterion_8_eot_latency(suite_runs, mixed_run):
     n rounds of its creation in every transmission of every scenario."""
     worst = 0
     runs = list(suite_runs.items()) + [(("mixed", 4), mixed_run)]
-    for key, (report, eng) in runs:
+    for key, (report, _) in runs:
         # a parcel that never arrived measures as an infinite latency
-        values = within(key, report, eng, "end-of-transmission latency",
+        values = within(key, report, "end-of-transmission latency",
                         low=0)
         worst = max([worst, *values])
     print(f"\nPASS criterion 8: end-of-transmission parcel latency <= n "
@@ -232,8 +231,8 @@ def test_criterion_9_memory_accounting(honest_runs, suite_runs, mixed_run):
     """High-water marks: internal nodes hold at most 2(n-2)*2n packets;
     signature buffers at most D+3 entries per edge; broadcast buffers at
     most n^2+5n parcels; the sender's data buffer at most n^3+n^2+n."""
-    for key, (report, eng) in honest_runs.items():
-        assert within(key, report, eng, "packets per internal node")
+    for key, (report, _) in honest_runs.items():
+        assert within(key, report, "packets per internal node")
     bounds = {"sig": "signatures per edge", "bb": "broadcast buffer",
               "db": "sender data buffer"}
     worst = dict.fromkeys(bounds, 0)
@@ -242,7 +241,7 @@ def test_criterion_9_memory_accounting(honest_runs, suite_runs, mixed_run):
         # one memory record per node, so no bound below goes unchecked
         assert len(report["memory"]) == eng.n
         for short, name in bounds.items():
-            values = within(key, report, eng, name)
+            values = within(key, report, name)
             assert values, (key, name)
             worst[short] = max(worst[short], *values)
     print(f"\nPASS criterion 9: memory high-water marks within budget "

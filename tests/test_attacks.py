@@ -8,7 +8,8 @@ import pytest
 
 from conftest import cached_run
 from slidenet.adversary import Corruption
-from slidenet.engine import FAILED_RESULTS, run_scenario
+from slidenet.bounds import FAILED_RESULTS
+from slidenet.engine import run_scenario
 from slidenet.scenarios import attack_scenario
 from test_acceptance import GHOST
 

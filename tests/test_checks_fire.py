@@ -282,7 +282,7 @@ PHI_DUP_OUTSIDE = ("transmission 1, global round 1: duplication potential "
 FAULTS = {
     "phi-nd-rise": (_plant_gain_unreported, (
         "transmission 1, global round 2: non-duplicated potential rose by "
-        "2 with insertions only 0 in round 2")),
+        "2 with insertions only 0")),
     "phi-dup-outside-bound": (_plant_dup_over_bound, PHI_DUP_OUTSIDE),
     "duplicated-live-packets": (_plant_duplicate, (
         "transmission 1, global round 8: duplicated live packets: "

@@ -443,7 +443,7 @@ def _dangle_nid(rows):
 TAMPERS = {
     _lower_internal_height: (1, "recorded potential"),
     _bump_recorded_potential: (1, "recorded potential"),
-    _hide_insertion_gain: (1, "with insertions 0"),
+    _hide_insertion_gain: (1, "with insertions only 0"),
     _unbalance_internal_heights: (1, "node 1 unbalanced heights"),
     _accept_distant_flag: (1, "duplication potential 100 outside [0, 32]"),
     _block_first_transmission: (

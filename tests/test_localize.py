@@ -28,10 +28,11 @@ def s2_evidence(ring, signer, sig1, drop, r, sigp=None):
     return ring.sign(key, ("s2", T_FAIL, r, None, 0, sig1, 0, drop, sigp))
 
 
-def build_reports(ring, reason, edges):
+def build_reports(ring, reason, edges, label=LABEL):
     """Construct a mutually-consistent report set.  edges maps directed
     (a, b) to dict(sig1=..., drop=..., rise=..., sigp=..., r=round); both
-    endpoints report matching, properly-evidenced values."""
+    endpoints report matching, properly-evidenced values, each `sigp` the
+    count of packets labelled `label`."""
     rs = StatusReportSet(
         failed_T=T_FAIL, reason=reason, n=N, sender=0, receiver=N - 1,
         participants=list(range(N)), eliminated=frozenset())
@@ -46,7 +47,7 @@ def build_reports(ring, reason, edges):
         rise = spec.get("rise", 0)
         sigp = spec.get("sigp")
         r = spec.get("r", 10)
-        label_pair = (LABEL, sigp) if sigp is not None else None
+        label_pair = (label, sigp) if sigp is not None else None
         ev1 = s1_evidence(ring, b, sig1, rise, r, label_pair)
         ev2 = s2_evidence(ring, a, sig1, drop, r, label_pair)
         out = rs.reports[a].out_edges.setdefault(b, {})
@@ -286,6 +287,21 @@ class TestF4:
         assert audit_consistency(rs, ring) is None
         verdict = localize_f4(rs)
         assert verdict is not None and verdict.node == 2
+
+    def test_label_of_another_codeword(self, ring):
+        # the failed transmission carries codeword 2, and the receiver's
+        # duplicate label is a replayed packet of codeword 1: the sender
+        # sent none of it, node 2 sent it twice through honest node 1
+        replayed = (1, 623)
+        edges = {
+            (0, 2): dict(sig1=1, drop=2, rise=2, sigp=0),
+            (2, 1): dict(sig1=2, drop=4, rise=2, sigp=2),
+            (1, 3): dict(sig1=2, drop=2, rise=2, sigp=2),
+        }
+        rs = build_reports(ring, ("f4", replayed), edges, label=replayed)
+        assert run_localization(rs, ring) == Verdict(
+            2, "F4-duplication",
+            "sum_B (SIG^B[p][2->B] - SIG^2[p][B->2]) = 2 - 0 >= 1", 2)
 
 
 # for each localizer: its reason, and the edges that give internal nodes 1

@@ -1,7 +1,7 @@
 """The scenario catalogue pinned without running it: the `Scenario.digest()`
 list of every family at n=4 and n=5, and of the acceptance suite's ghost
 cases, each pinned as the `util.digest` of the list.  A change here
-changes what the acceptance suite and `scripts/bounds.py` check.
+changes what the acceptance suite and `slidenet bounds` check.
 
 Beside it, the scenario parser: mutated catalogue files either fail with
 a ConfigError naming what was mutated or build an engine, and only the
@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slidenet
-from conftest import SCRIPTS
 from slidenet.adversary import ConfigError
 from slidenet.engine import ConformingError, Engine, Scenario
 from slidenet.scenarios import FAMILIES
@@ -160,10 +159,10 @@ def test_config_errors_raised_only_by_the_parser():
     """A scenario's fields are checked once, by `Scenario.from_dict` (the
     file's shape) and `Scenario.check` (its values); the code after them
     trusts the scenario.  `EdgeSchedule` keeps its round-coverage checks.
-    No other code in src/ or scripts/ raises ConfigError."""
+    No other code in src/ raises ConfigError."""
     package = Path(slidenet.__file__).parent
     sites = {f"{path.name}:{scope}"
-             for path in [*package.glob("*.py"), *SCRIPTS.glob("*.py")]
+             for path in package.glob("*.py")
              for scope in _raise_sites(path, "ConfigError")}
     assert sites == {"engine.py:Scenario.from_dict", "engine.py:_reject_unknown",
                      "engine.py:Scenario.check",
